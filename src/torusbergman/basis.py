@@ -12,9 +12,13 @@ densities, projective lifts) is built from these, so no large intermediates
 appear at any tensor power.  For a conjugate factor the weighted coefficient
 is exactly the complex conjugate of the holomorphic one at the same level.
 
-Orthonormalization is by Cholesky of the quadrature Gram; on product models
-the Gram is the tensor product of factor Grams, so the transform factorizes
-and the orthonormal basis stays in lexicographically ordered product form.
+Orthonormalization is one closed-form scalar per factor: the raw factor Gram
+is exactly sqrt(2 Im tau / m) times the identity (the classical orthogonality
+of the level-m theta basis, Mumford, Tata Lectures on Theta I), so every
+member is scaled by (m / (2 Im tau))^(1/4) and the orthonormal product basis
+stays in lexicographically ordered product form.  The quadrature Gram
+(factor_gram, and its Kronecker product gram) is kept as the independent
+oracle that certifies this closed form.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ __all__ = [
     "factor_gram",
     "orthonormalize",
     "build_basis",
-    "gram_to_csv",
+    "theta_gram_diagonal",
     "harmonicity_residual",
     "factor_harmonicity_residual",
 ]
@@ -68,6 +72,16 @@ class FactorSectionSet:
     @property
     def count(self) -> int:
         return len(self.members)
+
+    @property
+    def scale(self) -> float:
+        """Orthonormalizing factor (m / (2 Im tau))^(1/4) of the raw members."""
+        return theta_gram_diagonal(self.level, self.factor.im_tau) ** -0.5
+
+
+def theta_gram_diagonal(level: int, im_tau: float) -> float:
+    """Closed-form raw factor Gram: sqrt(2 Im tau / m) times the identity."""
+    return float(np.sqrt(2.0 * im_tau / level))
 
 
 def raw_factor_basis(factor: TorusFactor, k: int) -> FactorSectionSet:
@@ -122,11 +136,6 @@ class GramMatrix:
                 "quadrature too coarse or dependent sections"
             )
 
-    @property
-    def condition(self) -> float:
-        w = np.linalg.eigvalsh(0.5 * (self.entries + self.entries.conj().T))
-        return float(w.max() / w.min())
-
 
 def _factor_grid(resolution: int):
     """Half-cell-offset uniform grid on [0,1)^2 in lattice coordinates."""
@@ -135,19 +144,23 @@ def _factor_grid(resolution: int):
     return A.ravel(), B.ravel()
 
 
-def default_resolution(level: int) -> int:
-    return max(4 * level, 16)
+def default_resolution(level: int, im_tau: float = 1.0) -> int:
+    """Quadrature size: max(4m, 16), raised on thin tori (Im tau < 1) until the
+    first aliased mode exp(-pi Im(tau) N^2 / (2m)) is below 1e-16."""
+    return max(4 * level, 16, int(np.ceil(np.sqrt(2 * level * np.log(1e16) / (np.pi * im_tau)))))
 
 
 def factor_gram(factor: TorusFactor, k: int, resolution: int | None = None, eps: float = 1e-12) -> GramMatrix:
     """Quadrature Gram of the raw factor members under the weighted L2 product.
 
-    The periodic trapezoid rule is spectrally accurate here: the integrand's
-    Fourier modes decay like exp(-pi T nu^2 / (2m)), so the first aliased
-    mode at nu = N sets the recorded quadrature-error estimate.
+    It is the independent check of the closed form theta_gram_diagonal, which
+    the basis uses in its place.  The periodic trapezoid rule is spectrally
+    accurate here: the integrand's Fourier modes decay like
+    exp(-pi T nu^2 / (2m)), so the first aliased mode at nu = N sets the
+    recorded quadrature-error estimate.
     """
     m = k * abs(factor.degree)
-    N = default_resolution(m) if resolution is None else resolution
+    N = default_resolution(m, factor.im_tau) if resolution is None else resolution
     if N < 4 * m:
         raise GramError(f"resolution {N} below the floor {4 * m} for level {m}")
     a, b = _factor_grid(N)
@@ -163,7 +176,7 @@ def factor_gram(factor: TorusFactor, k: int, resolution: int | None = None, eps:
 
 
 def gram(model: ProductModel, kunneth: KunnethBasis, resolution: int | None = None, eps: float = 1e-12) -> GramMatrix:
-    """Gram of the full product basis: tensor product of factor Grams."""
+    """Quadrature Gram of the full product basis: Kronecker product of factor Grams (test oracle)."""
     gs = [factor_gram(s.factor, kunneth.k, resolution, eps) for s in kunneth.factor_sets]
     G = gs[0].entries
     est = gs[0].estimated_quadrature_error or 0.0
@@ -187,8 +200,6 @@ class HarmonicBasis:
     model: ProductModel
     k: int
     factor_sets: tuple[FactorSectionSet, ...]
-    factor_grams: tuple[GramMatrix, ...]
-    factor_chol: tuple[np.ndarray, ...]
     eps: float = 1e-12
     mix: np.ndarray | None = None
 
@@ -198,18 +209,6 @@ class HarmonicBasis:
         for s in self.factor_sets:
             c *= s.count
         return c
-
-    @property
-    def quadrature_resolution(self) -> int:
-        return max(g.quadrature_resolution for g in self.factor_grams)
-
-    @property
-    def chol_condition(self) -> float:
-        c = 1.0
-        for L in self.factor_chol:
-            s = np.linalg.svd(L, compute_uv=False)
-            c *= s.max() / s.min()
-        return float(c)
 
     def remixed(self, U: np.ndarray) -> "HarmonicBasis":
         mix = U if self.mix is None else U @ self.mix
@@ -229,9 +228,8 @@ class HarmonicBasis:
         m = s.level
         z = np.atleast_1d(np.asarray(z, dtype=complex))
         nord = {"v": 0, "d1": 1, "d2": 1}[orders]
-        W = weighted_table(m, f.tau, z, orders=nord, eps=eps)
-        L = self.factor_chol[t]
-        Wc = np.stack([np.linalg.solve(L, W[nu]) for nu in range(nord + 1)])
+        Wc = weighted_table(m, f.tau, z, orders=nord, eps=eps)
+        Wc *= s.scale
         T = f.im_tau
         out = {"v": Wc[0]}
         if orders in ("d1", "d2"):
@@ -312,7 +310,7 @@ class HarmonicBasis:
         """Quadrature Gram of the orthonormalized sections (should be I)."""
         Gs = []
         for t, s in enumerate(self.factor_sets):
-            N = default_resolution(s.level) * scale
+            N = default_resolution(s.level, s.factor.im_tau) * scale
             a, b = _factor_grid(N)
             z = a + s.factor.tau * b
             V = self.factor_tables(t, z, "v")["v"]
@@ -326,48 +324,15 @@ class HarmonicBasis:
         return G
 
 
-def orthonormalize(kunneth: KunnethBasis, gram_matrix: GramMatrix | None = None,
-                   resolution: int | None = None, eps: float = 1e-12) -> HarmonicBasis:
-    """Cholesky-orthonormalize the raw product basis.
-
-    The product Gram is the tensor product of factor Grams, so the inverse
-    Cholesky factor is applied per factor and the basis ordering is preserved.
-    gram_matrix, when given, is validated for consistency with the factor
-    computation (it is the provenance object; the factorization is recomputed).
-    """
-    grams = tuple(factor_gram(s.factor, kunneth.k, resolution, eps) for s in kunneth.factor_sets)
-    chols = tuple(np.linalg.cholesky(g.entries) for g in grams)
-    if gram_matrix is not None:
-        G = grams[0].entries
-        for g2 in grams[1:]:
-            G = np.kron(G, g2.entries)
-        dev = np.max(np.abs(G - gram_matrix.entries))
-        if dev > 1e-8 * max(1.0, np.max(np.abs(G))):
-            raise GramError(f"supplied Gram inconsistent with factor Grams (dev {dev:.3e})")
-    return HarmonicBasis(model=kunneth.model, k=kunneth.k, factor_sets=kunneth.factor_sets,
-                         factor_grams=grams, factor_chol=chols, eps=eps)
+def orthonormalize(kunneth: KunnethBasis, eps: float = 1e-12) -> HarmonicBasis:
+    """Orthonormalize the raw product basis: each factor's members are scaled
+    by FactorSectionSet.scale, and the basis ordering is preserved."""
+    return HarmonicBasis(model=kunneth.model, k=kunneth.k, factor_sets=kunneth.factor_sets, eps=eps)
 
 
-def build_basis(model: ProductModel, k: int, resolution: int | None = None, eps: float = 1e-12) -> HarmonicBasis:
-    """Raw members, quadrature Grams, Cholesky orthonormalization in one call."""
-    return orthonormalize(kunneth_basis(model, k), resolution=resolution, eps=eps)
-
-
-def gram_to_csv(gram_matrix: GramMatrix, path) -> None:
-    """Debug dump: row-major entries as paired re,im columns."""
-    from .util import fmt17
-
-    G = gram_matrix.entries
-    with open(path, "w", newline="\n") as fh:
-        header = []
-        for j in range(G.shape[1]):
-            header += [f"g{j}_re", f"g{j}_im"]
-        fh.write(",".join(header) + "\n")
-        for row in G:
-            cells = []
-            for v in row:
-                cells += [fmt17(v.real), fmt17(v.imag)]
-            fh.write(",".join(cells) + "\n")
+def build_basis(model: ProductModel, k: int, eps: float = 1e-12) -> HarmonicBasis:
+    """Raw members and closed-form orthonormalization in one call."""
+    return orthonormalize(kunneth_basis(model, k), eps=eps)
 
 
 # -- discrete Kodaira-Laplacian certification -------------------------------

@@ -187,17 +187,6 @@ class Differential:
     singular_values: np.ndarray
 
 
-def _real_partials(jets, idx=0):
-    """Chart real-coordinate partials V_{x_t}, V_{y_t} from complex jets."""
-    dz = jets["dz"][:, :, idx]
-    dzb = jets["dzb"][:, :, idx]
-    n = dz.shape[0]
-    V = np.empty((2 * n, dz.shape[1]), dtype=complex)
-    V[0::2] = dz + dzb
-    V[1::2] = 1j * (dz - dzb)
-    return V
-
-
 def differential(basis: HarmonicBasis, z, rank_tol: float = 1e-7) -> Differential:
     """Real differential of the lift and the induced rank of the map.
 
@@ -207,7 +196,7 @@ def differential(basis: HarmonicBasis, z, rank_tol: float = 1e-7) -> Differentia
     """
     jets = basis.jets(np.asarray(z, dtype=float))
     w = jets["val"][:, 0]
-    V = _real_partials(jets)
+    V = _real_partials_many(jets)[..., 0]
     nrm2 = np.vdot(w, w).real
     proj = V - (V @ w.conj())[:, None] * w[None, :] / nrm2
     Mreal = np.concatenate([proj.real, proj.imag], axis=1)   # (2n, 2*dim)
@@ -319,6 +308,7 @@ class ConvergenceReport:
     deriv_errors: dict[str, np.ndarray]    # method -> C^1-level sup errors
     slopes: dict[str, SlopeFit]
     method_gap: np.ndarray                 # sup |jacobian - ddbar| per k
+    floor: float                           # float floor of E(k): 1e-12 * max(1, max|omega|)
     grid: np.ndarray | None = None         # structured sample points
     fields: dict | None = None             # (method, k) -> form field on grid
 
@@ -348,7 +338,8 @@ def convergence_report(model: ProductModel, ks, grid_n: int = 8,
     to its own sample zeros for resonant k.  Also reports one derivative
     level: sup of centered lattice differences of the form field over the
     structured grid (omega is constant, so this measures C^1 error).  Raises
-    if E(k) is non-monotone beyond the noise tolerance.
+    if E(k) is non-monotone beyond the noise tolerance; a step whose later
+    value sits at the report's float `floor` is not a rise.
     """
     from .basis import build_basis
 
@@ -385,14 +376,15 @@ def convergence_report(model: ProductModel, ks, grid_n: int = 8,
             gaps.append(float(np.max(np.abs(fields[methods[0]] - fields[methods[1]]))))
     slopes = {}
     i0 = asymptotic_window(len(ks))
+    floor = 1e-12 * max(1.0, float(np.max(np.abs(w0))))
     for m in methods:
         e = np.array(errors[m])
-        if np.any(e[1:] > e[:-1] * (1.0 + noise_floor)):
+        if np.any((e[1:] > e[:-1] * (1.0 + noise_floor)) & (e[1:] > floor)):
             raise RuntimeError(f"E(k) non-monotone beyond noise for method {m}: {e}")
         slopes[m] = fit_slope(ks[i0:], np.maximum(e[i0:], 1e-300))
     return ConvergenceReport(ks=ks, errors={m: np.array(v) for m, v in errors.items()},
                              deriv_errors={m: np.array(v) for m, v in deriv.items()},
-                             slopes=slopes, method_gap=np.array(gaps),
+                             slopes=slopes, method_gap=np.array(gaps), floor=floor,
                              grid=pts if keep_fields else None, fields=kept)
 
 
@@ -426,14 +418,10 @@ def _normal_frame_first_jets(basis: HarmonicBasis, p):
         m = s.level
         from .theta import weighted_table
 
-        W = weighted_table(m, f.tau, np.array([zs[t]]), orders=1, eps=basis.eps)
-        L = basis.factor_chol[t]
-        W0 = np.linalg.solve(L, W[0])[:, 0]
-        W1 = np.linalg.solve(L, W[1])[:, 0]
+        val, W1 = weighted_table(m, f.tau, np.array([zs[t]]), orders=1, eps=basis.eps)[:, :, 0] * s.scale
         P = -1j * np.pi * m * zs[t].imag / f.im_tau
-        val = W0
-        du = W1 - 2.0 * P * W0
-        dubar = np.zeros_like(W0)
+        du = W1 - 2.0 * P * val
+        dubar = np.zeros_like(val)
         if f.degree < 0:
             val, du, dubar = np.conj(val), np.conj(dubar), np.conj(du)
         out.append({"v": val, "du": du, "dubar": dubar})

@@ -239,10 +239,6 @@ class NormalChart:
         u = np.asarray(u, dtype=complex)
         return k * (self.a0 + self.a1 * u + self.a2 * u * u).sum(axis=-1)
 
-    def gauge_per_factor(self, u, k: int = 1) -> np.ndarray:
-        u = np.asarray(u, dtype=complex)
-        return k * (self.a0 + self.a1 * u + self.a2 * u * u)
-
 
 def normal_chart(model: ProductModel, p) -> NormalChart:
     """Chart at p in which the weight is exactly sum lambda_t |u_t|^2."""

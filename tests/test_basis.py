@@ -6,17 +6,18 @@ from torusbergman.basis import (
     HOLOMORPHIC,
     GramError,
     build_basis,
+    default_resolution,
     factor_gram,
     factor_harmonicity_residual,
     gram,
     harmonicity_residual,
     kunneth_basis,
-    orthonormalize,
     raw_factor_basis,
+    theta_gram_diagonal,
 )
 from torusbergman.geometry import ProductModel, TorusFactor
 from torusbergman.kernel import density
-from torusbergman.theta import ThetaSeries
+from torusbergman.theta import ThetaSeries, weighted_table
 
 TAU = 1j
 
@@ -151,18 +152,45 @@ class TestOrthonormalize:
         d1 = density(b.remixed(U), pts)
         assert np.max(np.abs(d0 - d1)) < 1e-10 * np.max(d0)
 
-    def test_cholesky_condition_reported_small(self):
-        for degs, k in [((-1,), 8), ((-1, 2), 3)]:
-            b = build_basis(model(*degs), k)
-            assert b.chol_condition < 1e6
+    def test_closed_form_matches_quadrature(self):
+        for tau, d, k in [(TAU, 1, 5), (0.3 + 1.2j, -2, 4), (0.1 + 0.7j, 3, 3), (TAU, -1, 40)]:
+            g = factor_gram(TorusFactor(tau, d), k).entries
+            c = theta_gram_diagonal(k * abs(d), tau.imag)
+            assert np.max(np.abs(g - c * np.eye(len(g)))) <= 1e-13 * c
+        # thin torus: a 4m-point quadrature is the inaccurate side; the default
+        # resolution grows with 1 / Im tau and meets the closed form
+        f = TorusFactor(0.05j, -1)
+        c = theta_gram_diagonal(8, 0.05)
+        coarse = np.max(np.abs(factor_gram(f, 8, resolution=32).entries - c * np.eye(8))) / c
+        fine = np.max(np.abs(factor_gram(f, 8).entries - c * np.eye(8))) / c
+        assert default_resolution(8, 0.05) > 32 == default_resolution(8, 1.0)
+        assert coarse > 1e-5 and fine < 1e-13
 
-    def test_inconsistent_supplied_gram_rejected(self):
-        m = model(-1)
-        kb = kunneth_basis(m, 2)
-        bad = gram(m, kb)
-        wrong = type(bad)(entries=bad.entries * 1.5, quadrature_resolution=bad.quadrature_resolution)
-        with pytest.raises(GramError):
-            orthonormalize(kb, gram_matrix=wrong)
+    @pytest.mark.parametrize("factors", [
+        [(TAU, -1)],
+        [(0.3 + 1.2j, -1), (TAU, 1)],
+        [(0.1 + 0.7j, -1), (TAU, 1), (-0.2 + 0.9j, 2)],
+    ])
+    def test_factor_tables_match_cholesky_of_quadrature_gram(self, factors):
+        # the closed-form scale against the Cholesky-of-factor_gram route it replaced
+        k = 3
+        b = build_basis(ProductModel.from_factors([TorusFactor(t, d) for t, d in factors]), k)
+        rng = np.random.default_rng(23)
+        for t, s in enumerate(b.factor_sets):
+            f, m = s.factor, s.level
+            z = rng.random(9) + f.tau * rng.random(9)
+            L = np.linalg.cholesky(factor_gram(f, k).entries)
+            W0, W1 = (np.linalg.solve(L, w) for w in weighted_table(m, f.tau, z, orders=1))
+            P = -1j * np.pi * m * z.imag / f.im_tau
+            Q = np.conj(P)
+            dz = W1 - P * W0
+            dzb = -Q * W0
+            dzdzb = -np.pi * m / (2.0 * f.im_tau) * W0 - Q * dz
+            if f.degree < 0:
+                W0, dz, dzb, dzdzb = np.conj(W0), np.conj(dzb), np.conj(dz), np.conj(dzdzb)
+            got = b.factor_tables(t, z, "d2")
+            for key, want in (("v", W0), ("z", dz), ("zb", dzb), ("zzb", dzdzb)):
+                assert np.max(np.abs(got[key] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestHarmonicity:

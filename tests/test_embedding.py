@@ -16,6 +16,7 @@ from torusbergman.embedding import (
     pullback_jacobian_many,
     well_defined_check,
 )
+from torusbergman.experiment import parse_config, run
 from torusbergman.geometry import ProductModel, TorusFactor, omega
 from torusbergman.kernel import density, evaluate_combination, project_coefficients
 
@@ -306,6 +307,17 @@ class TestConvergence:
     def test_short_ladder_rejected(self):
         with pytest.raises(ValueError):
             convergence_report(model(-1), [4, 6, 8], grid_n=5)
+
+    def test_float_floor_is_not_a_rise(self):
+        # E(k) reaches the float floor at k = 24 and then wobbles there
+        rep = convergence_report(model(-1), [16, 20, 24, 28, 32], grid_n=9)
+        assert rep.floor == 1e-12
+        for m in ("jacobian", "ddbar_log"):
+            assert np.all(rep.errors[m][2:] <= rep.floor)
+        cfg = parse_config("factor = 0.0 1.0 -1\nk_ladder = 16 20 24 28 32\n"
+                           "grid_n = 128\nexperiments = pullback\n")
+        rep = run(cfg)    # A8's jacobian monotonicity check is floor-aware too
+        assert rep.passed and not rep.warnings
 
     def test_nonmonotone_errors_detected(self):
         # builder that scrambles the ladder produces increasing E(k)
