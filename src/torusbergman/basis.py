@@ -29,7 +29,7 @@ from itertools import product as iproduct
 import numpy as np
 
 from .geometry import ProductModel, TorusFactor, factor_volume
-from .theta import ThetaSeries, basis_of_level, weighted_table
+from .theta import ThetaSeries, basis_of_level, weighted_grid, weighted_table
 
 __all__ = [
     "FactorSectionSet",
@@ -137,13 +137,6 @@ class GramMatrix:
             )
 
 
-def _factor_grid(resolution: int):
-    """Half-cell-offset uniform grid on [0,1)^2 in lattice coordinates."""
-    t = (np.arange(resolution) + 0.5) / resolution
-    A, B = np.meshgrid(t, t, indexing="ij")
-    return A.ravel(), B.ravel()
-
-
 def default_resolution(level: int, im_tau: float = 1.0) -> int:
     """Quadrature size: max(4m, 16), raised on thin tori (Im tau < 1) until the
     first aliased mode exp(-pi Im(tau) N^2 / (2m)) is below 1e-16."""
@@ -163,13 +156,8 @@ def factor_gram(factor: TorusFactor, k: int, resolution: int | None = None, eps:
     N = default_resolution(m, factor.im_tau) if resolution is None else resolution
     if N < 4 * m:
         raise GramError(f"resolution {N} below the floor {4 * m} for level {m}")
-    a, b = _factor_grid(N)
-    z = a + factor.tau * b
-    W = weighted_table(m, factor.tau, z, orders=0, eps=eps)[0]
-    dv = factor_volume(factor) / N**2
-    G = (W @ W.conj().T) * dv
-    if factor.degree < 0:
-        G = G.conj()
+    basis = HarmonicBasis(ProductModel((factor,)), k, (raw_factor_basis(factor, k),), eps=eps)
+    G = basis.grid_gram(0, N) * theta_gram_diagonal(m, factor.im_tau)
     est = float(np.exp(-np.pi * factor.im_tau * N**2 / (2.0 * m)))
     return GramMatrix(entries=G, quadrature_resolution=N,
                       estimated_quadrature_error=max(est, eps))
@@ -250,6 +238,39 @@ class HarmonicBasis:
             out = swapped
         return out
 
+    # -- half-offset lattice grids --------------------------------------
+
+    def grid_table(self, t: int, N: int) -> np.ndarray:
+        """Factor t's orthonormalized weighted values (factor_tables(t, z)["v"])
+        on the half-offset N x N lattice grid z = a + tau b, a-major: (m, N^2)."""
+        s = self.factor_sets[t]
+        V = np.empty((s.count, N * N), dtype=complex)
+        for j, W in enumerate(weighted_grid(s.level, s.factor.tau, N, self.eps)):
+            V[j] = W.ravel()
+        V *= s.scale
+        return np.conj(V, out=V) if s.factor.degree < 0 else V
+
+    def grid_density(self, t: int, N: int) -> np.ndarray:
+        """Factor t's density sum_j |g_j|^2 on the same grid, shape (N, N).
+
+        Accumulated one member at a time, so the (m, N^2) table is never held;
+        conjugation does not change |g_j|, and the scale is applied once.
+        """
+        s = self.factor_sets[t]
+        out = np.zeros((N, N))
+        sq = np.empty((N, N))
+        for W in weighted_grid(s.level, s.factor.tau, N, self.eps):
+            np.abs(W, out=sq)
+            sq *= sq
+            out += sq
+        out *= s.scale ** 2
+        return out
+
+    def grid_gram(self, t: int, N: int) -> np.ndarray:
+        """Quadrature Gram of factor t's orthonormalized members on the grid (should be I)."""
+        V = self.grid_table(t, N)
+        return (V @ V.conj().T) * (factor_volume(self.factor_sets[t].factor) / N**2)
+
     def _combine(self, per_factor: list[np.ndarray]) -> np.ndarray:
         V = per_factor[0]
         for tab in per_factor[1:]:
@@ -308,14 +329,8 @@ class HarmonicBasis:
 
     def recompute_gram(self, scale: int = 1) -> np.ndarray:
         """Quadrature Gram of the orthonormalized sections (should be I)."""
-        Gs = []
-        for t, s in enumerate(self.factor_sets):
-            N = default_resolution(s.level, s.factor.im_tau) * scale
-            a, b = _factor_grid(N)
-            z = a + s.factor.tau * b
-            V = self.factor_tables(t, z, "v")["v"]
-            dv = factor_volume(s.factor) / N**2
-            Gs.append((V @ V.conj().T) * dv)
+        Gs = [self.grid_gram(t, default_resolution(s.level, s.factor.im_tau) * scale)
+              for t, s in enumerate(self.factor_sets)]
         G = Gs[0]
         for g2 in Gs[1:]:
             G = np.kron(G, g2)

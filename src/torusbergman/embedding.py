@@ -107,11 +107,7 @@ class InjectivityReport:
 
 def _factor_min_fs(basis: HarmonicBasis, t: int, grid_n: int, block: int = 1024):
     """Min pairwise FS separation over one factor's grid scan, with argmin pair."""
-    s = basis.factor_sets[t]
-    g = (np.arange(grid_n) + 0.5) / grid_n
-    A, B = np.meshgrid(g, g, indexing="ij")
-    z = (A + s.factor.tau * B).ravel()
-    V = basis.factor_tables(t, z, "v")["v"]
+    V = basis.grid_table(t, grid_n)
     V = V / np.linalg.norm(V, axis=0, keepdims=True)
     P = V.shape[1]
     best = -1.0
@@ -126,9 +122,10 @@ def _factor_min_fs(basis: HarmonicBasis, t: int, grid_n: int, block: int = 1024)
             best = float(C[idx])
             pair = (i0 + idx[0], idx[1])
         del C
-    pts = np.stack([A.ravel(), B.ravel()], axis=1)
+    g = (np.arange(grid_n) + 0.5) / grid_n
+    pts = [np.array([g[p // grid_n], g[p % grid_n]]) for p in pair]     # a-major grid order
     dist = fs_distance(ProjectivePoint(V[:, pair[0]]), ProjectivePoint(V[:, pair[1]]))
-    return dist, (pts[pair[0]], pts[pair[1]])
+    return dist, tuple(pts)
 
 
 def injectivity_scan(basis: HarmonicBasis, grid_n: int = 64, rng=None) -> InjectivityReport:

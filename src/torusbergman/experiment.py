@@ -49,7 +49,8 @@ _KNOWN_KEYS = {"factor", "k_ladder", "grid_n", "theta_eps", "gram_tol", "slope_m
                "seed", "experiments", "workers", "embed_grid_n"}
 _CRITERIA_DESC = {
     "A1": "dimension law: k^n * prod|d_j| sections, full-rank Gram within 1e-9 of closed form",
-    "A2": "harmonicity: discrete Kodaira-Laplacian residual <= 1e-6 at grid 64",
+    "A2": ("harmonicity: discrete Kodaira-Laplacian residual <= 1e-6 at grid {grid} "
+           "(grid 64, doubled while above the bound, at most 512)"),
     "A3": "leading coefficient: trace identity, disc-model oracle, density vs b0*k^n",
     "A4": "off-diagonal Gaussian decay matches 2 Im Psi within 10%, quadratic in separation",
     "A5": "far-field decay: gamma > 0 and k^N-damped decrease on top half ladder",
@@ -247,18 +248,21 @@ def _exp_dims(cfg, model, rng):
         min_eig = min(min_eig, eig)
     crit = [{"criterion_id": "A1", "description": _CRITERIA_DESC["A1"],
              "measured": float(min_eig), "threshold": 1e-12, "pass": bool(ok)}]
-    # harmonicity certification: the 4th-order stencil at the pinned grid 64
-    # resolves level-1 members below 1e-6, so the criterion binds on unit-level
-    # configs; higher levels are certified in the test suite at finer grids.
+    # harmonicity of the level-1 members: the 4th-order stencil's residual falls
+    # ~16x per grid doubling and grid 64 meets 1e-6 only near tau = i, so the
+    # grid doubles while above the bound; the perturbed control (~sqrt(2) per
+    # doubling) uses the final grid.  Higher levels are certified in the tests.
     if max(abs(f.degree) for f in model.factors) == 1:
         kb = basis_mod.kunneth_basis(model, 1)
-        worst = 0.0
-        for idx in kb.indices:
-            worst = max(worst, basis_mod.harmonicity_residual(model, 1, idx, grid_n=64))
+        for grid in (64, 128, 256, 512):
+            worst = max(basis_mod.harmonicity_residual(model, 1, idx, grid_n=grid)
+                        for idx in kb.indices)
+            if worst <= 1e-6:
+                break
         control = basis_mod.factor_harmonicity_residual(
-            model.factors[0], 1, 0, grid_n=64,
+            model.factors[0], 1, 0, grid_n=grid,
             perturb=lambda A, B: 0.01 * np.cos(2 * np.pi * A) * np.cos(2 * np.pi * B))["laplacian"]
-        crit.append({"criterion_id": "A2", "description": _CRITERIA_DESC["A2"],
+        crit.append({"criterion_id": "A2", "description": _CRITERIA_DESC["A2"].format(grid=grid),
                      "measured": float(worst), "threshold": 1e-6,
                      "pass": bool(worst <= 1e-6 and control >= 1e-3)})
     header = ["k", "sections", "expected", "gram_min_eig", "gram_dev"]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import HarmonicBasis
+from .basis import HarmonicBasis, default_resolution
 from .geometry import (VOLUME_NORMALIZATION, NormalChart, ProductModel,
                         curvature_matrix, factor_volume, normal_chart)
 
@@ -89,32 +89,23 @@ def density_factor_grids(basis: HarmonicBasis, grid_n: int) -> list[np.ndarray]:
     The orthonormal basis is a tensor product, so the full density on the
     product grid is the outer product of these arrays.
     """
-    out = []
-    for t, s in enumerate(basis.factor_sets):
-        g = (np.arange(grid_n) + 0.5) / grid_n
-        A, B = np.meshgrid(g, g, indexing="ij")
-        z = (A + s.factor.tau * B).ravel()
-        V = basis.factor_tables(t, z, "v")["v"]
-        out.append(np.sum(np.abs(V) ** 2, axis=0).reshape(grid_n, grid_n))
-    return out
+    return [basis.grid_density(t, grid_n) for t in range(basis.model.n)]
 
 
 def trace_density(basis: HarmonicBasis, grid_n: int | None = None) -> float:
     """Quadrature integral of the density over M (should equal dim).
 
-    The default grid is finer than (and offset from) the Gram grid, so the
-    identity is a genuine quadrature statement rather than the tautology of
-    re-tracing the orthonormalization grid.
+    The default grid, max(6m, 24) points per side, is finer than (and offset
+    from) the Gram grid, so the identity is a genuine quadrature statement
+    rather than the tautology of re-tracing the orthonormalization grid; on
+    thin tori it is raised to the Gram grid's default_resolution, whose first
+    aliased mode is below 1e-16.
     """
     tot = 1.0
     for t, s in enumerate(basis.factor_sets):
-        N = grid_n or max(6 * s.level, 24)
-        g = (np.arange(N) + 0.5) / N
-        A, B = np.meshgrid(g, g, indexing="ij")
-        z = (A + s.factor.tau * B).ravel()
-        V = basis.factor_tables(t, z, "v")["v"]
+        N = grid_n or max(6 * s.level, 24, default_resolution(s.level, s.factor.im_tau))
         dv = factor_volume(s.factor) / N**2
-        tot *= float(np.sum(np.abs(V) ** 2) * dv)
+        tot *= float(np.sum(basis.grid_density(t, N)) * dv)
     return tot
 
 
@@ -334,21 +325,15 @@ def project_coefficients(basis: HarmonicBasis, samples: np.ndarray, grid_n: int)
     samples must be the weighted J0 coefficient of u at the full product of
     per-factor half-offset grid_n x grid_n grids, flattened in C order.
     """
-    model = basis.model
-    g = (np.arange(grid_n) + 0.5) / grid_n
-    axes = []
-    dv = 1.0
+    n = basis.model.n
+    P = grid_n**2
+    tabs, dv = [], 1.0
     for t, s in enumerate(basis.factor_sets):
-        A, B = np.meshgrid(g, g, indexing="ij")
-        z = (A + s.factor.tau * B).ravel()
-        axes.append(basis.factor_tables(t, z, "v")["v"])
-        dv *= factor_volume(s.factor) / grid_n**2
-    V = axes[0]
-    for tab in axes[1:]:
-        V = np.einsum("ap,bq->abpq", V, tab).reshape(V.shape[0] * tab.shape[0], -1)
-    if basis.mix is not None:
-        V = basis.mix @ V
-    return (V.conj() @ samples) * dv
+        tab = basis.grid_table(t, grid_n)
+        # factor t's grid point index is digit t of the C-order product index
+        tabs.append(np.tile(np.repeat(tab, P ** (n - 1 - t), axis=1), (1, P**t)))
+        dv *= factor_volume(s.factor) / P
+    return (basis._combine(tabs).conj() @ samples) * dv
 
 
 def evaluate_combination(basis: HarmonicBasis, coeffs: np.ndarray, points) -> np.ndarray:

@@ -193,6 +193,22 @@ class TestOrthonormalize:
                 assert np.max(np.abs(got[key] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+class TestGridEvaluator:
+    @pytest.mark.parametrize("tau,d,k", [(TAU, -1, 7), (TAU, 1, 7), (0.3 + 1.2j, -2, 3), (0.1 + 0.7j, 3, 2)])
+    def test_grid_table_and_density_match_factor_tables_on_meshgrid(self, tau, d, k):
+        # the old route: factor_tables at the meshgrid points of the half-offset grid
+        b = build_basis(model(d, tau=tau), k)
+        N = 4 * b.factor_sets[0].level + 3
+        g = (np.arange(N) + 0.5) / N
+        A, B = np.meshgrid(g, g, indexing="ij")
+        V = b.factor_tables(0, (A + tau * B).ravel(), "v")["v"]
+        table = b.grid_table(0, N)
+        assert table.shape == V.shape
+        assert np.max(np.abs(table - V)) <= 1e-12 * np.max(np.abs(V))
+        dens = np.sum(np.abs(V) ** 2, axis=0).reshape(N, N)
+        assert np.max(np.abs(b.grid_density(0, N) - dens)) <= 1e-12 * np.max(dens)
+
+
 class TestHarmonicity:
     def test_holomorphic_dbar_residual_small(self):
         r = factor_harmonicity_residual(TorusFactor(TAU, 1), 1, 0, grid_n=64)

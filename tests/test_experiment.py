@@ -55,11 +55,17 @@ class TestParseConfig:
 
     def test_thin_torus_dims_passes_a1_at_grid_floor(self):
         # at Im tau = 0.05 a 4m-point quadrature leaves the factor Gram 8.6e-5
-        # off its closed form; dims sizes its quadrature from Im tau itself
-        thin = "factor = 0.0 0.05 -1\nk_ladder = 2 4 6 8\ngrid_n = 32\nexperiments = dims\n"
-        rep = run(parse_config(thin))
-        assert [c["pass"] for c in rep.criteria if c["criterion_id"] == "A1"] == [True]
-        assert max(row[4] for row in rep.tables["dims"][1]) <= 1e-9
+        # off its closed form; dims sizes its quadrature from Im tau itself.
+        # A2's stencil residual at grid 64 is 1.0e-4 there (2.0e-6 at tau =
+        # 0.3 + i), so A2 doubles its grid until the residual meets 1e-6
+        for factor, grid in [("0.0 0.05 -1", 256), ("0.3 1.0 1", 128)]:
+            cfg = f"factor = {factor}\nk_ladder = 2 4 6 8\ngrid_n = 32\nexperiments = dims\n"
+            rep = run(parse_config(cfg))
+            assert [c["pass"] for c in rep.criteria if c["criterion_id"] == "A1"] == [True]
+            assert max(row[4] for row in rep.tables["dims"][1]) <= 1e-9
+            (a2,) = [c for c in rep.criteria if c["criterion_id"] == "A2"]
+            assert a2["pass"] and a2["measured"] <= 1e-6
+            assert f"at grid {grid} " in a2["description"]
 
     def test_unknown_key_rejected_with_line(self):
         bad = MINIMAL + "wibble = 3\n"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,26 @@ class TestDensity:
             b = build_basis(model(*degs), k)
             tr = trace_density(b)
             assert abs(tr / b.dim - 1.0) < 1e-8
+
+    def test_trace_identity_thin_torus(self):
+        # max(6m, 24) points per side alias at Im tau = 0.05 (2.5e-5 off at
+        # k = 4); the default grid also honours default_resolution(m, Im tau)
+        for k in (4, 6):
+            b = build_basis(model(-1, tau=0.05j), k)
+            assert abs(trace_density(b) / b.dim - 1.0) < 1e-12
+
+    def test_trace_density_streams_the_grid(self):
+        # one 360 x 360 complex table of the k = 60 factor is 2 MB, the whole
+        # (60, 360^2) table 124 MB; the density holds one member at a time
+        b = build_basis(model(-1), 60)
+        tracemalloc.start()
+        try:
+            tr = trace_density(b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(tr / b.dim - 1.0) < 1e-8
+        assert peak < 10e6
 
     def test_translation_invariance(self):
         b = build_basis(model(-1), 16)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from torusbergman.theta import ThetaSeries, basis_of_level, phi_plus, weighted_table
+from torusbergman.theta import ThetaSeries, basis_of_level, phi_plus, weighted_grid, weighted_table
 
 TAU = 1j
 
@@ -183,3 +183,19 @@ class TestWeightedTable:
         # the weighted form never produces large intermediates
         W = weighted_table(40, TAU, np.array([0.3 + 0.95j]), orders=0)
         assert np.all(np.abs(W) < 10)
+
+
+class TestWeightedGrid:
+    @pytest.mark.parametrize("tau", [1j, 0.3 + 1.2j, 0.1 + 0.05j])
+    @pytest.mark.parametrize("m", [1, 5, 40])
+    def test_matches_weighted_table_at_every_grid_point(self, tau, m):
+        # the separable fast path against the slow path it replaces, on a grid
+        # whose side is not a multiple of the level
+        N = 4 * m + 3
+        g = (np.arange(N) + 0.5) / N
+        A, B = np.meshgrid(g, g, indexing="ij")
+        W = weighted_table(m, tau, (A + tau * B).ravel())[0]
+        grids = list(weighted_grid(m, tau, N))
+        assert len(grids) == m and all(G.shape == (N, N) for G in grids)
+        got = np.stack([G.ravel() for G in grids])
+        assert np.max(np.abs(got - W)) <= 1e-12 * np.max(np.abs(W))
