@@ -2,7 +2,7 @@
 
 Layout:
     geometry    - torus factors, product models, curvature, charts, distances
-    theta       - level-m theta series with certified truncation
+    theta       - weighted level-m theta functions with certified truncation
     basis       - harmonic bases, Gram quadrature, Laplacian certification
     kernel      - projector kernel, density, decay fits, ratio profile
     embedding   - projective map, Fubini-Study pullback, derivative sums
@@ -63,7 +63,6 @@ from .kernel import (
     ratio_profile,
     trace_density,
 )
-from .theta import ThetaSeries, TruncationBound, basis_of_level
 from .util import fit_slope
 
 __version__ = "0.1.0"
@@ -72,7 +71,6 @@ __all__ = [
     "TorusFactor", "ProductModel", "MetricFrame", "NormalChart",
     "curvature_matrix", "signature", "omega", "normal_chart", "distance",
     "injectivity_scale",
-    "ThetaSeries", "TruncationBound", "basis_of_level",
     "FactorSectionSet", "GramMatrix", "KunnethBasis", "HarmonicBasis",
     "raw_factor_basis", "kunneth_basis", "gram", "factor_gram",
     "orthonormalize", "build_basis", "harmonicity_residual",

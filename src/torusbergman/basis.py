@@ -29,7 +29,7 @@ from itertools import product as iproduct
 import numpy as np
 
 from .geometry import ProductModel, TorusFactor, factor_volume
-from .theta import ThetaSeries, basis_of_level, weighted_grid, weighted_table
+from .theta import phi_plus, weighted_grid, weighted_table
 
 __all__ = [
     "FactorSectionSet",
@@ -63,7 +63,6 @@ class FactorSectionSet:
     factor: TorusFactor
     k: int
     kind: str
-    members: tuple[ThetaSeries, ...]
 
     @property
     def level(self) -> int:
@@ -71,7 +70,8 @@ class FactorSectionSet:
 
     @property
     def count(self) -> int:
-        return len(self.members)
+        """One member per theta characteristic: the level."""
+        return self.level
 
     @property
     def scale(self) -> float:
@@ -88,9 +88,8 @@ def raw_factor_basis(factor: TorusFactor, k: int) -> FactorSectionSet:
     """Raw harmonic members for one factor: k*|d| of them, kind by sign of d."""
     if k <= 0:
         raise ValueError("tensor power k must be positive")
-    m = k * abs(factor.degree)
     kind = HOLOMORPHIC if factor.degree > 0 else CONJUGATE_FORM
-    return FactorSectionSet(factor=factor, k=k, kind=kind, members=tuple(basis_of_level(m, factor.tau)))
+    return FactorSectionSet(factor=factor, k=k, kind=kind)
 
 
 @dataclass(frozen=True)
@@ -404,14 +403,13 @@ def factor_harmonicity_residual(factor: TorusFactor, k: int, member: int,
     t = (np.arange(N) + 0.5) / N - 0.5
     A, B = np.meshgrid(t, t, indexing="ij")
     Z = A + tau * B
-    series = ThetaSeries(level=m, characteristic=member, tau=tau)
-    theta = series.eval(Z.ravel(), eps=1e-14).reshape(N, N)
+    phi = phi_plus(m, tau, Z)
+    theta = weighted_table(m, tau, Z.ravel(), eps=1e-14)[0, member].reshape(N, N) * np.exp(phi)
     if factor.degree > 0:
         F = theta
         c_up = _theta_cocycle(m, tau, Z)
         c_dn = _theta_cocycle(m, tau, Z - tau)
     else:
-        phi = np.pi * m * Z.imag ** 2 / T
         F = np.exp(-2.0 * phi) * np.conj(theta)
         c_up = np.conj(_theta_cocycle(m, tau, Z)) * np.exp(-4.0 * np.pi * m * Z.imag - 2.0 * np.pi * m * T)
         c_dn = np.conj(_theta_cocycle(m, tau, Z - tau)) * np.exp(-4.0 * np.pi * m * (Z.imag - T) - 2.0 * np.pi * m * T)

@@ -81,13 +81,15 @@ class WellDefinedReport:
 
 
 def well_defined_check(basis: HarmonicBasis, grid_n: int = 32) -> WellDefinedReport:
-    """min over the product grid of density / (b0 k^n); pass iff >= 0.5."""
-    from .kernel import density_factor_grids
+    """min over the product grid of density / (b0 k^n); pass iff >= 0.5.
 
+    The basis is a tensor product, so that minimum is the product of the
+    factor densities' minima on their own grids.
+    """
     b0kn = leading_coefficient(basis.model) * basis.k ** basis.model.n
     mins = 1.0
-    for d in density_factor_grids(basis, grid_n):
-        mins *= float(d.min())
+    for t in range(basis.model.n):
+        mins *= float(basis.grid_density(t, grid_n).min())
     ratio = mins / b0kn
     return WellDefinedReport(min_ratio=ratio, grid_n=grid_n, passed=bool(ratio >= 0.5))
 
@@ -303,7 +305,7 @@ class ConvergenceReport:
     ks: np.ndarray
     errors: dict[str, np.ndarray]          # method -> E(k) sup errors
     deriv_errors: dict[str, np.ndarray]    # method -> C^1-level sup errors
-    slopes: dict[str, SlopeFit]
+    slopes: dict[str, SlopeFit | None]    # top-half fit over the rungs above floor; None if < 4
     method_gap: np.ndarray                 # sup |jacobian - ddbar| per k
     floor: float                           # float floor of E(k): 1e-12 * max(1, max|omega|)
     grid: np.ndarray | None = None         # structured sample points
@@ -336,7 +338,9 @@ def convergence_report(model: ProductModel, ks, grid_n: int = 8,
     level: sup of centered lattice differences of the form field over the
     structured grid (omega is constant, so this measures C^1 error).  Raises
     if E(k) is non-monotone beyond the noise tolerance; a step whose later
-    value sits at the report's float `floor` is not a rise.
+    value sits at the report's float `floor` is not a rise.  The rate is
+    fitted on the top half of the rungs whose E(k) is above the floor, and
+    is None when fewer than 4 are.
     """
     from .basis import build_basis
 
@@ -372,13 +376,14 @@ def convergence_report(model: ProductModel, ks, grid_n: int = 8,
         if len(methods) == 2:
             gaps.append(float(np.max(np.abs(fields[methods[0]] - fields[methods[1]]))))
     slopes = {}
-    i0 = asymptotic_window(len(ks))
     floor = 1e-12 * max(1.0, float(np.max(np.abs(w0))))
     for m in methods:
         e = np.array(errors[m])
         if np.any((e[1:] > e[:-1] * (1.0 + noise_floor)) & (e[1:] > floor)):
             raise RuntimeError(f"E(k) non-monotone beyond noise for method {m}: {e}")
-        slopes[m] = fit_slope(ks[i0:], np.maximum(e[i0:], 1e-300))
+        live = e > floor
+        i0 = asymptotic_window(int(live.sum()))
+        slopes[m] = fit_slope(ks[live][i0:], e[live][i0:]) if live.sum() >= 4 else None
     return ConvergenceReport(ks=ks, errors={m: np.array(v) for m, v in errors.items()},
                              deriv_errors={m: np.array(v) for m, v in deriv.items()},
                              slopes=slopes, method_gap=np.array(gaps), floor=floor,

@@ -23,7 +23,6 @@ __all__ = [
     "kernel",
     "kernel_in_chart",
     "density",
-    "density_factor_grids",
     "trace_density",
     "expansion_model",
     "offdiagonal_fit",
@@ -81,15 +80,6 @@ def density(basis: HarmonicBasis, points) -> np.ndarray:
     v = basis.values(pts)
     out = np.sum(np.abs(v) ** 2, axis=0)
     return out if np.asarray(points).ndim > 1 else float(out[0])
-
-
-def density_factor_grids(basis: HarmonicBasis, grid_n: int) -> list[np.ndarray]:
-    """Per-factor density arrays on half-offset grid_n x grid_n lattice grids.
-
-    The orthonormal basis is a tensor product, so the full density on the
-    product grid is the outer product of these arrays.
-    """
-    return [basis.grid_density(t, grid_n) for t in range(basis.model.n)]
 
 
 def trace_density(basis: HarmonicBasis, grid_n: int | None = None) -> float:

@@ -1,4 +1,4 @@
-"""Level-m theta series with certified truncation.
+"""Weighted level-m theta functions: two evaluators over one term formula.
 
 Normalization:
 
@@ -7,57 +7,40 @@ Normalization:
 for level m >= 1 and characteristic j in {0, ..., m-1}.  These satisfy
 theta(z+1) = theta(z) and theta(z+tau) = exp(-pi i m tau - 2 pi i m z) theta(z)
 and realize holomorphic sections of the degree-m bundle with weight
-phi_plus(z) = pi m (Im z)^2 / Im tau.
+phi_plus(z) = pi m (Im z)^2 / Im tau.  Only the weighted values
+W = theta * exp(-phi_plus) and their termwise z-derivative sums are evaluated.
+In lattice coordinates z = a + tau s (s = Im z / Im tau) each weighted term is
 
-Certified error: truncation radii come from the explicit Gaussian tail bound,
-and the guarantee is |truncated - exact| <= eps * exp(phi_plus(z)), i.e. the
-gauge-invariant weighted value theta * exp(-phi_plus) is within eps.  On the
-real axis (and at the scale of all shipped comparisons) this is an absolute
-eps bound.
+    exp(2 pi i m r a) * exp(pi i m Re(tau) r (r + 2 s) - pi m Im(tau) (r + s)^2),
 
-Grid evaluator: on the half-offset lattice grid z = a + tau b (a, b in
-(arange(N) + 0.5) / N) every weighted term separates,
+whose real exponent _exponent forms as that one Gaussian, never as the sum of
+the large, cancelling Re(pi i m r^2 tau), -2 pi m r Im z and -phi_plus.
 
-    exp(pi i m r^2 tau + 2 pi i m r z - phi_plus(z))
-        = exp(2 pi i m r a) * exp(pi i m Re(tau) (r^2 + 2 r b) - pi m Im(tau) (r + b)^2),
-
-so weighted_grid computes each characteristic as one (N x R_j) @ (R_j x N)
-matrix product, with O(N R) complex exponentials instead of O(N^2 R).  It sums
-exactly the terms weighted_table would sum at those points (same tail radius,
-same r window per characteristic) and yields one characteristic at a time, so
-a caller that reduces as it goes (the density sum_j |W_j|^2) holds one N x N
+Certified error: _windows takes each characteristic's r window from the
+explicit Gaussian tail bound, so W is within eps of the exact value (theta
+within eps * exp(phi_plus(z))).  Both evaluators use it: weighted_table for
+scattered points and derivative sums, and weighted_grid for the half-offset
+lattice grid z = a + tau b (a, b in (arange(N) + 0.5) / N), where the a-phase
+exp(2 pi i (m n + j) a) (r = n + j/m) splits off, so each characteristic is
+one (N x R_j) @ (R_j x N) matrix product with O(N R) complex exponentials
+instead of O(N^2 R).  weighted_grid yields one characteristic at a time, so a
+caller that reduces as it goes (the density sum_j |W_j|^2) holds one N x N
 array, not the whole m x N^2 table.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ThetaSeries", "TruncationBound", "basis_of_level", "phi_plus", "weighted_grid",
-           "weighted_table"]
+__all__ = ["phi_plus", "weighted_grid", "weighted_table"]
 
 
 def phi_plus(m: int, tau: complex, z) -> np.ndarray:
     """Positive-degree weight pi*m*(Im z)^2/Im tau at level m."""
     z = np.asarray(z, dtype=complex)
     return np.pi * m * z.imag ** 2 / tau.imag
-
-
-@dataclass(frozen=True)
-class TruncationBound:
-    """Lattice-sum cutoff certified by the Gaussian tail estimate."""
-
-    target_eps: float
-    radius: int
-
-    def __post_init__(self):
-        if self.target_eps <= 0:
-            raise ValueError("target_eps must be positive")
-        if self.radius < 1:
-            raise ValueError("radius must be a positive integer")
 
 
 def _tail_radius(m: int, im_tau: float, eps: float, y_over_t: float, order: int) -> float:
@@ -79,65 +62,34 @@ def _tail_radius(m: int, im_tau: float, eps: float, y_over_t: float, order: int)
     return R
 
 
-@dataclass(frozen=True)
-class ThetaSeries:
-    level: int
-    characteristic: int
-    tau: complex
-
-    def __post_init__(self):
-        if self.level < 1:
-            raise ValueError("level must be a positive integer")
-        if not 0 <= self.characteristic < self.level:
-            raise ValueError("characteristic must lie in [0, level)")
-        if self.tau.imag <= 0:
-            raise ValueError("Im(tau) must be positive")
-
-    def truncation(self, z, eps: float, order: int = 0) -> TruncationBound:
-        if eps <= 0:
-            raise ValueError("eps must be positive")
-        z = np.asarray(z, dtype=complex)
-        y_over_t = float(np.max(np.abs(z.imag))) / self.tau.imag if z.size else 0.0
-        R = _tail_radius(self.level, self.tau.imag, eps, y_over_t, order)
-        return TruncationBound(target_eps=eps, radius=int(np.ceil(R)))
-
-    def _sum(self, z, eps: float, order: int, radius: int | None = None):
-        z = np.asarray(z, dtype=complex)
-        scalar = z.ndim == 0
-        zf = np.atleast_1d(z)
-        m, j, tau = self.level, self.characteristic, self.tau
-        T = tau.imag
-        if radius is None:
-            radius = self.truncation(zf, eps, order).radius
-        center = -zf.imag / T
-        lo = int(np.floor(center.min() - radius - j / m))
-        hi = int(np.ceil(center.max() + radius - j / m))
-        r = (np.arange(lo, hi + 1) + j / m)[:, None]
-        expo = 1j * np.pi * m * r * r * tau + 2j * np.pi * m * r * zf[None, :]
-        terms = np.exp(expo)
-        if order:
-            terms = terms * (2j * np.pi * m * r) ** order
-        out = terms.sum(axis=0)
-        return out[0] if scalar else out
-
-    def eval(self, z, eps: float = 1e-12, radius: int | None = None):
-        """Truncated lattice sum, certified within eps * exp(phi_plus(z))."""
-        return self._sum(z, eps, 0, radius)
-
-    def eval_grad(self, z, eps: float = 1e-12, radius: int | None = None):
-        """Termwise-differentiated sum d theta / dz, same certification."""
-        return self._sum(z, eps, 1, radius)
-
-    def eval_hess(self, z, eps: float = 1e-12, radius: int | None = None):
-        """Second termwise derivative d^2 theta / dz^2."""
-        return self._sum(z, eps, 2, radius)
-
-
-def basis_of_level(m: int, tau: complex) -> list[ThetaSeries]:
-    """The m series of level m with characteristics 0..m-1."""
+def _windows(m: int, tau: complex, y: np.ndarray, eps: float, order: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per characteristic j, the integers n and the column r = n + j/m that cover
+    |r + y / Im tau| <= R at every point, R the tail radius for eps at the given
+    derivative order.  Rejects a level below 1, Im tau <= 0 and eps <= 0."""
     if m < 1:
         raise ValueError("level must be a positive integer")
-    return [ThetaSeries(level=m, characteristic=j, tau=tau) for j in range(m)]
+    if tau.imag <= 0:
+        raise ValueError("Im(tau) must be positive")
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    T = tau.imag
+    R = _tail_radius(m, T, eps, float(np.max(np.abs(y))) / T, order)
+    center = -y / T
+    out = []
+    for j in range(m):
+        n = np.arange(int(np.floor(center.min() - R - j / m)), int(np.ceil(center.max() + R - j / m)) + 1)
+        out.append((n, (n + j / m)[:, None]))
+    return out
+
+
+def _exponent(m: int, tau: complex, r: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """pi i m Re(tau) r (r + 2 s) - pi m Im(tau) (r + s)^2 for a column r and a
+    row s = Im z / Im tau: the term exponent without its a-phase, its real and
+    imaginary parts built as real arrays and written into one complex buffer."""
+    e = np.empty((r.shape[0], s.shape[0]), dtype=complex)
+    e.real = -np.pi * m * tau.imag * (r + s) ** 2
+    e.imag = np.pi * m * tau.real * r * (r + 2.0 * s)
+    return e
 
 
 def weighted_table(m: int, tau: complex, z, orders: int = 0, eps: float = 1e-12) -> np.ndarray:
@@ -151,22 +103,17 @@ def weighted_table(m: int, tau: complex, z, orders: int = 0, eps: float = 1e-12)
     the weighted first and second z-derivative sums of theta.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    T = tau.imag
-    y_over_t = float(np.max(np.abs(z.imag))) / T if z.size else 0.0
-    R = _tail_radius(m, T, eps, y_over_t, orders)
-    center = -z.imag / T
+    s = z.imag / tau.imag
+    phase = 2.0 * np.pi * m * (z.real - tau.real * s)      # 2 pi m a
     out = np.empty((orders + 1, m, z.shape[0]), dtype=complex)
-    phi = np.pi * m * z.imag ** 2 / T
-    for j in range(m):
-        lo = int(np.floor(center.min() - R - j / m))
-        hi = int(np.ceil(center.max() + R - j / m))
-        r = (np.arange(lo, hi + 1) + j / m)[:, None]
-        expo = 1j * np.pi * m * r * r * tau + 2j * np.pi * m * r * z[None, :] - phi[None, :]
-        base = np.exp(expo)
-        fac = np.ones_like(base)
-        for nu in range(orders + 1):
-            out[nu, j] = (base * fac).sum(axis=0)
-            fac = fac * (2j * np.pi * m * r)
+    for j, (_, r) in enumerate(_windows(m, tau, z.imag, eps, orders)):
+        expo = _exponent(m, tau, r, s)
+        expo.imag += r * phase
+        term = np.exp(expo, out=expo)
+        out[0, j] = term.sum(axis=0)
+        for nu in range(1, orders + 1):
+            term *= 2j * np.pi * m * r
+            out[nu, j] = term.sum(axis=0)
     return out
 
 
@@ -176,19 +123,11 @@ def weighted_grid(m: int, tau: complex, N: int, eps: float = 1e-12) -> Iterator[
 
     Yields m arrays of shape (N, N) indexed [a, b] for z = a + tau b with
     a, b in (arange(N) + 0.5) / N, so that raveling gives the a-major point
-    order.  Characteristic j is E_j @ G_j with E_j[a, r] = exp(2 pi i m r a)
-    and G_j[r, b] the b-only Gaussian factor (see the module docstring).
+    order.  Characteristic j is E_j @ G_j with E_j[a, n] = exp(2 pi i (m n + j) a)
+    and G_j[n, b] the b-only factor (see the module docstring).
     """
     t = (np.arange(N) + 0.5) / N
-    T = tau.imag
-    y = T * t                                   # Im z along b, as weighted_table sees it
-    R = _tail_radius(m, T, eps, float(np.max(y)) / T, 0)
-    center = -y / T
-    for j in range(m):
-        lo = int(np.floor(center.min() - R - j / m))
-        hi = int(np.ceil(center.max() + R - j / m))
-        n = np.arange(lo, hi + 1)
-        r = (n + j / m)[:, None]
+    # the windows see Im z = Im(tau) b, as weighted_table would at these points
+    for j, (n, r) in enumerate(_windows(m, tau, tau.imag * t, eps, 0)):
         E = np.exp(2j * np.pi * np.outer(t, m * n + j))
-        G = np.exp(1j * np.pi * m * tau.real * r * (r + 2.0 * t) - np.pi * m * T * (r + t) ** 2)
-        yield E @ G
+        yield E @ np.exp(_exponent(m, tau, r, t))

@@ -236,12 +236,12 @@ def test_a10_infrastructure(tmp_path):
         for f in d1.glob("*.csv")
     )
     malformed = [
-        "factor = 0.0 1.0 0\nk_ladder = 1 2 3 4\ngrid_n = 16\n",      # zero degree
-        "factor = 0.0 -1.0 1\nk_ladder = 1 2 3 4\ngrid_n = 16\n",     # Im tau <= 0
-        "factor = 0.0 1.0 1\nk_ladder = 8 8 12\ngrid_n = 64\n",       # non-monotone
-        "factor = 0.0 1.0 1\nk_ladder = 1 2 3 4\ngrid_n = 4\n",       # below floor
-        "factor = 0.0 1.0 1\nk_ladder = 1 2 3 4\ngrid_n = 16\nmystery = 1\n",
-        "factor = 0.0 1.0 1\nk_ladder = 2 4 6\ngrid_n = 24\nexperiments = offdiag\n",
+        "factor = 0.0 1.0 0\nk_ladder = 1 2 3 4\n",                   # zero degree
+        "factor = 0.0 -1.0 1\nk_ladder = 1 2 3 4\n",                  # Im tau <= 0
+        "factor = 0.0 1.0 1\nk_ladder = 8 8 12\n",                    # non-monotone
+        "factor = 0.0 1.0 1\nk_ladder = 1 2 3 4\ntheta_eps = 0\n",    # non-positive eps
+        "factor = 0.0 1.0 1\nk_ladder = 1 2 3 4\nmystery = 1\n",
+        "factor = 0.0 1.0 1\nk_ladder = 2 4 6\nexperiments = offdiag\n",
     ]
     rejected = 0
     for text in malformed:

@@ -1,0 +1,61 @@
+"""bench/ drives the package from outside: child.py wraps the functions named in
+its SPANS and binds their arguments by name, and run.py feeds its workload
+configs to the CLI.  These tests keep that contract visible in Tier 1."""
+
+import importlib
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
+
+import pytest
+
+from torusbergman import basis, theta
+from torusbergman.experiment import parse_config
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    mod = importlib.util.module_from_spec(spec)
+    # dataclasses look their defining module up in sys.modules while being built
+    sys.modules[spec.name] = mod
+    try:
+        spec.loader.exec_module(mod)
+    finally:
+        del sys.modules[spec.name]
+    return mod
+
+
+@pytest.fixture(scope="module")
+def child():
+    return _load("child")
+
+
+@pytest.fixture(scope="module")
+def bench_run():
+    return _load("run")
+
+
+def test_every_span_resolves_to_a_callable(child):
+    for modname, names in child.SPANS.items():
+        mod = importlib.import_module(f"torusbergman.{modname}")
+        for qual in names:
+            obj = mod
+            for part in qual.split("."):
+                obj = getattr(obj, part)
+            assert callable(obj), f"{modname}.{qual}"
+
+
+def test_span_arguments_bound_by_name_exist():
+    # the tracer reads weighted_table's m, z and orders and build_basis's model
+    assert {"m", "z", "orders"} <= set(inspect.signature(theta.weighted_table).parameters)
+    assert "model" in inspect.signature(basis.build_basis).parameters
+
+
+def test_every_workload_config_parses_at_seed_1(bench_run):
+    assert bench_run.WORKLOADS
+    for name, w in bench_run.WORKLOADS.items():
+        cfg = parse_config(w.config.format(seed=1))
+        assert cfg.seed == 1, name

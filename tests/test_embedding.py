@@ -47,15 +47,13 @@ class TestPhi:
         assert p.homogeneous.shape == (1,)
 
     def test_lift_norm_squared_is_density(self):
-        from torusbergman.kernel import density_factor_grids
-
         b = build_basis(model(-1), 8)
         rng = np.random.default_rng(4)
         for z in rng.random((16, 2)):
             p = phi(b, z)
             assert np.linalg.norm(p.homogeneous) ** 2 == pytest.approx(density(b, z), rel=1e-12)
         # min over the full 64^2 grid of the lift norm stays positive
-        assert density_factor_grids(b, 64)[0].min() > 0
+        assert b.grid_density(0, 64).min() > 0
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
@@ -314,10 +312,24 @@ class TestConvergence:
         assert rep.floor == 1e-12
         for m in ("jacobian", "ddbar_log"):
             assert np.all(rep.errors[m][2:] <= rep.floor)
-        cfg = parse_config("factor = 0.0 1.0 -1\nk_ladder = 16 20 24 28 32\n"
-                           "grid_n = 128\nexperiments = pullback\n")
+        cfg = parse_config("factor = 0.0 1.0 -1\nk_ladder = 16 20 24 28 32\nexperiments = pullback\n")
         rep = run(cfg)    # A8's jacobian monotonicity check is floor-aware too
         assert rep.passed and not rep.warnings
+
+    def test_a8_rate_is_fitted_above_the_float_floor(self, monkeypatch):
+        # E(k) is 2.4e-9 and 5.7e-12 at k = 16, 20 and at the floor from k = 24,
+        # so a fit over the top half of the ladder reads beta = -0.83
+        cfg = parse_config("factor = 0.0 1.0 -1\nk_ladder = 16 20 24 28 32 36 40 44 48\n"
+                           "experiments = pullback\n")
+        (a8,) = run(cfg).criteria
+        assert a8["pass"] and "k = [24, 28, 32, 36, 40, 44, 48]" in a8["description"]
+        # control: a basis that ignores k keeps E(k) constant above the floor
+        from torusbergman import basis as basis_mod
+
+        build = basis_mod.build_basis
+        monkeypatch.setattr(basis_mod, "build_basis", lambda model, k, eps=1e-12: build(model, 4, eps=eps))
+        (a8,) = run(cfg).criteria
+        assert not a8["pass"] and abs(a8["measured"]) < 1e-6
 
     def test_nonmonotone_errors_detected(self):
         # builder that scrambles the ladder produces increasing E(k)

@@ -18,7 +18,6 @@ from torusbergman.util import fmt17
 MINIMAL = """
 factor = 0.0 1.0 -1
 k_ladder = 2 3 4 5
-grid_n = 20
 seed = 7
 experiments = dims
 """
@@ -27,7 +26,6 @@ SMOKE = """
 factor = 0.0 1.0 -1
 factor = 0.0 1.0 1
 k_ladder = 4 6 8 10
-grid_n = 48
 theta_eps = 1e-12
 seed = 20260810
 experiments = dims density offdiag
@@ -46,12 +44,17 @@ class TestParseConfig:
             parse_config(bad)
         assert any("non-monotone" in v[2] for v in err.value.violations)
 
-    def test_grid_floor_rejected_with_computed_floor(self):
-        bad = MINIMAL.replace("grid_n = 20", "grid_n = 10")
-        with pytest.raises(ConfigError) as err:
-            parse_config(bad)
-        msgs = [v[2] for v in err.value.violations]
-        assert any("floor 20" in m for m in msgs)
+    def test_retired_keys_ignored_with_warning(self):
+        # grid_n and gram_tol took no effect; they still parse (old configs carry
+        # them) and each is named in the summary's warnings, which bench reads
+        # as failures only when they start with "experiment "
+        cfg = parse_config(MINIMAL + "grid_n = 10\ngram_tol = 1e-9\n")
+        rep = run(cfg)
+        retired = [w for w in rep.warnings if "retired" in w]
+        assert [w.split()[2] for w in retired] == ["grid_n", "gram_tol"]
+        assert rep.passed and not any(w.startswith("experiment ") for w in rep.warnings)
+        assert not {"grid_n", "gram_tol"} & set(rep.environment)
+        assert run(parse_config(MINIMAL)).warnings == []
 
     def test_thin_torus_dims_passes_a1_at_grid_floor(self):
         # at Im tau = 0.05 a 4m-point quadrature leaves the factor Gram 8.6e-5
@@ -59,7 +62,7 @@ class TestParseConfig:
         # A2's stencil residual at grid 64 is 1.0e-4 there (2.0e-6 at tau =
         # 0.3 + i), so A2 doubles its grid until the residual meets 1e-6
         for factor, grid in [("0.0 0.05 -1", 256), ("0.3 1.0 1", 128)]:
-            cfg = f"factor = {factor}\nk_ladder = 2 4 6 8\ngrid_n = 32\nexperiments = dims\n"
+            cfg = f"factor = {factor}\nk_ladder = 2 4 6 8\nexperiments = dims\n"
             rep = run(parse_config(cfg))
             assert [c["pass"] for c in rep.criteria if c["criterion_id"] == "A1"] == [True]
             assert max(row[4] for row in rep.tables["dims"][1]) <= 1e-9
@@ -74,7 +77,7 @@ class TestParseConfig:
         assert any(v[1] == "wibble" and "unknown" in v[2] for v in err.value.violations)
 
     def test_all_violations_collected(self):
-        bad = "factor = 0.0 -1.0 0\nk_ladder = 5 4\ngrid_n = 1\nnope = 1\n"
+        bad = "factor = 0.0 -1.0 0\nk_ladder = 5 4\nnope = 1\n"
         with pytest.raises(ConfigError) as err:
             parse_config(bad)
         fields = {v[1] for v in err.value.violations}
@@ -106,7 +109,7 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as err:
             parse_config("seed = 3\n")
         fields = {v[1] for v in err.value.violations}
-        assert {"factor", "k_ladder", "grid_n"} <= fields
+        assert {"factor", "k_ladder"} <= fields
 
     def test_line_without_equals_rejected(self):
         with pytest.raises(ConfigError) as err:
@@ -115,8 +118,8 @@ class TestParseConfig:
 
     def test_bad_scalar_value_reported(self):
         with pytest.raises(ConfigError) as err:
-            parse_config(MINIMAL.replace("grid_n = 20", "grid_n = twenty"))
-        assert any(v[1] == "grid_n" and "parse" in v[2] for v in err.value.violations)
+            parse_config(MINIMAL.replace("seed = 7", "seed = seven"))
+        assert any(v[1] == "seed" and "parse" in v[2] for v in err.value.violations)
 
 
 class TestFitSlope:
@@ -197,6 +200,12 @@ class TestRun:
         rep = run(cfg, experiments=("dims",))
         assert any("exceeded budget" in w for w in rep.warnings)
         assert rep.passed
+
+    def test_budget_all_bounds_the_summed_time(self, smoke):
+        rep = run(parse_config(SMOKE + "budget_all = 0.000001\n"), experiments=("dims",))
+        assert [w for w in rep.warnings if "budget_all" in w]
+        assert rep.passed and not any(w.startswith("experiment ") for w in rep.warnings)
+        assert not run(smoke, experiments=("dims",)).warnings
 
     def test_failed_experiment_recorded_not_raised(self):
         cfg = parse_config(SMOKE + "probe_offdiag = 0.1 0.2 ; 0.3\n")  # wrong length

@@ -131,6 +131,27 @@ class TestDensity:
         assert abs(tr / b.dim - 1.0) < 1e-8
         assert peak < 10e6
 
+    def test_density_matches_40_digit_theta_sums(self):
+        # at (0.3, 0.97) the term exponents -pi m r^2 - 2 pi m r y - pi m y^2
+        # are each ~300 at k = 100 and cancel; the density must still carry
+        # only rounding-level error against the textbook series summed in mpmath
+        mp = pytest.importorskip("mpmath")
+        for k in (16, 100):
+            b = build_basis(model(-1), k)
+            for a, y in [(0.3, 0.97), (0.71, 0.5)]:
+                with mp.workdps(40):
+                    z = mp.mpc(a, y)
+                    phi = mp.pi * k * mp.mpf(y) ** 2
+                    ref = mp.mpf(0)
+                    for j in range(k):
+                        n0 = int(np.floor(-y - j / k))
+                        w = mp.fsum(mp.exp(1j * mp.pi * k * r**2 * 1j + 2j * mp.pi * k * r * z - phi)
+                                    for r in (n + mp.mpf(j) / k for n in range(n0 - 4, n0 + 6)))
+                        ref += abs(w) ** 2
+                    ref = float(ref * mp.sqrt(mp.mpf(k) / 2))   # orthonormalizing scale^2, Im tau = 1
+                got = density(b, np.array([a, y]))
+                assert abs(got - ref) <= 2e-15 * ref, (k, a, y)
+
     def test_translation_invariance(self):
         b = build_basis(model(-1), 16)
         rng = np.random.default_rng(3)
@@ -155,10 +176,8 @@ class TestDensity:
     def test_positivity_on_grid(self):
         for degs, k in [((-1,), 8), ((-1, 1), 4)]:
             b = build_basis(model(*degs), k)
-            from torusbergman.kernel import density_factor_grids
-
-            for dgrid in density_factor_grids(b, 32):
-                assert dgrid.min() > 0
+            for t in range(b.model.n):
+                assert b.grid_density(t, 32).min() > 0
 
     def test_gauge_invariance_of_density(self):
         # |P(x,x)| computed in the global frame equals the chart frame value
