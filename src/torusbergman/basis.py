@@ -381,8 +381,9 @@ def _complex_derivs(F, tau, h, c_up, c_dn):
     return Dz, Dzb
 
 
-def _theta_cocycle(m: int, tau: complex, z: np.ndarray) -> np.ndarray:
-    return np.exp(-1j * np.pi * m * tau - 2j * np.pi * m * z)
+def _theta_cocycle_exponent(m: int, tau: complex, z: np.ndarray) -> np.ndarray:
+    """log of the theta factor of automorphy for z -> z + tau."""
+    return -1j * np.pi * m * tau - 2j * np.pi * m * z
 
 
 def factor_harmonicity_residual(factor: TorusFactor, k: int, member: int,
@@ -407,12 +408,16 @@ def factor_harmonicity_residual(factor: TorusFactor, k: int, member: int,
     theta = weighted_table(m, tau, Z.ravel(), eps=1e-14)[0, member].reshape(N, N) * np.exp(phi)
     if factor.degree > 0:
         F = theta
-        c_up = _theta_cocycle(m, tau, Z)
-        c_dn = _theta_cocycle(m, tau, Z - tau)
+        c_up = np.exp(_theta_cocycle_exponent(m, tau, Z))
+        c_dn = np.exp(_theta_cocycle_exponent(m, tau, Z - tau))
     else:
+        # one exp of the summed exponent: its real part, -pi m T - 2 pi m Im Z for
+        # c_up, stays bounded where the two factors separately overflow
         F = np.exp(-2.0 * phi) * np.conj(theta)
-        c_up = np.conj(_theta_cocycle(m, tau, Z)) * np.exp(-4.0 * np.pi * m * Z.imag - 2.0 * np.pi * m * T)
-        c_dn = np.conj(_theta_cocycle(m, tau, Z - tau)) * np.exp(-4.0 * np.pi * m * (Z.imag - T) - 2.0 * np.pi * m * T)
+        c_up = np.exp(np.conj(_theta_cocycle_exponent(m, tau, Z))
+                      - 4.0 * np.pi * m * Z.imag - 2.0 * np.pi * m * T)
+        c_dn = np.exp(np.conj(_theta_cocycle_exponent(m, tau, Z - tau))
+                      - 4.0 * np.pi * m * (Z.imag - T) - 2.0 * np.pi * m * T)
     if perturb is not None:
         F = F * (1.0 + perturb(A, B))
     P = -1j * np.pi * m * Z.imag / T   # dphi_plus_m/dz

@@ -28,8 +28,10 @@ import json
 import platform
 import sys
 import time
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -37,7 +39,7 @@ from . import basis as basis_mod
 from . import embedding as emb
 from . import kernel as ker
 from .geometry import ProductModel, TorusFactor
-from .util import fit_slope, fmt17
+from .util import fit_slope
 
 __all__ = ["ExperimentConfig", "ConfigError", "RunReport", "parse_config", "run",
            "emit_report", "fit_slope", "EXPERIMENTS"]
@@ -396,14 +398,15 @@ def _exp_pullback(cfg, model, rng):
         basis_builder=lambda k: basis_mod.build_basis(model, k, eps=cfg.theta_eps))
     w0 = omega_form(model)
     n2 = 2 * model.n
-    comp_idx = [(a, b) for a in range(n2) for b in range(a + 1, n2)]
+    ia, ib = np.triu_indices(n2, 1)
+    grid = rep.grid.tolist()
     rows = []
     for m in rep.errors:
         for k in rep.ks:
             field = rep.fields[(m, int(k))]
-            for z, F in zip(rep.grid, field):
-                err = float(np.max(np.abs(F - w0)))
-                rows.append(list(z) + [int(k), m] + [F[a, b] for a, b in comp_idx] + [err])
+            comps = field[:, ia, ib].tolist()
+            errs = np.max(np.abs(field - w0), axis=(1, 2)).tolist()
+            rows.extend(z + [int(k), m] + c + [e] for z, c, e in zip(grid, comps, errs))
     # E(k) reaching the float floor by the last rung passes the rate check, as A5
     # passes on kernel underflow; with < 4 rungs above the floor beta reads inf
     e_dd = rep.errors["ddbar_log"]
@@ -425,7 +428,7 @@ def _exp_pullback(cfg, model, rng):
     crit = [{"criterion_id": "A8", "description": desc,
              "measured": float(beta), "threshold": 0.8, "pass": bool(ok)}]
     header = ([f"z{i}" for i in range(n2)] + ["k", "method"]
-              + [f"f{a}{b}" for a, b in comp_idx] + ["err"])
+              + [f"f{a}{b}" for a, b in zip(ia, ib)] + ["err"])
     return rows, header, crit
 
 
@@ -473,6 +476,13 @@ _EXP_CRITERION = {"dims": "A1", "density": "A3", "offdiag": "A4", "far": "A5",
                   "ratio": "A6", "embed": "A7", "pullback": "A8", "derivs": "A9"}
 
 
+def _describe(exc: BaseException) -> str:
+    """Exception type, message and innermost traceback frame (file, line, function)."""
+    where = traceback.extract_tb(exc.__traceback__)[-1]
+    return (f"{type(exc).__name__}: {exc} "
+            f"(at {Path(where.filename).name}:{where.lineno} in {where.name})")
+
+
 def run(cfg: ExperimentConfig, experiments: tuple[str, ...] | None = None) -> RunReport:
     """Execute the enabled experiments; failures are recorded, not raised.
 
@@ -500,7 +510,7 @@ def run(cfg: ExperimentConfig, experiments: tuple[str, ...] | None = None) -> Ru
             rows, header, crit, err = [], [], [{
                 "criterion_id": _EXP_CRITERION[name],
                 "description": f"{name} failed",
-                "measured": float("nan"), "threshold": float("nan"), "pass": False}], str(exc)
+                "measured": float("nan"), "threshold": float("nan"), "pass": False}], _describe(exc)
         return name, rows, header, crit, err, probes, time.perf_counter() - t0
 
     if cfg.workers > 1:
@@ -550,17 +560,16 @@ _CSV_NAME = {"dims": "dims.csv", "density": "density.csv", "offdiag": "offdiag.c
 
 
 def _cell(v) -> str:
+    # "%.17g" % v equals fmt17(v) in one call; pullback.csv alone has ~7e5 cells
     if isinstance(v, (float, np.floating)):
-        return fmt17(v)
+        return "%.17g" % v
     if isinstance(v, (complex, np.complexfloating)):
-        return fmt17(v.real) + "," + fmt17(v.imag)
+        return "%.17g,%.17g" % (v.real, v.imag)
     return str(v)
 
 
 def emit_report(report: RunReport, out_dir) -> list[str]:
     """Write per-experiment CSVs and summary.json; returns written paths."""
-    from pathlib import Path
-
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)

@@ -235,6 +235,13 @@ class TestHarmonicity:
             perturb=lambda A, B: 0.01 * np.cos(2 * np.pi * A) * np.cos(2 * np.pi * B))
         assert r["laplacian"] >= 1e-3
 
+    def test_conjugate_cocycle_does_not_overflow(self):
+        # level 57 is the first at tau = i where exp(-4 pi m (Im z - Im tau) - 2 pi m Im tau)
+        # alone overflows on this grid; the cocycle itself stays below exp(2 pi m Im tau)
+        with np.errstate(over="raise", invalid="raise"):
+            r = factor_harmonicity_residual(TorusFactor(TAU, -1), 57, 0, grid_n=128)
+        assert np.isfinite(r["first_order"]) and np.isfinite(r["laplacian"])
+
     def test_product_section_residual(self):
         m = model(-1, 1)
         res = harmonicity_residual(m, 1, (0, 0), grid_n=64)

@@ -5,12 +5,14 @@ configs to the CLI.  These tests keep that contract visible in Tier 1."""
 import importlib
 import importlib.util
 import inspect
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
 from torusbergman import basis, theta
+from torusbergman.cli import main as cli_main
 from torusbergman.experiment import parse_config
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -59,3 +61,20 @@ def test_every_workload_config_parses_at_seed_1(bench_run):
     for name, w in bench_run.WORKLOADS.items():
         cfg = parse_config(w.config.format(seed=1))
         assert cfg.seed == 1, name
+
+
+def test_every_workload_passes_the_bench_gate(bench_run, tmp_path):
+    # what run.py's correctness gate reads: the workload's own output check,
+    # its expected criteria, and no failed-experiment warning
+    for name, w in bench_run.WORKLOADS.items():
+        cfg, out = tmp_path / f"{name}.cfg", tmp_path / name
+        cfg.write_text(w.config.format(seed=1))
+        assert cli_main(["all", "--config", str(cfg), "--out", str(out)]) == 0, name
+        assert w.check(out) is None, name
+        summary = json.loads((out / "summary.json").read_text())
+        verdicts = {}
+        for c in summary["criteria"]:
+            verdicts.setdefault(c["criterion_id"], []).append(c["pass"])
+        for cid in w.expected:
+            assert verdicts.get(cid) and all(verdicts[cid]), (name, cid)
+        assert not [x for x in summary["warnings"] if x.startswith("experiment ")], name

@@ -14,6 +14,7 @@ from torusbergman.embedding import (
     pullback_ddbar_many,
     pullback_jacobian,
     pullback_jacobian_many,
+    hermitian_to_real_form,
     well_defined_check,
 )
 from torusbergman.experiment import parse_config, run
@@ -260,6 +261,26 @@ class TestPullback:
         sup = np.array(sup)
         assert np.all(sup * np.arange(4, 11, 2) < sup[0] * 4 + 1e-12)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_hermitian_to_real_form_stacks(self, n):
+        rng = np.random.default_rng(n)
+        A = rng.normal(size=(5, 3, n, n)) + 1j * rng.normal(size=(5, 3, n, n))
+        H = A + np.conj(np.swapaxes(A, -1, -2))
+        F = hermitian_to_real_form(H)
+        assert F.shape == (5, 3, 2 * n, 2 * n)
+        # the earlier single-matrix route: dz_a and dzbar_b as rows on (x, y) directions
+        Aa = np.zeros((n, 2 * n), dtype=complex)
+        Ab = np.zeros((n, 2 * n), dtype=complex)
+        for c in range(n):
+            Aa[c, 2 * c:2 * c + 2] = (1.0, 1j)
+            Ab[c, 2 * c:2 * c + 2] = (1.0, -1j)
+        for i in range(5):
+            for j in range(3):
+                single = hermitian_to_real_form(H[i, j])
+                assert np.array_equal(F[i, j], single)
+                M = Aa.T @ H[i, j] @ Ab
+                assert np.max(np.abs(single - (1j * (M - M.T)).real)) <= 1e-15 * np.max(np.abs(H))
+
     def test_closedness_of_sampled_field(self):
         # discrete exterior derivative of the 2-form field vanishes (n=2)
         m = model(-1, 1)
@@ -330,6 +351,37 @@ class TestConvergence:
         monkeypatch.setattr(basis_mod, "build_basis", lambda model, k, eps=1e-12: build(model, 4, eps=eps))
         (a8,) = run(cfg).criteria
         assert not a8["pass"] and abs(a8["measured"]) < 1e-6
+
+    @pytest.mark.parametrize("factors, ks, grid_n", [
+        (((1j, -1), (1j, 1)), (4, 8, 12, 16), 4),
+        (((0.3 + 1.1j, -1), (1j, 1), (-0.2 + 0.9j, 1)), (2, 3, 4, 5), 3),
+        (((1j, -2), (0.25 + 1.5j, 1)), (4, 8, 12, 16), 4),
+    ])
+    def test_factor_fields_match_product_route(self, factors, ks, grid_n):
+        # the Segre identity against pullback_*_many on the full product basis
+        from torusbergman.embedding import _form_field
+
+        m = ProductModel.from_factors([TorusFactor(tau, d) for tau, d in factors])
+        n2 = 2 * m.n
+        cross = np.arange(n2)[:, None] // 2 != np.arange(n2)[None, :] // 2
+        rep = convergence_report(m, ks, grid_n=grid_n, keep_fields=True)
+        cloud = np.random.default_rng(3).random((40, n2))
+        product = {"jacobian": pullback_jacobian_many, "ddbar_log": pullback_ddbar_many}
+        for k in ks:
+            b = build_basis(m, k)
+            for method, fn in product.items():
+                for pts, field in ((rep.grid, rep.fields[(method, k)]),
+                                   (cloud, _form_field(b, cloud, method))):
+                    want = np.concatenate([fn(b, pts[i:i + 128]) for i in range(0, len(pts), 128)])
+                    assert np.max(np.abs(field - want)) <= 1e-12, (method, k)
+                    assert np.all(field[:, cross] == 0.0)
+
+    def test_remixed_basis_rejected(self):
+        m = model(-1, 1)
+        U = haar_unitary(16, np.random.default_rng(2))
+        with pytest.raises(ValueError, match="mix"):
+            convergence_report(m, [4, 5, 6, 7], grid_n=3,
+                               basis_builder=lambda k: build_basis(m, 4).remixed(U))
 
     def test_nonmonotone_errors_detected(self):
         # builder that scrambles the ladder produces increasing E(k)

@@ -195,6 +195,28 @@ class TestRun:
         assert cells and all(c == fmt17(float(c)) for c in cells)
         assert not any(l.endswith(b"\r") for l in lines)
 
+    def test_cell_formats_like_fmt17(self):
+        from torusbergman.experiment import _cell
+
+        for v in (0.1, -0.0, float("nan"), float("inf"), -float("inf"), 5e-324,
+                  np.float32(0.1), np.float64(1 / 3)):
+            assert _cell(v) == format(float(v), ".17g")
+        assert _cell(1 + 2j) == format(1.0, ".17g") + "," + format(2.0, ".17g")
+        assert _cell(np.complex128(0.1 - 1j / 3)) == "0.10000000000000001,-0.33333333333333331"
+        assert (_cell(np.int64(5)), _cell(True), _cell("x")) == ("5", "True", "x")
+
+    def test_pullback_rows_are_plain_and_block_diagonal(self):
+        cfg = parse_config(SMOKE.replace("dims density offdiag", "pullback") + "embed_grid_n = 3\n")
+        rep = run(cfg)
+        assert rep.passed, rep.criteria
+        header, rows = rep.tables["pullback"]
+        assert len(rows) == 2 * 4 * 3 ** 4
+        kinds = {h: {type(r[i]) for r in rows} for i, h in enumerate(header)}
+        assert kinds.pop("k") == {int} and kinds.pop("method") == {str}
+        assert all(t == {float} for t in kinds.values()), kinds
+        for h in ("f02", "f03", "f12", "f13"):     # cross-factor cells
+            assert all(r[header.index(h)] == 0.0 for r in rows)
+
     def test_budget_warning_not_failure(self, smoke):
         cfg = parse_config(SMOKE + "budget_dims = 0.000001\n")
         rep = run(cfg, experiments=("dims",))
@@ -212,6 +234,9 @@ class TestRun:
         rep = run(cfg, experiments=("offdiag", "dims"))
         assert not rep.passed
         assert any("offdiag" in w for w in rep.warnings)
+        # the warning names the exception type and where it was raised
+        (w,) = [w for w in rep.warnings if w.startswith("experiment offdiag failed: ")]
+        assert "ValueError: " in w and "(at geometry.py:" in w and " in check_point)" in w
         ids = {c["criterion_id"]: c["pass"] for c in rep.criteria}
         assert ids["A4"] is False
         assert ids["A1"] is True    # sibling unaffected
