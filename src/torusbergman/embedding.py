@@ -165,8 +165,9 @@ def injectivity_scan(basis: HarmonicBasis, grid_n: int = 64, rng=None) -> Inject
             worst_pair = (x1, x2)
     offender = worst_pair if min_fs < 1e-10 else None
 
-    near = []
-    alpha = np.inf
+    # draw the 12 pairs (p, then its direction) in turn, then lift all 24 points at once
+    pairs = []
+    scales = []
     for mult in (0.5, 1.0, 2.0):
         delta_g = mult / np.sqrt(k)
         for _ in range(4):
@@ -175,10 +176,12 @@ def injectivity_scan(basis: HarmonicBasis, grid_n: int = 64, rng=None) -> Inject
             # convert a chart-coordinate g-length to lattice steps per factor
             vz = direction[0::2] + model.taus * direction[1::2]
             glen = np.sqrt(2.0 * np.sum(np.abs(vz) ** 2))
-            q = p + direction * (delta_g / glen)
-            d = fs_distance(phi(basis, p), phi(basis, q))
-            near.append((float(np.sqrt(k) * delta_g), float(d)))
-            alpha = min(alpha, d / (np.sqrt(k) * delta_g))
+            pairs += [p, p + direction * (delta_g / glen)]
+            scales.append(float(np.sqrt(k) * delta_g))
+    lifts = basis.values(np.array(pairs))
+    near = [(sc, fs_distance(ProjectivePoint(lifts[:, 2 * i]), ProjectivePoint(lifts[:, 2 * i + 1])))
+            for i, sc in enumerate(scales)]
+    alpha = min(d / sc for sc, d in near)
     return InjectivityReport(min_fs_distance=min_fs, grid_n=grid_n,
                              near_diagonal_alpha=float(alpha), near_diagonal=near,
                              offending_pair=offender)
@@ -192,6 +195,24 @@ class Differential:
     singular_values: np.ndarray
 
 
+def _differential_many(basis: HarmonicBasis, pts, rank_tol: float = 1e-7) -> Differential:
+    """differential at many points: each field gains a leading point axis P.
+
+    One jets call and one batched SVD; the rank tolerance is per point,
+    rank_tol * max(largest singular value, |lift|).
+    """
+    jets = basis.jets(np.atleast_2d(np.asarray(pts, dtype=float)))
+    w = jets["val"].T                                          # (P, dim)
+    V = np.moveaxis(_real_partials_many(jets), -1, 0)          # (P, 2n, dim)
+    nrm2 = np.sum(np.abs(w) ** 2, axis=1)
+    proj = V - (V @ w.conj()[:, :, None]) * w[:, None, :] / nrm2[:, None, None]
+    Mreal = np.concatenate([proj.real, proj.imag], axis=2)    # (P, 2n, 2*dim)
+    sv = np.linalg.svd(Mreal, compute_uv=False)                # (P, 2n)
+    tol = rank_tol * np.maximum(sv.max(axis=1, initial=0.0), np.sqrt(nrm2))
+    return Differential(lift=w, partials=V, rank=np.sum(sv > tol[:, None], axis=1),
+                        singular_values=sv)
+
+
 def differential(basis: HarmonicBasis, z, rank_tol: float = 1e-7) -> Differential:
     """Real differential of the lift and the induced rank of the map.
 
@@ -199,16 +220,9 @@ def differential(basis: HarmonicBasis, z, rank_tol: float = 1e-7) -> Differentia
     of the remaining 2n directions is computed from singular values of the
     stacked real/imaginary parts.
     """
-    jets = basis.jets(np.asarray(z, dtype=float))
-    w = jets["val"][:, 0]
-    V = _real_partials_many(jets)[..., 0]
-    nrm2 = np.vdot(w, w).real
-    proj = V - (V @ w.conj())[:, None] * w[None, :] / nrm2
-    Mreal = np.concatenate([proj.real, proj.imag], axis=1)   # (2n, 2*dim)
-    sv = np.linalg.svd(Mreal, compute_uv=False)
-    scale = np.linalg.norm(w)
-    rank = int(np.sum(sv > rank_tol * max(sv.max(initial=0.0), scale)))
-    return Differential(lift=w, partials=V, rank=rank, singular_values=sv)
+    d = _differential_many(basis, z, rank_tol)
+    return Differential(lift=d.lift[0], partials=d.partials[0], rank=int(d.rank[0]),
+                        singular_values=d.singular_values[0])
 
 
 @dataclass(frozen=True)
@@ -315,20 +329,26 @@ def _grid_points(model: ProductModel, grid_n: int) -> np.ndarray:
     return np.stack([a.ravel() for a in axes], axis=1)
 
 
-def _form_field(basis: HarmonicBasis, pts: np.ndarray, method: str) -> np.ndarray:
+def _factor_points(pts: np.ndarray, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per factor t, the distinct coordinates z_t among pts and the inverse map."""
+    return [np.unique(pts[:, 2 * t:2 * t + 2], axis=0, return_inverse=True) for t in range(n)]
+
+
+def _form_field(basis: HarmonicBasis, pts: np.ndarray, method: str, factored=None) -> np.ndarray:
     """(1/k) Phi* omega_FS at pts, one factor at a time: (P, 2n, 2n).
 
     The product lift is the Segre composite of the factor lifts, so the form
     is the sum of the factor forms: block (2t, 2t+1) is the one-factor form
     at z_t, evaluated once per distinct factor coordinate, and the
-    cross-factor blocks are exactly 0.
+    cross-factor blocks are exactly 0.  `factored` is _factor_points(pts, n),
+    passed in by a caller that evaluates many fields on the same points.
     """
     fn = pullback_jacobian_many if method == "jacobian" else pullback_ddbar_many
     n = basis.model.n
+    factored = _factor_points(pts, n) if factored is None else factored
     out = np.zeros((len(pts), 2 * n, 2 * n))
-    for t, s in enumerate(basis.factor_sets):
+    for t, (s, (uniq, inv)) in enumerate(zip(basis.factor_sets, factored)):
         one = HarmonicBasis(ProductModel((s.factor,)), basis.k, (s,), eps=basis.eps)
-        uniq, inv = np.unique(pts[:, 2 * t:2 * t + 2], axis=0, return_inverse=True)
         block = np.concatenate([fn(one, uniq[i0:i0 + 512]) for i0 in range(0, len(uniq), 512)])
         out[:, 2 * t:2 * t + 2, 2 * t:2 * t + 2] = block[inv.reshape(-1)]
     return out
@@ -368,6 +388,7 @@ def convergence_report(model: ProductModel, ks, grid_n: int = 8,
     pts = _grid_points(model, grid_n)
     rng = np.random.default_rng(seed)
     samples = np.concatenate([pts, rng.random((n_random, 2 * model.n))])    # grid, then cloud
+    factored = _factor_points(samples, model.n)
     w0 = omega_form(model)
     errors = {m: [] for m in methods}
     deriv = {m: [] for m in methods}
@@ -379,7 +400,7 @@ def convergence_report(model: ProductModel, ks, grid_n: int = 8,
             raise ValueError("convergence_report needs an unmixed product basis; this one has mix set")
         fields = {}
         for m in methods:
-            fields[m] = _form_field(b, samples, m)
+            fields[m] = _form_field(b, samples, m, factored)
             field = fields[m][:len(pts)]
             if keep_fields:
                 kept[(m, int(k))] = field

@@ -376,11 +376,10 @@ def _exp_embed(cfg, model, rng):
         scan = emb.injectivity_scan(bas, grid_n=scan_n, rng=rng)
         rank_ok = True
         if bas.dim > 2 * model.n:
-            for _ in range(50):
-                p = rng.random(2 * model.n)
-                if emb.differential(bas, p).rank != 2 * model.n:
-                    rank_ok = False
-                    break
+            # one draw of 50 points reads the same PCG64 stream as 50 single draws;
+            # all 50 are drawn even when a rank check fails
+            ranks = emb._differential_many(bas, rng.random((50, 2 * model.n))).rank
+            rank_ok = bool(np.all(ranks == 2 * model.n))
         rows.append([k, wd.min_ratio, scan.min_fs_distance, scan.near_diagonal_alpha, int(rank_ok)])
         worst_ratio = min(worst_ratio, wd.min_ratio)
         ok = ok and wd.passed and scan.passed and rank_ok
@@ -559,13 +558,38 @@ _CSV_NAME = {"dims": "dims.csv", "density": "density.csv", "offdiag": "offdiag.c
              "pullback": "pullback.csv", "derivs": "derivatives.csv"}
 
 
+_FLOAT = (float, np.floating)
+_COMPLEX = (complex, np.complexfloating)
+
+
 def _cell(v) -> str:
-    # "%.17g" % v equals fmt17(v) in one call; pullback.csv alone has ~7e5 cells
-    if isinstance(v, (float, np.floating)):
+    """The text of one CSV cell; emit_report writes the same bytes through _row_template."""
+    if isinstance(v, _FLOAT):
         return "%.17g" % v
-    if isinstance(v, (complex, np.complexfloating)):
+    if isinstance(v, _COMPLEX):
         return "%.17g,%.17g" % (v.real, v.imag)
     return str(v)
+
+
+def _row_template(types) -> tuple[str, bool]:
+    """`%`-template of a row whose cells have these types, by _cell's rules, and
+    whether the row's complex cells must be split into real and imaginary parts."""
+    cells = ["%.17g" if issubclass(t, _FLOAT) else "%.17g,%.17g" if issubclass(t, _COMPLEX)
+             else "%s" for t in types]
+    return ",".join(cells) + "\n", "%.17g,%.17g" in cells
+
+
+def _write_rows(fh, rows) -> None:
+    """Write rows one at a time, each through the cached template of its cell types."""
+    templates = {}
+    for row in rows:
+        key = tuple(map(type, row))
+        if key not in templates:
+            templates[key] = _row_template(key)
+        fmt, split = templates[key]
+        if split:
+            row = [x for v in row for x in ((v.real, v.imag) if isinstance(v, _COMPLEX) else (v,))]
+        fh.write(fmt % tuple(row))
 
 
 def emit_report(report: RunReport, out_dir) -> list[str]:
@@ -581,8 +605,7 @@ def emit_report(report: RunReport, out_dir) -> list[str]:
         try:
             with open(path, "w", newline="\n") as fh:
                 fh.write(",".join(header) + "\n")
-                for row in rows:
-                    fh.write(",".join(_cell(v) for v in row) + "\n")
+                _write_rows(fh, rows)
         except OSError as exc:
             raise OSError(f"writing {path} failed: {exc}") from exc
         written.append(str(path))

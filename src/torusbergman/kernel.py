@@ -29,8 +29,6 @@ __all__ = [
     "far_separation_check",
     "ratio_profile",
     "disc_model_density",
-    "project_coefficients",
-    "evaluate_combination",
     "leading_coefficient",
 ]
 
@@ -307,25 +305,3 @@ def disc_model_density(lam: float, k: int, n_modes: int | None = None,
     z0 = at * R
     v = np.linalg.solve(L, z0 ** np.arange(n_modes).astype(complex))
     return float(np.sum(np.abs(v) ** 2) * np.exp(-a * z0**2))
-
-
-def project_coefficients(basis: HarmonicBasis, samples: np.ndarray, grid_n: int) -> np.ndarray:
-    """Coefficients (u, S_j) of a J0-coefficient field sampled on the product grid.
-
-    samples must be the weighted J0 coefficient of u at the full product of
-    per-factor half-offset grid_n x grid_n grids, flattened in C order.
-    """
-    n = basis.model.n
-    P = grid_n**2
-    tabs, dv = [], 1.0
-    for t, s in enumerate(basis.factor_sets):
-        tab = basis.grid_table(t, grid_n)
-        # factor t's grid point index is digit t of the C-order product index
-        tabs.append(np.tile(np.repeat(tab, P ** (n - 1 - t), axis=1), (1, P**t)))
-        dv *= factor_volume(s.factor) / P
-    return (basis._combine(tabs).conj() @ samples) * dv
-
-
-def evaluate_combination(basis: HarmonicBasis, coeffs: np.ndarray, points) -> np.ndarray:
-    """Evaluate sum_j c_j g_j at the given points."""
-    return coeffs @ basis.values(points)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from _oracles import evaluate_combination, project_coefficients
 from torusbergman.basis import build_basis
 from torusbergman.embedding import (
     ProjectivePoint,
@@ -19,7 +20,7 @@ from torusbergman.embedding import (
 )
 from torusbergman.experiment import parse_config, run
 from torusbergman.geometry import ProductModel, TorusFactor, omega
-from torusbergman.kernel import density, evaluate_combination, project_coefficients
+from torusbergman.kernel import density
 
 TAU = 1j
 
@@ -179,6 +180,31 @@ class TestDifferential:
         b = build_basis(model(1), 1)
         d = differential(b, np.array([0.4, 0.3]))
         assert d.rank == 0
+
+    @pytest.mark.parametrize("degs, k, rank", [((-1,), 12, 2), ((-1, 1), 4, 4), ((-1, 1), 16, 4),
+                                               ((1,), 1, 0)])
+    def test_stacked_ranks_match_single_points(self, degs, k, rank):
+        from torusbergman.embedding import _differential_many
+
+        b = build_basis(model(*degs), k)
+        pts = np.random.default_rng(17).random((50, 2 * b.model.n))
+        ranks = _differential_many(b, pts).rank
+        assert ranks.tolist() == [differential(b, p).rank for p in pts] == [rank] * 50
+
+    def test_embed_scan_bytes_unchanged(self, tmp_path):
+        # embed_scan.csv of configs/sig11_smoke.cfg as the per-point rank loop
+        # wrote it: the 50-point draw keeps the seeded stream that the second
+        # rung's injectivity scan reads next
+        from pathlib import Path
+
+        from torusbergman.experiment import emit_report
+
+        cfg_path = Path(__file__).resolve().parents[1] / "configs" / "sig11_smoke.cfg"
+        emit_report(run(parse_config(cfg_path.read_text()), experiments=("embed",)), tmp_path)
+        assert (tmp_path / "embed_scan.csv").read_text() == (
+            "k,min_ratio,min_fs,alpha,rank_ok\n"
+            "4,0.98626893811761007,0.33420298317881558,0.70927114311388628,1\n"
+            "10,0.99999881755223496,0.54595119762724387,0.7628368642459803,1\n")
 
 
 class TestPullback:
@@ -375,6 +401,22 @@ class TestConvergence:
                     want = np.concatenate([fn(b, pts[i:i + 128]) for i in range(0, len(pts), 128)])
                     assert np.max(np.abs(field - want)) <= 1e-12, (method, k)
                     assert np.all(field[:, cross] == 0.0)
+
+    def test_factor_points_sorted_once_per_factor(self, monkeypatch):
+        # one np.unique per factor for the whole report, not one per
+        # (method, rung, factor): here 2 instead of 2 * 4 * 2
+        from torusbergman import embedding
+
+        calls = []
+        unique = np.unique
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("axis"))
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(embedding.np, "unique", counting)
+        convergence_report(model(-1, 1), [4, 6, 8, 10], grid_n=3)
+        assert calls == [0, 0]
 
     def test_remixed_basis_rejected(self):
         m = model(-1, 1)

@@ -205,6 +205,41 @@ class TestRun:
         assert _cell(np.complex128(0.1 - 1j / 3)) == "0.10000000000000001,-0.33333333333333331"
         assert (_cell(np.int64(5)), _cell(True), _cell("x")) == ("5", "True", "x")
 
+    def test_row_templates_write_what_cell_writes(self, tmp_path):
+        from torusbergman.experiment import RunReport, _cell
+
+        values = [0.1, -0.0, float("nan"), float("inf"), -float("inf"), 5e-324,
+                  np.float32(0.1), np.float64(1 / 3), np.int64(5), True, "x",
+                  1 + 2j, np.complex128(0.1 - 1j / 3)]
+        # the first column takes every type in turn; the last row repeats the
+        # first row's types, so it reuses a cached template
+        rows = [[v] + values for v in values] + [[0.25] + values]
+        header = [f"c{i}" for i in range(len(rows[0]))]
+        rep = RunReport(criteria=[], tables={"dims": (header, rows)}, wall={}, warnings=[],
+                        environment={})
+        emit_report(rep, tmp_path)
+        want = "".join(",".join(line) + "\n" for line in [header] + [map(_cell, r) for r in rows])
+        assert (tmp_path / "dims.csv").read_bytes() == want.encode()
+
+    def test_emit_report_streams_rows(self, tmp_path):
+        # pullback.csv's shape in the embed_sig11 benchmark: 57,344 rows x 13
+        # floats, about 15 MB of text; the writer holds one row of it at a time
+        import tracemalloc
+
+        from torusbergman.experiment import RunReport
+
+        block = np.random.default_rng(0).random((64, 13)).tolist()
+        rep = RunReport(criteria=[], tables={"pullback": ([f"c{i}" for i in range(13)], block * 896)},
+                        wall={}, warnings=[], environment={})
+        tracemalloc.start()
+        try:
+            emit_report(rep, tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "pullback.csv").stat().st_size > 10_000_000
+        assert peak < 5_000_000
+
     def test_pullback_rows_are_plain_and_block_diagonal(self):
         cfg = parse_config(SMOKE.replace("dims density offdiag", "pullback") + "embed_grid_n = 3\n")
         rep = run(cfg)

@@ -3,19 +3,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from _oracles import evaluate_combination, project_coefficients
 from torusbergman.basis import build_basis
 from torusbergman.geometry import ProductModel, TorusFactor, normal_chart
 from torusbergman.kernel import (
     density,
     disc_model_density,
-    evaluate_combination,
     expansion_model,
     far_separation_check,
     kernel,
     kernel_in_chart,
     leading_coefficient,
     offdiagonal_fit,
-    project_coefficients,
     ratio_profile,
     trace_density,
 )
