@@ -39,13 +39,11 @@ from .embedding import (
 )
 from .experiment import ExperimentConfig, RunReport, emit_report, parse_config, run
 from .geometry import (
-    MetricFrame,
     NormalChart,
     ProductModel,
     TorusFactor,
     curvature_matrix,
     distance,
-    injectivity_scale,
     normal_chart,
     omega,
     signature,
@@ -68,9 +66,8 @@ from .util import fit_slope
 __version__ = "0.1.0"
 
 __all__ = [
-    "TorusFactor", "ProductModel", "MetricFrame", "NormalChart",
+    "TorusFactor", "ProductModel", "NormalChart",
     "curvature_matrix", "signature", "omega", "normal_chart", "distance",
-    "injectivity_scale",
     "FactorSectionSet", "GramMatrix", "KunnethBasis", "HarmonicBasis",
     "raw_factor_basis", "kunneth_basis", "gram", "factor_gram",
     "orthonormalize", "build_basis", "harmonicity_residual",

@@ -29,7 +29,7 @@ from itertools import product as iproduct
 import numpy as np
 
 from .geometry import ProductModel, TorusFactor, factor_volume
-from .theta import phi_plus, weighted_grid, weighted_table
+from .theta import weighted_grid, weighted_table
 
 __all__ = [
     "FactorSectionSet",
@@ -352,99 +352,67 @@ def build_basis(model: ProductModel, k: int, eps: float = 1e-12) -> HarmonicBasi
 # -- discrete Kodaira-Laplacian certification -------------------------------
 
 
-def _fd4_axis0(F: np.ndarray, h: float) -> np.ndarray:
-    """4th-order periodic central difference along axis 0."""
-    return (8.0 * (np.roll(F, -1, axis=0) - np.roll(F, 1, axis=0))
-            - (np.roll(F, -2, axis=0) - np.roll(F, 2, axis=0))) / (12.0 * h)
+_FD6 = (45.0, -9.0, 1.0)     # 6th-order central first difference, over 60 h
+_HALF = len(_FD6)            # stencil half-width: b-cells lost per side per derivative
 
 
-def _shift_b(F: np.ndarray, s: int, c_up: np.ndarray, c_dn: np.ndarray) -> np.ndarray:
-    """Shift along the b axis (axis 1) with quasi-periodic cocycle wrap."""
-    if s == 0:
-        return F
-    if s > 0:
-        return np.concatenate([F[:, s:], F[:, :s] * c_up[:, :s]], axis=1)
-    s = -s
-    return np.concatenate([F[:, -s:] / c_dn[:, -s:], F[:, :-s]], axis=1)
+def _covariant(F: np.ndarray, P: np.ndarray, tau: complex, h: float):
+    """(D F, Dbar F) = (dF/dz - P F, dF/dzbar + conj(P) F) on a lattice grid
+    indexed [a, b], with P = dphi_plus/dz per b-column.  F is periodic in a
+    (axis 0); along b the outer _HALF columns only feed the stencil, so the
+    results are _HALF columns narrower on each side."""
+    nb = F.shape[1]
+    Fi = F[:, _HALF:nb - _HALF]
+    Da = sum(c * (np.roll(Fi, -s, axis=0) - np.roll(Fi, s, axis=0)) for s, c in enumerate(_FD6, 1))
+    Db = sum(c * (F[:, _HALF + s:nb - _HALF + s] - F[:, _HALF - s:nb - _HALF - s])
+             for s, c in enumerate(_FD6, 1))
+    Da, Db = Da / (60.0 * h), Db / (60.0 * h)
+    Pi = P[_HALF:nb - _HALF]
+    return ((np.conj(tau) * Da - Db) / (np.conj(tau) - tau) - Pi * Fi,
+            (tau * Da - Db) / (tau - np.conj(tau)) + np.conj(Pi) * Fi)
 
 
-def _fd4_b(F: np.ndarray, h: float, c_up: np.ndarray, c_dn: np.ndarray) -> np.ndarray:
-    return (8.0 * (_shift_b(F, 1, c_up, c_dn) - _shift_b(F, -1, c_up, c_dn))
-            - (_shift_b(F, 2, c_up, c_dn) - _shift_b(F, -2, c_up, c_dn))) / (12.0 * h)
-
-
-def _complex_derivs(F, tau, h, c_up, c_dn):
-    Da = _fd4_axis0(F, h)
-    Db = _fd4_b(F, h, c_up, c_dn)
-    Dz = (np.conj(tau) * Da - Db) / (np.conj(tau) - tau)
-    Dzb = (tau * Da - Db) / (tau - np.conj(tau))
-    return Dz, Dzb
-
-
-def _theta_cocycle_exponent(m: int, tau: complex, z: np.ndarray) -> np.ndarray:
-    """log of the theta factor of automorphy for z -> z + tau."""
-    return -1j * np.pi * m * tau - 2j * np.pi * m * z
+def _padded_member(factor: TorusFactor, k: int, member: int, grid_n: int, perturb=None):
+    """Weighted value W = theta exp(-phi_plus) of the level-k|d| member on the
+    centered grid_n x grid_n lattice grid, with 2 _HALF evaluated ghost columns
+    on each side of b, and P = dphi_plus/dz per b-column."""
+    tau = factor.tau
+    m = k * abs(factor.degree)
+    N = grid_n
+    ta = (np.arange(N) + 0.5) / N - 0.5
+    tb = (np.arange(-2 * _HALF, N + 2 * _HALF) + 0.5) / N - 0.5
+    A, B = np.meshgrid(ta, tb, indexing="ij")
+    W = weighted_table(m, tau, (A + tau * B).ravel(), eps=1e-14)[0, member].reshape(A.shape)
+    if perturb is not None:
+        W = W * (1.0 + perturb(A, B))
+    return W, -1j * np.pi * m * tb      # Im z = Im(tau) b
 
 
 def factor_harmonicity_residual(factor: TorusFactor, k: int, member: int,
                                 grid_n: int = 64, perturb=None) -> dict[str, float]:
     """Discrete Kodaira-Laplacian residual of one raw factor member.
 
-    Returns relative residuals of the first-order harmonicity identity and of
-    the full Laplacian, measured with 4th-order finite differences on a
-    centered grid_n x grid_n lattice grid.  perturb, if given, maps the grid
-    coordinate arrays (A, B) to a multiplicative field applied to the member
-    (the sensitivity control).
+    Works in the weighted gauge W = theta exp(-phi_plus), bounded at every
+    level, with D = d/dz - P and Dbar = d/dzbar + conj(P) (P = dphi_plus/dz):
+    a holomorphic member has Dbar W = 0, and its Laplacian D Dbar W vanishes
+    against the comparator Dbar D W = D Dbar W - (pi m / Im tau) W.  A
+    conjugate member's weighted value is conj(W) and its identities are the
+    complex conjugates of these, so both signs report the same norms.
+    Returns ||Dbar W|| / ||D W|| ("first_order") and ||D Dbar W|| / ||Dbar D W||
+    ("laplacian"), from 6th-order central differences on a centered
+    grid_n x grid_n lattice grid.  perturb, if given, maps the grid coordinate
+    arrays (A, B) to a multiplicative field applied to W (the sensitivity
+    control).
     """
     tau = factor.tau
-    T = tau.imag
-    m = k * abs(factor.degree)
-    N = grid_n
-    h = 1.0 / N
-    t = (np.arange(N) + 0.5) / N - 0.5
-    A, B = np.meshgrid(t, t, indexing="ij")
-    Z = A + tau * B
-    phi = phi_plus(m, tau, Z)
-    theta = weighted_table(m, tau, Z.ravel(), eps=1e-14)[0, member].reshape(N, N) * np.exp(phi)
-    if factor.degree > 0:
-        F = theta
-        c_up = np.exp(_theta_cocycle_exponent(m, tau, Z))
-        c_dn = np.exp(_theta_cocycle_exponent(m, tau, Z - tau))
-    else:
-        # one exp of the summed exponent: its real part, -pi m T - 2 pi m Im Z for
-        # c_up, stays bounded where the two factors separately overflow
-        F = np.exp(-2.0 * phi) * np.conj(theta)
-        c_up = np.exp(np.conj(_theta_cocycle_exponent(m, tau, Z))
-                      - 4.0 * np.pi * m * Z.imag - 2.0 * np.pi * m * T)
-        c_dn = np.exp(np.conj(_theta_cocycle_exponent(m, tau, Z - tau))
-                      - 4.0 * np.pi * m * (Z.imag - T) - 2.0 * np.pi * m * T)
-    if perturb is not None:
-        F = F * (1.0 + perturb(A, B))
-    P = -1j * np.pi * m * Z.imag / T   # dphi_plus_m/dz
-
-    def l2(X):
-        return float(np.linalg.norm(X.ravel()))
-
-    if factor.degree > 0:
-        # box^0 s = -(Dz - 2 dphi/dz)(Dzb s); comparator flips Dzb -> Dz
-        Dz, Dzb = _complex_derivs(F, tau, h, c_up, c_dn)
-        res1 = l2(Dzb) / max(l2(Dz), 1e-300)
-        Dz2, _ = _complex_derivs(Dzb, tau, h, c_up, c_dn)
-        num = Dz2 - 2.0 * P * Dzb
-        Dzc, _ = _complex_derivs(Dz, tau, h, c_up, c_dn)
-        comp = Dzc - 2.0 * P * Dz
-        res2 = l2(num) / max(l2(comp), 1e-300)
-    else:
-        # dbar* u = -(Dz + 2 dphi_plus/dz) f; box^1 u = -Dzb (dbar* u)
-        Dz, Dzb = _complex_derivs(F, tau, h, c_up, c_dn)
-        first = Dz + 2.0 * P * F
-        scale1 = l2(Dz - 2.0 * P * F)
-        res1 = l2(first) / max(scale1, 1e-300)
-        _, num = _complex_derivs(first, tau, h, c_up, c_dn)
-        flip = Dz - 2.0 * P * F
-        _, comp = _complex_derivs(flip, tau, h, c_up, c_dn)
-        res2 = l2(num) / max(l2(comp), 1e-300)
-    return {"first_order": res1, "laplacian": res2}
+    h = 1.0 / grid_n
+    W, P = _padded_member(factor, k, member, grid_n, perturb)
+    DW, DbW = _covariant(W, P, tau, h)
+    DDbW = _covariant(DbW, P[_HALF:-_HALF], tau, h)[0]
+    inner = slice(_HALF, -_HALF)
+    comp = DDbW - (np.pi * k * abs(factor.degree) / tau.imag) * W[:, 2 * _HALF:-2 * _HALF]
+    return {"first_order": float(np.linalg.norm(DbW[:, inner]) / np.linalg.norm(DW[:, inner])),
+            "laplacian": float(np.linalg.norm(DDbW) / np.linalg.norm(comp))}
 
 
 def harmonicity_residual(model: ProductModel, k: int, index: tuple[int, ...],

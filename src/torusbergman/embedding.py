@@ -315,9 +315,7 @@ def pullback_ddbar(basis: HarmonicBasis, z) -> PullbackSample:
 class ConvergenceReport:
     ks: np.ndarray
     errors: dict[str, np.ndarray]          # method -> E(k) sup errors
-    deriv_errors: dict[str, np.ndarray]    # method -> C^1-level sup errors
     slopes: dict[str, SlopeFit | None]    # top-half fit over the rungs above floor; None if < 4
-    method_gap: np.ndarray                 # sup |jacobian - ddbar| per k
     floor: float                           # float floor of E(k): 1e-12 * max(1, max|omega|)
     grid: np.ndarray | None = None         # structured sample points
     fields: dict | None = None             # (method, k) -> form field on grid
@@ -362,11 +360,9 @@ def convergence_report(model: ProductModel, ks, grid_n: int = 8,
 
     The sup is taken over the structured grid plus a seeded random cloud;
     the grid alone can alias the lattice-frequency ripples of the form field
-    to its own sample zeros for resonant k.  Also reports one derivative
-    level: sup of centered lattice differences of the form field over the
-    structured grid (omega is constant, so this measures C^1 error).  Raises
-    if E(k) is non-monotone beyond the noise tolerance; a step whose later
-    value sits at the report's float `floor` is not a rise.  The rate is
+    to its own sample zeros for resonant k.  Raises if E(k) is non-monotone
+    beyond the noise tolerance; a step whose later value sits at the
+    report's float `floor` is not a rise.  The rate is
     fitted on the top half of the rungs whose E(k) is above the floor, and
     is None when fewer than 4 are.
 
@@ -391,29 +387,16 @@ def convergence_report(model: ProductModel, ks, grid_n: int = 8,
     factored = _factor_points(samples, model.n)
     w0 = omega_form(model)
     errors = {m: [] for m in methods}
-    deriv = {m: [] for m in methods}
-    gaps = []
     kept = {} if keep_fields else None
     for k in ks:
         b = build(int(k))
         if b.mix is not None:
             raise ValueError("convergence_report needs an unmixed product basis; this one has mix set")
-        fields = {}
         for m in methods:
-            fields[m] = _form_field(b, samples, m, factored)
-            field = fields[m][:len(pts)]
+            field = _form_field(b, samples, m, factored)
             if keep_fields:
-                kept[(m, int(k))] = field
-            errors[m].append(float(np.max(np.abs(fields[m] - w0))))
-            shape = (grid_n,) * (2 * model.n) + w0.shape
-            fg = field.reshape(shape)
-            dmax = 0.0
-            for ax in range(2 * model.n):
-                diff = (np.roll(fg, -1, axis=ax) - np.roll(fg, 1, axis=ax)) * (grid_n / 2.0)
-                dmax = max(dmax, float(np.max(np.abs(diff))))
-            deriv[m].append(dmax)
-        if len(methods) == 2:
-            gaps.append(float(np.max(np.abs(fields[methods[0]] - fields[methods[1]]))))
+                kept[(m, int(k))] = field[:len(pts)]
+            errors[m].append(float(np.max(np.abs(field - w0))))
     slopes = {}
     floor = 1e-12 * max(1.0, float(np.max(np.abs(w0))))
     for m in methods:
@@ -424,8 +407,7 @@ def convergence_report(model: ProductModel, ks, grid_n: int = 8,
         i0 = asymptotic_window(int(live.sum()))
         slopes[m] = fit_slope(ks[live][i0:], e[live][i0:]) if live.sum() >= 4 else None
     return ConvergenceReport(ks=ks, errors={m: np.array(v) for m, v in errors.items()},
-                             deriv_errors={m: np.array(v) for m, v in deriv.items()},
-                             slopes=slopes, method_gap=np.array(gaps), floor=floor,
+                             slopes=slopes, floor=floor,
                              grid=pts if keep_fields else None, fields=kept)
 
 

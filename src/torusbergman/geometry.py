@@ -23,7 +23,6 @@ import numpy as np
 __all__ = [
     "TorusFactor",
     "ProductModel",
-    "MetricFrame",
     "NormalChart",
     "VOLUME_NORMALIZATION",
     "factor_volume",
@@ -32,7 +31,6 @@ __all__ = [
     "omega",
     "normal_chart",
     "distance",
-    "injectivity_scale",
 ]
 
 # dV = VOLUME_NORMALIZATION * dx dy per factor, forced by the Riemannian
@@ -148,37 +146,6 @@ class ProductModel:
         return d[..., 0::2] + self.taus * d[..., 1::2]
 
 
-@dataclass(frozen=True)
-class MetricFrame:
-    """Convention block: Hermitian frame, volume normalization, Riemannian g.
-
-    hermitian_inner fixes <d/dz_j, d/dz_t> = delta_jt.  The induced Riemannian
-    structure g = (<.,.> + conj<.,.>)/2 then gives |d/dx|^2 = 2, so the factor
-    volume form is 2 dx dy and the curvature matrix eigenvalue is 2*lambda.
-    """
-
-    model: ProductModel
-    hermitian_inner: str = "unit_dz_frame"
-
-    @property
-    def volume_normalization(self) -> float:
-        """Per-factor constant c in dV = c dx dy."""
-        return VOLUME_NORMALIZATION
-
-    @property
-    def riemannian_g(self) -> np.ndarray:
-        """Real metric in chart coordinates (x_1, y_1, ..., x_n, y_n)."""
-        return VOLUME_NORMALIZATION * np.eye(2 * self.model.n)
-
-    @property
-    def volume(self) -> float:
-        """Total volume of M under dV."""
-        v = 1.0
-        for f in self.model.factors:
-            v *= factor_volume(f)
-        return v
-
-
 def curvature_matrix(model: ProductModel, k: int = 1) -> np.ndarray:
     """Diagonal eigenvalue matrix of the curvature endomorphism for L^(tensor k).
 
@@ -253,14 +220,6 @@ def normal_chart(model: ProductModel, p) -> NormalChart:
     return NormalChart(model=model, basepoint=p, z0=z0, a0=a0, a1=a1, a2=a2.astype(float))
 
 
-def global_weight(model: ProductModel, z) -> np.ndarray:
-    """Sum of the per-factor global weights phi0 at chart coordinates z."""
-    z = np.asarray(z, dtype=complex)
-    T = np.array([f.im_tau for f in model.factors])
-    d = np.array(model.degrees, dtype=float)
-    return np.sum(np.pi * d * z.imag ** 2 / T, axis=-1)
-
-
 def distance(model: ProductModel, x, y) -> float:
     """Geodesic distance under g: minimum over lattice translates."""
     dz = _min_image_dz(model, x, y)
@@ -278,14 +237,3 @@ def _min_image_dz(model: ProductModel, x, y) -> np.ndarray:
         flat = cand.reshape(-1)
         best[t] = flat[np.argmin(np.abs(flat))]
     return best
-
-
-def injectivity_scale(model: ProductModel) -> float:
-    """Half the g-length of the shortest nonzero lattice vector, over factors."""
-    shifts = np.array([-1.0, 0.0, 1.0])
-    scale = np.inf
-    for tau in model.taus:
-        v = shifts[:, None] + tau * shifts[None, :]
-        v = v[np.abs(v) > 0]
-        scale = min(scale, np.sqrt(2.0) * np.min(np.abs(v)) / 2.0)
-    return float(scale)

@@ -1,11 +1,13 @@
 """Independent oracles shared by the tests: the Bergman projector evaluated by
 quadrature on the product grid, against which the kernel's closed forms and
-the embedding's truncation checks are compared."""
+the embedding's truncation checks are compared, and the global weight and
+injectivity scale of a model, against which charts and separations are
+checked."""
 
 import numpy as np
 
 from torusbergman.basis import HarmonicBasis
-from torusbergman.geometry import factor_volume
+from torusbergman.geometry import ProductModel, factor_volume
 
 
 def project_coefficients(basis: HarmonicBasis, samples: np.ndarray, grid_n: int) -> np.ndarray:
@@ -28,3 +30,22 @@ def project_coefficients(basis: HarmonicBasis, samples: np.ndarray, grid_n: int)
 def evaluate_combination(basis: HarmonicBasis, coeffs: np.ndarray, points) -> np.ndarray:
     """Evaluate sum_j c_j g_j at the given points."""
     return coeffs @ basis.values(points)
+
+
+def global_weight(model: ProductModel, z) -> np.ndarray:
+    """Sum of the per-factor global weights phi0 at chart coordinates z."""
+    z = np.asarray(z, dtype=complex)
+    T = np.array([f.im_tau for f in model.factors])
+    d = np.array(model.degrees, dtype=float)
+    return np.sum(np.pi * d * z.imag ** 2 / T, axis=-1)
+
+
+def injectivity_scale(model: ProductModel) -> float:
+    """Half the g-length of the shortest nonzero lattice vector, over factors."""
+    shifts = np.array([-1.0, 0.0, 1.0])
+    scale = np.inf
+    for tau in model.taus:
+        v = shifts[:, None] + tau * shifts[None, :]
+        v = v[np.abs(v) > 0]
+        scale = min(scale, np.sqrt(2.0) * np.min(np.abs(v)) / 2.0)
+    return float(scale)

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from _oracles import injectivity_scale
 from torusbergman.basis import (
     build_basis,
     factor_harmonicity_residual,
@@ -26,7 +27,7 @@ from torusbergman.embedding import (
     well_defined_check,
 )
 from torusbergman.experiment import emit_report, parse_config, run
-from torusbergman.geometry import ProductModel, TorusFactor, injectivity_scale
+from torusbergman.geometry import ProductModel, TorusFactor
 from torusbergman.kernel import (
     density,
     disc_model_density,

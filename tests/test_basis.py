@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from torusbergman.basis import (
+    _HALF,
     CONJUGATE_FORM,
     HOLOMORPHIC,
     GramError,
+    _covariant,
+    _padded_member,
     build_basis,
     default_resolution,
     factor_gram,
@@ -228,6 +231,7 @@ class TestHarmonicity:
         r64 = factor_harmonicity_residual(f, 2, 0, grid_n=64)["laplacian"]
         r128 = factor_harmonicity_residual(f, 2, 0, grid_n=128)["laplacian"]
         assert r128 < r64 / 8   # at least cubic observed decay
+        assert r128 < r64 / 32  # the 6th-order stencil: ~64x observed
 
     def test_perturbed_section_detected(self):
         r = factor_harmonicity_residual(
@@ -236,11 +240,38 @@ class TestHarmonicity:
         assert r["laplacian"] >= 1e-3
 
     def test_conjugate_cocycle_does_not_overflow(self):
-        # level 57 is the first at tau = i where exp(-4 pi m (Im z - Im tau) - 2 pi m Im tau)
-        # alone overflows on this grid; the cocycle itself stays below exp(2 pi m Im tau)
+        # level 57 is the first at tau = i where a conjugate member's unweighted
+        # values, exp(-2 phi_plus) conj(theta), overflow on this grid
         with np.errstate(over="raise", invalid="raise"):
             r = factor_harmonicity_residual(TorusFactor(TAU, -1), 57, 0, grid_n=128)
         assert np.isfinite(r["first_order"]) and np.isfinite(r["laplacian"])
+
+    @pytest.mark.parametrize("d", [1, -1])
+    def test_high_level_stays_finite(self, d):
+        # 2 pi m Im tau > 709 at level 120: the weighted gauge has no cocycle to overflow
+        with np.errstate(over="raise", invalid="raise"):
+            r = factor_harmonicity_residual(TorusFactor(TAU, d), 120, 0, grid_n=64)
+        assert np.isfinite(r["first_order"]) and np.isfinite(r["laplacian"])
+
+    @pytest.mark.parametrize("tau", [TAU, 0.3 + 1.2j])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_conjugate_residuals_equal_holomorphic(self, tau, k):
+        # the conjugate member's identities are the conjugates of the holomorphic ones
+        assert (factor_harmonicity_residual(TorusFactor(tau, 1), k, 0)
+                == factor_harmonicity_residual(TorusFactor(tau, -1), k, 0))
+
+    @pytest.mark.parametrize("tau", [TAU, 0.3 + 1.2j])
+    def test_comparator_closed_form_in_every_column(self, tau):
+        # Dbar D W, by the stencil, equals -(pi m / Im tau) W column by column,
+        # the columns next to each b edge included: nothing is wrapped there
+        W, P = _padded_member(TorusFactor(tau, -1), 1, 0, 64)
+        DW, _ = _covariant(W, P, tau, 1.0 / 64)
+        _, DbDW = _covariant(DW, P[_HALF:-_HALF], tau, 1.0 / 64)
+        c = np.pi / tau.imag
+        Wi = W[:, 2 * _HALF:-2 * _HALF]
+        assert DbDW.shape == Wi.shape == (64, 64)
+        col = np.linalg.norm(DbDW + c * Wi, axis=0)
+        assert np.all(col <= 1e-6 * c * np.linalg.norm(Wi, axis=0))
 
     def test_product_section_residual(self):
         m = model(-1, 1)

@@ -59,9 +59,10 @@ class TestParseConfig:
     def test_thin_torus_dims_passes_a1_at_grid_floor(self):
         # at Im tau = 0.05 a 4m-point quadrature leaves the factor Gram 8.6e-5
         # off its closed form; dims sizes its quadrature from Im tau itself.
-        # A2's stencil residual at grid 64 is 1.0e-4 there (2.0e-6 at tau =
-        # 0.3 + i), so A2 doubles its grid until the residual meets 1e-6
-        for factor, grid in [("0.0 0.05 -1", 256), ("0.3 1.0 1", 128)]:
+        # A2's stencil residual at grid 64 is 2.0e-5 there, so A2 doubles its
+        # grid until the residual meets 1e-6 (3.3e-7 at grid 128); at tau =
+        # 0.3 + i grid 64 already gives 8.6e-9
+        for factor, grid in [("0.0 0.05 -1", 128), ("0.3 1.0 1", 64)]:
             cfg = f"factor = {factor}\nk_ladder = 2 4 6 8\nexperiments = dims\n"
             rep = run(parse_config(cfg))
             assert [c["pass"] for c in rep.criteria if c["criterion_id"] == "A1"] == [True]
@@ -276,14 +277,18 @@ class TestRun:
         assert ids["A4"] is False
         assert ids["A1"] is True    # sibling unaffected
 
-    def test_workers_parallel_same_result(self, smoke, tmp_path):
+    def test_retired_workers_key_warned_same_result(self, smoke, tmp_path):
+        # experiments run one after another; a workers key is parsed, warned about
+        # and ignored
         cfg2 = parse_config(SMOKE + "workers = 2\n")
+        assert [w.split()[2] for w in cfg2.warnings] == ["workers"]
         r1 = run(smoke)
         r2 = run(cfg2)
         d1, d2 = tmp_path / "w1", tmp_path / "w2"
         emit_report(r1, d1)
         emit_report(r2, d2)
-        assert (d1 / "density.csv").read_bytes() == (d2 / "density.csv").read_bytes()
+        for name in ("dims.csv", "density.csv", "offdiag.csv"):
+            assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
     def test_emit_idempotent_overwrite(self, smoke, tmp_path):
         rep = run(smoke, experiments=("dims",))

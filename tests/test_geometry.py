@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
 
+from _oracles import global_weight, injectivity_scale
 from torusbergman.geometry import (
-    MetricFrame,
     ProductModel,
     TorusFactor,
     curvature_matrix,
     distance,
-    global_weight,
-    injectivity_scale,
     normal_chart,
     omega,
     signature,
@@ -99,14 +97,6 @@ class TestOmega:
         w = omega(model(-1, 2))
         assert np.allclose(w, -w.T)
         assert np.min(np.abs(np.linalg.eigvals(w))) > 0.1
-
-
-class TestMetricFrame:
-    def test_volume_and_metric(self):
-        m = model(-1, 1)
-        f = MetricFrame(m)
-        assert f.volume == pytest.approx(4.0)   # (2 * Im tau)^2
-        assert np.allclose(f.riemannian_g, 2 * np.eye(4))
 
 
 class TestNormalChart:
