@@ -29,7 +29,7 @@ from itertools import product as iproduct
 import numpy as np
 
 from .geometry import ProductModel, TorusFactor, factor_volume
-from .theta import weighted_grid, weighted_table
+from .theta import _members, weighted_grid, weighted_table
 
 __all__ = [
     "FactorSectionSet",
@@ -326,17 +326,6 @@ class HarmonicBasis:
             out["dzdzb"] = dzdzb
         return out
 
-    def recompute_gram(self, scale: int = 1) -> np.ndarray:
-        """Quadrature Gram of the orthonormalized sections (should be I)."""
-        Gs = [self.grid_gram(t, default_resolution(s.level, s.factor.im_tau) * scale)
-              for t, s in enumerate(self.factor_sets)]
-        G = Gs[0]
-        for g2 in Gs[1:]:
-            G = np.kron(G, g2)
-        if self.mix is not None:
-            G = self.mix @ G @ self.mix.conj().T
-        return G
-
 
 def orthonormalize(kunneth: KunnethBasis, eps: float = 1e-12) -> HarmonicBasis:
     """Orthonormalize the raw product basis: each factor's members are scaled
@@ -382,7 +371,7 @@ def _padded_member(factor: TorusFactor, k: int, member: int, grid_n: int, pertur
     ta = (np.arange(N) + 0.5) / N - 0.5
     tb = (np.arange(-2 * _HALF, N + 2 * _HALF) + 0.5) / N - 0.5
     A, B = np.meshgrid(ta, tb, indexing="ij")
-    W = weighted_table(m, tau, (A + tau * B).ravel(), eps=1e-14)[0, member].reshape(A.shape)
+    W = _members(m, tau, (A + tau * B).ravel(), [member], 0, 1e-14)[0, 0].reshape(A.shape)
     if perturb is not None:
         W = W * (1.0 + perturb(A, B))
     return W, -1j * np.pi * m * tb      # Im z = Im(tau) b

@@ -48,6 +48,7 @@ _GRAM_DEV_TOL = 1e-9    # A1 bound on a factor quadrature Gram's relative deviat
 _KNOWN_KEYS = {"factor", "k_ladder", "theta_eps", "slope_margin", "seed", "experiments",
                "embed_grid_n"}
 _RETIRED_KEYS = {"grid_n", "gram_tol", "workers"}     # accepted, ignored and warned about
+_INT_MIN = {"seed": 0, "embed_grid_n": 1}            # integer keys and their least value
 _CRITERIA_DESC = {
     "A1": "dimension law: k^n * prod|d_j| sections, full-rank Gram within 1e-9 of closed form",
     "A2": ("harmonicity: discrete Kodaira-Laplacian residual <= 1e-6 at grid {grid} "
@@ -159,8 +160,10 @@ def parse_config(text: str) -> ExperimentConfig:
                     violations.append((ln, key, f"unknown experiments {bad}"))
                     continue
                 kw[key] = names
-            elif key in ("seed", "embed_grid_n"):
+            elif key in _INT_MIN:
                 kw[key] = int(val)
+                if kw[key] < _INT_MIN[key]:
+                    violations.append((ln, key, f"must be >= {_INT_MIN[key]}, got {val}"))
             elif key in ("theta_eps", "slope_margin"):
                 kw[key] = float(val)
         except ValueError:
@@ -194,7 +197,7 @@ def parse_config(text: str) -> ExperimentConfig:
 @dataclass
 class RunReport:
     criteria: list[dict]
-    tables: dict[str, tuple[list[str], list[list]]]   # exp -> (header, rows)
+    tables: dict[str, tuple[list[str], list[list]]]   # exp -> (header, rows); see _write_rows
     wall: dict[str, float]
     warnings: list[str]
     environment: dict
@@ -395,14 +398,11 @@ def _exp_pullback(cfg, model, rng):
     w0 = omega_form(model)
     n2 = 2 * model.n
     ia, ib = np.triu_indices(n2, 1)
-    grid = rep.grid.tolist()
-    rows = []
+    rows = []          # one block per (method, k): the grid runs down its lines
     for m in rep.errors:
         for k in rep.ks:
             field = rep.fields[(m, int(k))]
-            comps = field[:, ia, ib].tolist()
-            errs = np.max(np.abs(field - w0), axis=(1, 2)).tolist()
-            rows.extend(z + [int(k), m] + c + [e] for z, c, e in zip(grid, comps, errs))
+            rows.append([rep.grid, int(k), m, field[:, ia, ib], np.max(np.abs(field - w0), axis=(1, 2))])
     # E(k) reaching the float floor by the last rung passes the rate check, as A5
     # passes on kernel underflow; with < 4 rungs above the floor beta reads inf
     e_dd = rep.errors["ddbar_log"]
@@ -542,38 +542,48 @@ _CSV_NAME = {"dims": "dims.csv", "density": "density.csv", "offdiag": "offdiag.c
              "pullback": "pullback.csv", "derivs": "derivatives.csv"}
 
 
-_FLOAT = (float, np.floating)
-_COMPLEX = (complex, np.complexfloating)
-
-
 def _cell(v) -> str:
-    """The text of one CSV cell; emit_report writes the same bytes through _row_template."""
-    if isinstance(v, _FLOAT):
+    """The text of one CSV cell; _write_block writes a block's floats with the same bytes."""
+    if isinstance(v, (float, np.floating)):
         return "%.17g" % v
-    if isinstance(v, _COMPLEX):
+    if isinstance(v, (complex, np.complexfloating)):
         return "%.17g,%.17g" % (v.real, v.imag)
     return str(v)
 
 
-def _row_template(types) -> tuple[str, bool]:
-    """`%`-template of a row whose cells have these types, by _cell's rules, and
-    whether the row's complex cells must be split into real and imaginary parts."""
-    cells = ["%.17g" if issubclass(t, _FLOAT) else "%.17g,%.17g" if issubclass(t, _COMPLEX)
-             else "%s" for t in types]
-    return ",".join(cells) + "\n", "%.17g,%.17g" in cells
+_CHUNK = 1024     # block lines formatted together
+
+
+def _write_block(fh, row) -> None:
+    """Write a block: its float arrays, of shape (P,) or (P, c), run down P lines
+    and its scalar cells repeat on each.  Per chunk each distinct float is
+    formatted once; a pullback cell depends on one factor coordinate, so few are."""
+    arrays, where, scalars = [], [], []
+    for v in row:
+        if isinstance(v, np.ndarray):
+            arrays.append(v[:, None] if v.ndim == 1 else v)
+        else:
+            where.append(sum(a.shape[1] for a in arrays))
+            scalars.append(_cell(v))
+    lengths = {len(a) for a in arrays}
+    if len(lengths) != 1:
+        raise ValueError(f"block arrays have unequal lengths {sorted(lengths)}")
+    for lo in range(0, lengths.pop(), _CHUNK):
+        X = np.hstack([a[lo:lo + _CHUNK] for a in arrays]).astype(np.float64, copy=False)
+        # unique bit patterns keep -0.0 apart from 0.0 and every NaN payload apart
+        bits, inv = np.unique(X.view(np.uint64), return_inverse=True)
+        texts = np.array(["%.17g" % x for x in bits.view(np.float64).tolist()], dtype=object)
+        lines = np.insert(texts[inv.reshape(X.shape)], where, scalars, axis=1)
+        fh.write("".join(",".join(line) + "\n" for line in lines.tolist()))
 
 
 def _write_rows(fh, rows) -> None:
-    """Write rows one at a time, each through the cached template of its cell types."""
-    templates = {}
+    """Write rows as they come: a row holding an np.ndarray is a block, any other one line."""
     for row in rows:
-        key = tuple(map(type, row))
-        if key not in templates:
-            templates[key] = _row_template(key)
-        fmt, split = templates[key]
-        if split:
-            row = [x for v in row for x in ((v.real, v.imag) if isinstance(v, _COMPLEX) else (v,))]
-        fh.write(fmt % tuple(row))
+        if any(isinstance(v, np.ndarray) for v in row):
+            _write_block(fh, row)
+        else:
+            fh.write(",".join(map(_cell, row)) + "\n")
 
 
 def emit_report(report: RunReport, out_dir) -> list[str]:

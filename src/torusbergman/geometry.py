@@ -97,10 +97,6 @@ class ProductModel:
         return sum(1 for f in self.factors if f.degree < 0)
 
     @property
-    def n_plus(self) -> int:
-        return self.n - self.n_minus
-
-    @property
     def J0(self) -> tuple[int, ...]:
         return tuple(range(1, self.n_minus + 1))
 

@@ -102,18 +102,26 @@ def weighted_table(m: int, tau: complex, z, orders: int = 0, eps: float = 1e-12)
     W_0 is the weighted theta value theta * exp(-phi_plus); W_1 and W_2 are
     the weighted first and second z-derivative sums of theta.
     """
+    return _members(m, tau, z, range(m), orders, eps)
+
+
+def _members(m: int, tau: complex, z, members, orders: int, eps: float) -> np.ndarray:
+    """weighted_table for the listed characteristics only, in their order:
+    shape (orders+1, len(members), len(z)), bit for bit its rows."""
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     s = z.imag / tau.imag
     phase = 2.0 * np.pi * m * (z.real - tau.real * s)      # 2 pi m a
-    out = np.empty((orders + 1, m, z.shape[0]), dtype=complex)
-    for j, (_, r) in enumerate(_windows(m, tau, z.imag, eps, orders)):
+    windows = _windows(m, tau, z.imag, eps, orders)
+    out = np.empty((orders + 1, len(members), z.shape[0]), dtype=complex)
+    for i, j in enumerate(members):
+        r = windows[j][1]
         expo = _exponent(m, tau, r, s)
         expo.imag += r * phase
         term = np.exp(expo, out=expo)
-        out[0, j] = term.sum(axis=0)
+        out[0, i] = term.sum(axis=0)
         for nu in range(1, orders + 1):
             term *= 2j * np.pi * m * r
-            out[nu, j] = term.sum(axis=0)
+            out[nu, i] = term.sum(axis=0)
     return out
 
 

@@ -1,4 +1,4 @@
-"""Shared numerical helpers: power-law slope fits, float formatting."""
+"""Shared numerical helpers: power-law slope fits."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SlopeFit", "fit_slope", "asymptotic_window", "fmt17"]
+__all__ = ["SlopeFit", "fit_slope", "asymptotic_window"]
 
 
 @dataclass(frozen=True)
@@ -37,8 +37,3 @@ def fit_slope(ks, values) -> SlopeFit:
 def asymptotic_window(n: int) -> int:
     """Start index of the top-half fitting window, keeping at least 4 points."""
     return max(0, min(n // 2, n - 4))
-
-
-def fmt17(x) -> str:
-    """Format a float with 17 significant digits."""
-    return format(float(x), ".17g")

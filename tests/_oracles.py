@@ -1,12 +1,13 @@
 """Independent oracles shared by the tests: the Bergman projector evaluated by
 quadrature on the product grid, against which the kernel's closed forms and
-the embedding's truncation checks are compared, and the global weight and
-injectivity scale of a model, against which charts and separations are
-checked."""
+the embedding's truncation checks are compared, the quadrature Gram of an
+orthonormalized basis, the global weight and injectivity scale of a model,
+against which charts and separations are checked, and the 17-digit float
+text against which CSV cells are checked."""
 
 import numpy as np
 
-from torusbergman.basis import HarmonicBasis
+from torusbergman.basis import HarmonicBasis, default_resolution
 from torusbergman.geometry import ProductModel, factor_volume
 
 
@@ -32,6 +33,18 @@ def evaluate_combination(basis: HarmonicBasis, coeffs: np.ndarray, points) -> np
     return coeffs @ basis.values(points)
 
 
+def recompute_gram(basis: HarmonicBasis) -> np.ndarray:
+    """Quadrature Gram of the orthonormalized sections (should be I)."""
+    Gs = [basis.grid_gram(t, default_resolution(s.level, s.factor.im_tau))
+          for t, s in enumerate(basis.factor_sets)]
+    G = Gs[0]
+    for g2 in Gs[1:]:
+        G = np.kron(G, g2)
+    if basis.mix is not None:
+        G = basis.mix @ G @ basis.mix.conj().T
+    return G
+
+
 def global_weight(model: ProductModel, z) -> np.ndarray:
     """Sum of the per-factor global weights phi0 at chart coordinates z."""
     z = np.asarray(z, dtype=complex)
@@ -49,3 +62,8 @@ def injectivity_scale(model: ProductModel) -> float:
         v = v[np.abs(v) > 0]
         scale = min(scale, np.sqrt(2.0) * np.min(np.abs(v)) / 2.0)
     return float(scale)
+
+
+def fmt17(x) -> str:
+    """Format a float with 17 significant digits."""
+    return format(float(x), ".17g")

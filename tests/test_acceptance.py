@@ -243,6 +243,8 @@ def test_a10_infrastructure(tmp_path):
         "factor = 0.0 1.0 1\nk_ladder = 1 2 3 4\ntheta_eps = 0\n",    # non-positive eps
         "factor = 0.0 1.0 1\nk_ladder = 1 2 3 4\nmystery = 1\n",
         "factor = 0.0 1.0 1\nk_ladder = 2 4 6\nexperiments = offdiag\n",
+        "factor = 0.0 1.0 1\nk_ladder = 1 2 3 4\nseed = -1\n",          # negative seed
+        "factor = 0.0 1.0 1\nk_ladder = 1 2 3 4\nembed_grid_n = 0\n",   # empty scan grid
     ]
     rejected = 0
     for text in malformed:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from _oracles import recompute_gram
 from torusbergman.basis import (
     _HALF,
     CONJUGATE_FORM,
@@ -132,12 +133,12 @@ class TestKunneth:
 class TestOrthonormalize:
     def test_recomputed_gram_is_identity(self):
         b = build_basis(model(-1, 2), 2)
-        G = b.recompute_gram()
+        G = recompute_gram(b)
         assert np.max(np.abs(G - np.eye(b.dim))) < 1e-9
 
     def test_already_orthonormal_unchanged(self):
         b = build_basis(model(-1), 3)
-        G = b.recompute_gram()
+        G = recompute_gram(b)
         L = np.linalg.cholesky(G)
         assert np.max(np.abs(L - np.eye(b.dim))) < 1e-12
 
@@ -272,6 +273,18 @@ class TestHarmonicity:
         assert DbDW.shape == Wi.shape == (64, 64)
         col = np.linalg.norm(DbDW + c * Wi, axis=0)
         assert np.all(col <= 1e-6 * c * np.linalg.norm(Wi, axis=0))
+
+    @pytest.mark.parametrize("tau,d,k,member", [(TAU, 1, 1, 0), (TAU, -2, 3, 5),
+                                                (0.3 + 1.2j, 1, 7, 6), (0.1 + 0.7j, -3, 2, 1)])
+    def test_padded_member_is_its_weighted_table_row(self, tau, d, k, member):
+        # the stencil evaluates one characteristic, with the same bits as the full table
+        N = 16
+        W, _ = _padded_member(TorusFactor(tau, d), k, member, N)
+        ta = (np.arange(N) + 0.5) / N - 0.5
+        tb = (np.arange(-2 * _HALF, N + 2 * _HALF) + 0.5) / N - 0.5
+        A, B = np.meshgrid(ta, tb, indexing="ij")
+        want = weighted_table(k * abs(d), tau, (A + tau * B).ravel(), eps=1e-14)[0, member]
+        assert np.array_equal(W.ravel(), want)
 
     def test_product_section_residual(self):
         m = model(-1, 1)

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from _oracles import fmt17
 from torusbergman.cli import main as cli_main
 from torusbergman.experiment import (
     EXPERIMENTS,
@@ -13,7 +14,6 @@ from torusbergman.experiment import (
     parse_config,
     run,
 )
-from torusbergman.util import fmt17
 
 MINIMAL = """
 factor = 0.0 1.0 -1
@@ -117,6 +117,14 @@ class TestParseConfig:
             parse_config(MINIMAL + "just some words\n")
         assert any("key = value" in v[2] for v in err.value.violations)
 
+    def test_negative_seed_and_empty_scan_grid_rejected_with_line(self):
+        # default_rng rejects a negative seed, and embed_grid_n < 1 left the
+        # pullback grid empty, so A8 took its sup over the random cloud alone
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL.replace("seed = 7", "seed = -1") + "embed_grid_n = 0\n")
+        assert {v[:2] for v in err.value.violations} == {(4, "seed"), (6, "embed_grid_n")}
+        assert parse_config(MINIMAL.replace("seed = 7", "seed = 0") + "embed_grid_n = 1\n").seed == 0
+
     def test_bad_scalar_value_reported(self):
         with pytest.raises(ConfigError) as err:
             parse_config(MINIMAL.replace("seed = 7", "seed = seven"))
@@ -147,6 +155,22 @@ class TestFitSlope:
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             fit_slope([1, 2, 3], [1.0, 2.0, 3.0])
+
+
+def _cell_oracle(header, rows) -> bytes:
+    """The CSV of a table with every cell formatted on its own by _cell, each
+    block first expanded to its lines (the arrays' line and the scalar cells)."""
+    from torusbergman.experiment import _cell
+
+    lines = [header]
+    for row in rows:
+        arrays = [v for v in row if isinstance(v, np.ndarray)]
+        if not arrays:
+            lines.append([_cell(v) for v in row])
+        for i in range(len(arrays[0]) if arrays else 0):
+            lines.append([_cell(x) for v in row
+                          for x in (np.atleast_1d(v[i]) if isinstance(v, np.ndarray) else [v])])
+    return "".join(",".join(line) + "\n" for line in lines).encode()
 
 
 @pytest.fixture(scope="module")
@@ -241,17 +265,86 @@ class TestRun:
         assert (tmp_path / "pullback.csv").stat().st_size > 10_000_000
         assert peak < 5_000_000
 
-    def test_pullback_rows_are_plain_and_block_diagonal(self):
+    def test_blocks_write_what_cell_writes(self, tmp_path):
+        from torusbergman.experiment import _CHUNK, RunReport
+
+        edge = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, 1e308, 0.1, 1 / 3])
+        edge = np.concatenate([edge, np.nextafter(edge[6:], np.inf), np.nextafter(edge[6:], -np.inf),
+                               np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)])
+        rng = np.random.default_rng(5)
+        P = 2 * _CHUNK + 5       # two full chunks and a short one
+        rows = [[1, "x", 0.25, True],
+                [rng.choice(edge, (P, 3)), 7, "m", True, 1 + 2j, np.complex128(0.5 - 1j),
+                 rng.choice(edge, P), np.float32(0.1), rng.choice(edge, (P, 1))],
+                [np.float64(-0.0), np.int64(3), "y", 2j],
+                [rng.choice(edge, (5, 4)), rng.choice(edge, 5)],
+                [np.empty((0, 2)), "empty block"]]
+        header = [f"c{i}" for i in range(12)]
+        rep = RunReport(criteria=[], tables={"pullback": (header, rows)}, wall={}, warnings=[],
+                        environment={})
+        emit_report(rep, tmp_path)
+        assert (tmp_path / "pullback.csv").read_bytes() == _cell_oracle(header, rows)
+
+    def test_block_of_unequal_lengths_rejected(self, tmp_path):
+        from torusbergman.experiment import RunReport
+
+        block = [np.zeros(3), 4, np.zeros((4, 2))]
+        rep = RunReport(criteria=[], tables={"pullback": (["a", "k", "b0", "b1"], [block])},
+                        wall={}, warnings=[], environment={})
+        with pytest.raises(ValueError, match="unequal lengths"):
+            emit_report(rep, tmp_path)
+
+    @pytest.mark.parametrize("blocks,lines", [(14, 4096), (1, 65536)])
+    def test_emit_report_streams_blocks(self, tmp_path, blocks, lines):
+        # embed_sig11's pullback table (14 blocks of 4096 lines), and one block
+        # at embed_grid_n = 16: the text is held one chunk at a time.  As in
+        # pullback.csv, a cell depends on one factor's grid point (the error
+        # column on both, through a max)
+        import tracemalloc
+
+        from torusbergman.experiment import RunReport
+
+        rng = np.random.default_rng(1)
+        q = int(np.sqrt(lines))
+        i, j = np.divmod(np.arange(lines), q)
+        rows = []
+        for _ in range(blocks):
+            z, f, e = rng.random((2, q, 2)), rng.random((2, q)), rng.random((2, q))
+            zero = np.zeros(lines)
+            rows.append([np.hstack([z[0][i], z[1][j]]), 4, "ddbar_log",
+                         np.stack([f[0][i], zero, zero, zero, zero, f[1][j]], axis=1),
+                         np.maximum(e[0][i], e[1][j])])
+        rep = RunReport(criteria=[], tables={"pullback": ([f"c{i}" for i in range(13)], rows)},
+                        wall={}, warnings=[], environment={})
+        tracemalloc.start()
+        try:
+            emit_report(rep, tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "pullback.csv").read_bytes().count(b"\n") == blocks * lines + 1
+        assert peak < 5_000_000
+
+    def test_smoke_pullback_csv_is_the_cell_oracle(self, tmp_path):
+        cfg = parse_config((Path(__file__).parent.parent / "configs" / "sig11_smoke.cfg").read_text())
+        rep = run(cfg, experiments=("pullback",))
+        emit_report(rep, tmp_path)
+        header, rows = rep.tables["pullback"]
+        assert (tmp_path / "pullback.csv").read_bytes() == _cell_oracle(header, rows)
+
+    def test_pullback_blocks_are_block_diagonal(self):
         cfg = parse_config(SMOKE.replace("dims density offdiag", "pullback") + "embed_grid_n = 3\n")
         rep = run(cfg)
         assert rep.passed, rep.criteria
-        header, rows = rep.tables["pullback"]
-        assert len(rows) == 2 * 4 * 3 ** 4
-        kinds = {h: {type(r[i]) for r in rows} for i, h in enumerate(header)}
-        assert kinds.pop("k") == {int} and kinds.pop("method") == {str}
-        assert all(t == {float} for t in kinds.values()), kinds
-        for h in ("f02", "f03", "f12", "f13"):     # cross-factor cells
-            assert all(r[header.index(h)] == 0.0 for r in rows)
+        header, blocks = rep.tables["pullback"]
+        assert sum(len(b[0]) for b in blocks) == 2 * 4 * 3 ** 4
+        cross = [header.index(h) - header.index("f01") for h in ("f02", "f03", "f12", "f13")]
+        for grid, k, method, comps, err in blocks:
+            assert type(k) is int and type(method) is str
+            assert grid.dtype == comps.dtype == err.dtype == np.float64
+            assert len(grid) == len(comps) == len(err)
+            assert grid.shape[1] + 2 + comps.shape[1] + 1 == len(header)
+            assert np.all(comps[:, cross] == 0.0)     # cross-factor cells
 
     def test_budget_warning_not_failure(self, smoke):
         cfg = parse_config(SMOKE + "budget_dims = 0.000001\n")
