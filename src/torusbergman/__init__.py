@@ -14,14 +14,11 @@ from .basis import (
     FactorSectionSet,
     GramMatrix,
     HarmonicBasis,
-    KunnethBasis,
     build_basis,
     factor_gram,
     gram,
     harmonicity_residual,
-    kunneth_basis,
     orthonormalize,
-    raw_factor_basis,
 )
 from .embedding import (
     DerivativeReport,
@@ -68,8 +65,7 @@ __version__ = "0.1.0"
 __all__ = [
     "TorusFactor", "ProductModel", "NormalChart",
     "curvature_matrix", "signature", "omega", "normal_chart", "distance",
-    "FactorSectionSet", "GramMatrix", "KunnethBasis", "HarmonicBasis",
-    "raw_factor_basis", "kunneth_basis", "gram", "factor_gram",
+    "FactorSectionSet", "GramMatrix", "HarmonicBasis", "gram", "factor_gram",
     "orthonormalize", "build_basis", "harmonicity_residual",
     "KernelSample", "ExpansionModel", "kernel", "density", "trace_density",
     "expansion_model", "offdiagonal_fit", "far_separation_check",

@@ -23,8 +23,10 @@ oracle that certifies this closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as iproduct
+from math import prod
 
 import numpy as np
 
@@ -34,11 +36,8 @@ from .theta import _members, weighted_grid, weighted_table
 __all__ = [
     "FactorSectionSet",
     "GramMatrix",
-    "KunnethBasis",
     "HarmonicBasis",
     "GramError",
-    "raw_factor_basis",
-    "kunneth_basis",
     "gram",
     "factor_gram",
     "orthonormalize",
@@ -47,9 +46,6 @@ __all__ = [
     "harmonicity_residual",
     "factor_harmonicity_residual",
 ]
-
-HOLOMORPHIC = "holomorphic"
-CONJUGATE_FORM = "conjugate_form"
 
 
 class GramError(RuntimeError):
@@ -62,7 +58,6 @@ class FactorSectionSet:
 
     factor: TorusFactor
     k: int
-    kind: str
 
     @property
     def level(self) -> int:
@@ -82,39 +77,6 @@ class FactorSectionSet:
 def theta_gram_diagonal(level: int, im_tau: float) -> float:
     """Closed-form raw factor Gram: sqrt(2 Im tau / m) times the identity."""
     return float(np.sqrt(2.0 * im_tau / level))
-
-
-def raw_factor_basis(factor: TorusFactor, k: int) -> FactorSectionSet:
-    """Raw harmonic members for one factor: k*|d| of them, kind by sign of d."""
-    if k <= 0:
-        raise ValueError("tensor power k must be positive")
-    kind = HOLOMORPHIC if factor.degree > 0 else CONJUGATE_FORM
-    return FactorSectionSet(factor=factor, k=k, kind=kind)
-
-
-@dataclass(frozen=True)
-class KunnethBasis:
-    """All tensor products of factor members, lexicographic in factor indices."""
-
-    model: ProductModel
-    k: int
-    factor_sets: tuple[FactorSectionSet, ...]
-
-    @property
-    def indices(self) -> list[tuple[int, ...]]:
-        return list(iproduct(*[range(s.count) for s in self.factor_sets]))
-
-    @property
-    def count(self) -> int:
-        c = 1
-        for s in self.factor_sets:
-            c *= s.count
-        return c
-
-
-def kunneth_basis(model: ProductModel, k: int) -> KunnethBasis:
-    sets = tuple(raw_factor_basis(f, k) for f in model.factors)
-    return KunnethBasis(model=model, k=k, factor_sets=sets)
 
 
 @dataclass(frozen=True)
@@ -155,16 +117,16 @@ def factor_gram(factor: TorusFactor, k: int, resolution: int | None = None, eps:
     N = default_resolution(m, factor.im_tau) if resolution is None else resolution
     if N < 4 * m:
         raise GramError(f"resolution {N} below the floor {4 * m} for level {m}")
-    basis = HarmonicBasis(ProductModel((factor,)), k, (raw_factor_basis(factor, k),), eps=eps)
+    basis = HarmonicBasis(ProductModel((factor,)), k, eps)
     G = basis.grid_gram(0, N) * theta_gram_diagonal(m, factor.im_tau)
     est = float(np.exp(-np.pi * factor.im_tau * N**2 / (2.0 * m)))
     return GramMatrix(entries=G, quadrature_resolution=N,
                       estimated_quadrature_error=max(est, eps))
 
 
-def gram(model: ProductModel, kunneth: KunnethBasis, resolution: int | None = None, eps: float = 1e-12) -> GramMatrix:
-    """Quadrature Gram of the full product basis: Kronecker product of factor Grams (test oracle)."""
-    gs = [factor_gram(s.factor, kunneth.k, resolution, eps) for s in kunneth.factor_sets]
+def gram(basis: HarmonicBasis, resolution: int | None = None) -> GramMatrix:
+    """Quadrature Gram of the raw product basis: Kronecker product of factor Grams (test oracle)."""
+    gs = [factor_gram(f, basis.k, resolution, basis.eps) for f in basis.model.factors]
     G = gs[0].entries
     est = gs[0].estimated_quadrature_error or 0.0
     for g2 in gs[1:]:
@@ -176,30 +138,34 @@ def gram(model: ProductModel, kunneth: KunnethBasis, resolution: int | None = No
 
 @dataclass(frozen=True)
 class HarmonicBasis:
-    """Orthonormal basis of the harmonic space, kept in factored form.
+    """Orthonormal basis of the harmonic space at power k, kept in factored form.
 
-    sections j are indexed lexicographically by per-factor member indices;
-    `mix`, when set, is a unitary remix applied on top (used by invariance
-    tests; it deliberately breaks the tensor factorization of outputs but not
-    of the evaluation).
+    On a flat product model the harmonic space is exactly the tensor product
+    of the factor spaces, so the sections are the products of factor members,
+    indexed lexicographically by their per-factor member indices (`indices`).
+    The factor-by-factor routes (trace identity, density floor, FS scan,
+    Segre pullback blocks) rest on this structure.
     """
 
     model: ProductModel
     k: int
-    factor_sets: tuple[FactorSectionSet, ...]
     eps: float = 1e-12
-    mix: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.k <= 0:
+            raise ValueError("tensor power k must be positive")
+
+    @cached_property
+    def factor_sets(self) -> tuple[FactorSectionSet, ...]:
+        return tuple(FactorSectionSet(f, self.k) for f in self.model.factors)
 
     @property
     def dim(self) -> int:
-        c = 1
-        for s in self.factor_sets:
-            c *= s.count
-        return c
+        return prod(s.count for s in self.factor_sets)
 
-    def remixed(self, U: np.ndarray) -> "HarmonicBasis":
-        mix = U if self.mix is None else U @ self.mix
-        return replace(self, mix=mix)
+    @property
+    def indices(self) -> list[tuple[int, ...]]:
+        return list(iproduct(*[range(s.count) for s in self.factor_sets]))
 
     # -- factor-level evaluation ----------------------------------------
 
@@ -207,7 +173,7 @@ class HarmonicBasis:
         """Orthonormalized weighted jet tables for factor t at complex points z.
 
         orders: "v" values only, "d1" adds dz/dzb, "d2" adds the diagonal
-        mixed second derivative dzdzb.  Keys: v, z, zb, zzb.
+        second derivative d/dz d/dzbar (zzb).  Keys: v, z, zb, zzb.
         """
         eps = self.eps if eps is None else eps
         s = self.factor_sets[t]
@@ -274,8 +240,6 @@ class HarmonicBasis:
         V = per_factor[0]
         for tab in per_factor[1:]:
             V = (V[:, None, :] * tab[None, :, :]).reshape(-1, tab.shape[1])
-        if self.mix is not None:
-            V = self.mix @ V
         return V
 
     def values(self, points) -> np.ndarray:
@@ -293,7 +257,7 @@ class HarmonicBasis:
         """Values and chart-coordinate derivatives of the weighted coefficients.
 
         Returns val (dim, P), dz and dzb (n, dim, P) and, when second=True,
-        the mixed block dzdzb (n, n, dim, P).
+        the block dzdzb (n, n, dim, P) of d/dz_a d/dzbar_b.
         """
         pts = np.atleast_2d(self.model.check_point(points))
         zs = self.model.chart_z(pts)
@@ -327,15 +291,15 @@ class HarmonicBasis:
         return out
 
 
-def orthonormalize(kunneth: KunnethBasis, eps: float = 1e-12) -> HarmonicBasis:
+def orthonormalize(model: ProductModel, k: int, eps: float = 1e-12) -> HarmonicBasis:
     """Orthonormalize the raw product basis: each factor's members are scaled
     by FactorSectionSet.scale, and the basis ordering is preserved."""
-    return HarmonicBasis(model=kunneth.model, k=kunneth.k, factor_sets=kunneth.factor_sets, eps=eps)
+    return HarmonicBasis(model, k, eps)
 
 
 def build_basis(model: ProductModel, k: int, eps: float = 1e-12) -> HarmonicBasis:
     """Raw members and closed-form orthonormalization in one call."""
-    return orthonormalize(kunneth_basis(model, k), eps=eps)
+    return orthonormalize(model, k, eps)
 
 
 # -- discrete Kodaira-Laplacian certification -------------------------------

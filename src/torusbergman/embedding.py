@@ -10,8 +10,8 @@ vectors through the full differential of the lift and evaluates the
 Fubini-Study form there; it is valid for arbitrary smooth maps and is treated
 as ground truth.  The ddbar route applies i/(2 pi k) del delbar to the log of
 the lift norm squared (equivalently omega plus the same operator on log of
-the density); the two agree for holomorphic maps and their gap on mixed
-signature models is reported as a measured diagnostic.
+the density); the two agree for holomorphic maps and their gap on
+indefinite-signature models is reported as a measured diagnostic.
 
 Both routes run on any basis through pullback_jacobian_many and
 pullback_ddbar_many.  convergence_report (criterion A8) uses the Segre
@@ -267,9 +267,9 @@ def pullback_jacobian(basis: HarmonicBasis, z) -> PullbackSample:
 def hermitian_to_real_form(H: np.ndarray) -> np.ndarray:
     """Real components of the 2-form i sum H_ab dz_a wedge dzbar_b.
 
-    Input H is the matrix of mixed second derivatives (Hermitian for a real
-    potential), or a stack of them, shape (..., n, n); output is the
-    antisymmetric (..., 2n, 2n) matrix on the chart real coordinate frame
+    Input H is the matrix of second derivatives d/dz_a d/dzbar_b (Hermitian
+    for a real potential), or a stack of them, shape (..., n, n); output is
+    the antisymmetric (..., 2n, 2n) matrix on the chart real coordinate frame
     (x_1, y_1, ..., x_n, y_n).
     """
     H = np.asarray(H)
@@ -283,7 +283,7 @@ def hermitian_to_real_form(H: np.ndarray) -> np.ndarray:
 def pullback_ddbar_many(basis: HarmonicBasis, pts) -> np.ndarray:
     """(1/k) Phi* omega_FS via the del-delbar route at many points: (P, 2n, 2n).
 
-    The mixed Hessian of log Q for the non-holomorphic weighted coefficients
+    The complex Hessian of log Q for the non-holomorphic weighted coefficients
     uses the full Wirtinger product rule; for holomorphic lifts it reduces to
     the familiar rank-one formula.
     """
@@ -345,8 +345,8 @@ def _form_field(basis: HarmonicBasis, pts: np.ndarray, method: str, factored=Non
     n = basis.model.n
     factored = _factor_points(pts, n) if factored is None else factored
     out = np.zeros((len(pts), 2 * n, 2 * n))
-    for t, (s, (uniq, inv)) in enumerate(zip(basis.factor_sets, factored)):
-        one = HarmonicBasis(ProductModel((s.factor,)), basis.k, (s,), eps=basis.eps)
+    for t, (f, (uniq, inv)) in enumerate(zip(basis.model.factors, factored)):
+        one = HarmonicBasis(ProductModel((f,)), basis.k, basis.eps)
         block = np.concatenate([fn(one, uniq[i0:i0 + 512]) for i0 in range(0, len(uniq), 512)])
         out[:, 2 * t:2 * t + 2, 2 * t:2 * t + 2] = block[inv.reshape(-1)]
     return out
@@ -372,8 +372,7 @@ def convergence_report(model: ProductModel, ks, grid_n: int = 8,
     block t depending on z_t alone (for both routes, and for conjugate
     factors too).  pullback_jacobian_many / pullback_ddbar_many run on each
     one-factor basis at the distinct factor coordinates only; on the full
-    basis they are the oracle for this.  A basis from basis_builder with
-    `mix` set breaks the tensor factorization and raises ValueError.
+    basis they are the oracle for this.
     """
     from .basis import build_basis
 
@@ -390,8 +389,6 @@ def convergence_report(model: ProductModel, ks, grid_n: int = 8,
     kept = {} if keep_fields else None
     for k in ks:
         b = build(int(k))
-        if b.mix is not None:
-            raise ValueError("convergence_report needs an unmixed product basis; this one has mix set")
         for m in methods:
             field = _form_field(b, samples, m, factored)
             if keep_fields:

@@ -5,7 +5,6 @@ Config files are plain key = value lines (``#`` comments allowed).  Keys:
     factor        = tau_re tau_im degree          (one line per factor)
     k_ladder      = 4 6 8 10
     theta_eps     = 1e-12
-    slope_margin  = 0.3
     seed          = 12345
     experiments   = dims density offdiag far ratio embed pullback derivs
     embed_grid_n  = 9                              (optional scan override)
@@ -17,8 +16,9 @@ Outputs: one CSV per experiment plus summary.json mapping every enabled
 acceptance criterion to {criterion_id, description, measured, threshold,
 pass}.  Reruns with the same config and seed produce byte-identical CSV
 bodies; random probes come from numpy's seeded PCG64 generator and their
-coordinates are echoed into the CSVs.  The retired keys grid_n, gram_tol and
-workers are accepted, ignored and named in the summary's warnings.
+coordinates are echoed into the CSVs.  The retired keys grid_n, gram_tol,
+workers and slope_margin are accepted, ignored and named in the summary's
+warnings.
 """
 
 from __future__ import annotations
@@ -45,10 +45,10 @@ __all__ = ["ExperimentConfig", "ConfigError", "RunReport", "parse_config", "run"
 EXPERIMENTS = ("dims", "density", "offdiag", "far", "ratio", "embed", "pullback", "derivs")
 _FIT_BASED = {"offdiag", "far", "embed", "pullback", "derivs"}
 _GRAM_DEV_TOL = 1e-9    # A1 bound on a factor quadrature Gram's relative deviation from closed form
-_KNOWN_KEYS = {"factor", "k_ladder", "theta_eps", "slope_margin", "seed", "experiments",
-               "embed_grid_n"}
-_RETIRED_KEYS = {"grid_n", "gram_tol", "workers"}     # accepted, ignored and warned about
-_INT_MIN = {"seed": 0, "embed_grid_n": 1}            # integer keys and their least value
+_SLOPE_MARGIN = 0.3     # A9: special-family growth slopes may exceed n by at most this
+_KNOWN_KEYS = {"factor", "k_ladder", "theta_eps", "seed", "experiments", "embed_grid_n"}
+_RETIRED_KEYS = {"grid_n", "gram_tol", "workers", "slope_margin"}   # accepted, ignored and warned about
+_INT_MIN = {"seed": 0, "embed_grid_n": 2}            # integer keys and their least value
 _CRITERIA_DESC = {
     "A1": "dimension law: k^n * prod|d_j| sections, full-rank Gram within 1e-9 of closed form",
     "A2": ("harmonicity: discrete Kodaira-Laplacian residual <= 1e-6 at grid {grid} "
@@ -75,7 +75,6 @@ class ExperimentConfig:
     factors: tuple[TorusFactor, ...]
     k_ladder: tuple[int, ...]
     theta_eps: float = 1e-12
-    slope_margin: float = 0.3
     seed: int = 20260810
     experiments: tuple[str, ...] = EXPERIMENTS
     embed_grid_n: int | None = None
@@ -164,7 +163,7 @@ def parse_config(text: str) -> ExperimentConfig:
                 kw[key] = int(val)
                 if kw[key] < _INT_MIN[key]:
                     violations.append((ln, key, f"must be >= {_INT_MIN[key]}, got {val}"))
-            elif key in ("theta_eps", "slope_margin"):
+            elif key == "theta_eps":
                 kw[key] = float(val)
         except ValueError:
             violations.append((ln, key, f"could not parse value {val!r}"))
@@ -232,17 +231,17 @@ def _exp_dims(cfg, model, rng):
     ok = True
     min_eig = np.inf
     for k in cfg.k_ladder:
-        kb = basis_mod.kunneth_basis(model, k)
+        b = basis_mod.build_basis(model, k, eps=cfg.theta_eps)
         eig = 1.0
         dev = 0.0
-        for s in kb.factor_sets:
+        for s in b.factor_sets:
             g = basis_mod.factor_gram(s.factor, k, eps=cfg.theta_eps).entries
             c = basis_mod.theta_gram_diagonal(s.level, s.factor.im_tau)
             eig *= np.linalg.eigvalsh(g)[0]
             dev = max(dev, float(np.max(np.abs(g - c * np.eye(s.count)))) / c)
         expected = k ** model.n * int(np.prod(np.abs(model.degrees)))
-        rows.append([k, kb.count, expected, eig, dev])
-        ok = ok and (kb.count == expected) and (eig > 1e-12) and (dev <= _GRAM_DEV_TOL)
+        rows.append([k, b.dim, expected, eig, dev])
+        ok = ok and (b.dim == expected) and (eig > 1e-12) and (dev <= _GRAM_DEV_TOL)
         min_eig = min(min_eig, eig)
     crit = [{"criterion_id": "A1", "description": _CRITERIA_DESC["A1"],
              "measured": float(min_eig), "threshold": 1e-12, "pass": bool(ok)}]
@@ -253,10 +252,10 @@ def _exp_dims(cfg, model, rng):
     # the grid (0.034 at tau = i, 0.38 at Im tau = 0.05).
     # Higher levels are certified in the tests.
     if max(abs(f.degree) for f in model.factors) == 1:
-        kb = basis_mod.kunneth_basis(model, 1)
+        indices = basis_mod.build_basis(model, 1).indices
         for grid in (64, 128, 256, 512):
             worst = max(basis_mod.harmonicity_residual(model, 1, idx, grid_n=grid)
-                        for idx in kb.indices)
+                        for idx in indices)
             if worst <= 1e-6:
                 break
         control = basis_mod.factor_harmonicity_residual(
@@ -446,7 +445,7 @@ def _exp_derivs(cfg, model, rng):
             rows.append([d[0], fam, int(k), s, slope_val])
         if fam == "special":
             if not zero:
-                special_ok = special_ok and sl.slope <= n + cfg.slope_margin
+                special_ok = special_ok and sl.slope <= n + _SLOPE_MARGIN
         else:
             generic_ok = generic_ok and (sl is not None and sl.slope >= n + 0.7)
     for ds, fs in rep.families.items():
@@ -527,7 +526,6 @@ def run(cfg: ExperimentConfig, experiments: tuple[str, ...] | None = None) -> Ru
         "platform": platform.platform(),
         "seed": cfg.seed,
         "theta_eps": cfg.theta_eps,
-        "slope_margin": cfg.slope_margin,
         "k_ladder": list(cfg.k_ladder),
         "factors": [[f.tau.real, f.tau.imag, f.degree] for f in cfg.factors],
         "probes": probes_used,

@@ -125,19 +125,12 @@ class ExpansionModel:
         return np.sum(np.abs(self.lam) * np.abs(dz) ** 2, axis=-1)
 
 
-def expansion_model(model: ProductModel, p, n_pairs: int = 200, seed: int = 0) -> ExpansionModel:
-    chart = normal_chart(model, p)
+def expansion_model(model: ProductModel, p) -> ExpansionModel:
     lam = model.lambdas
-    # lower constant in Im Psi >= c |x-y|_g^2 fitted over seeded sample pairs
-    # (|.|_g^2 = 2 sum |dz|^2; the flat-model infimum is min|lambda|/2)
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n_pairs, model.n)) + 1j * rng.standard_normal((n_pairs, model.n))
-    w = rng.standard_normal((n_pairs, model.n)) + 1j * rng.standard_normal((n_pairs, model.n))
-    d = np.concatenate([z - w, np.eye(model.n)])    # axis pairs reach the infimum
-    im = np.sum(np.abs(lam) * np.abs(d) ** 2, axis=-1)
-    g2 = 2.0 * np.sum(np.abs(d) ** 2, axis=-1)
-    c_lower = float(np.min(im / g2))
-    return ExpansionModel(chart=chart, b0=leading_coefficient(model), lam=lam, c_lower=c_lower)
+    # best constant in Im Psi >= c |x-y|_g^2 with |.|_g^2 = 2 sum |dz|^2: Im Psi
+    # = sum |lambda_t| |dz_t|^2, so c = min|lambda| / 2, attained along an axis
+    return ExpansionModel(chart=normal_chart(model, p), b0=leading_coefficient(model), lam=lam,
+                          c_lower=float(np.min(np.abs(lam))) / 2.0)
 
 
 @dataclass(frozen=True)

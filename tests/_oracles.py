@@ -1,9 +1,10 @@
 """Independent oracles shared by the tests: the Bergman projector evaluated by
 quadrature on the product grid, against which the kernel's closed forms and
 the embedding's truncation checks are compared, the quadrature Gram of an
-orthonormalized basis, the global weight and injectivity scale of a model,
-against which charts and separations are checked, and the 17-digit float
-text against which CSV cells are checked."""
+orthonormalized basis, a remixed basis that is not a tensor product, against
+which the pointwise routes' invariances are checked, the global weight and
+injectivity scale of a model, against which charts and separations are
+checked, and the 17-digit float text against which CSV cells are checked."""
 
 import numpy as np
 
@@ -40,9 +41,25 @@ def recompute_gram(basis: HarmonicBasis) -> np.ndarray:
     G = Gs[0]
     for g2 in Gs[1:]:
         G = np.kron(G, g2)
-    if basis.mix is not None:
-        G = basis.mix @ G @ basis.mix.conj().T
     return G
+
+
+class RemixedBasis:
+    """The sections U @ (S_0, ..., S_{dim-1}) of a basis: for a generic U no
+    longer a tensor product.  Only model, k, dim, values and jets are exposed,
+    so a route that works factor by factor raises AttributeError on it instead
+    of returning the unmixed basis's numbers."""
+
+    def __init__(self, basis: HarmonicBasis, U: np.ndarray):
+        self.model, self.k, self.dim = basis.model, basis.k, U.shape[0]
+        self._basis, self._U = basis, U
+
+    def values(self, points) -> np.ndarray:
+        return self._U @ self._basis.values(points)
+
+    def jets(self, points, second: bool = False) -> dict[str, np.ndarray]:
+        # U acts on the section axis, second to last in every jet array
+        return {key: np.matmul(self._U, v) for key, v in self._basis.jets(points, second).items()}
 
 
 def global_weight(model: ProductModel, z) -> np.ndarray:

@@ -15,7 +15,6 @@ from torusbergman.basis import (
     factor_harmonicity_residual,
     gram,
     harmonicity_residual,
-    kunneth_basis,
 )
 from torusbergman.embedding import (
     convergence_report,
@@ -61,11 +60,11 @@ def test_a1_dimension_law():
     for degs in A1_CONFIGS:
         m = model(*degs)
         for k in (4, 8, 12, 16):
-            kb = kunneth_basis(m, k)
+            b = build_basis(m, k)
             expected = k ** m.n * int(np.prod([abs(d) for d in degs]))
-            G = gram(m, kb)
+            G = gram(b)
             eig = np.linalg.eigvalsh(0.5 * (G.entries + G.entries.conj().T))
-            ok = ok and kb.count == expected and eig.min() > 1e-12
+            ok = ok and b.dim == expected and eig.min() > 1e-12
             worst = min(worst, eig.min())
     assert report("A1", ok, worst, 1e-12, "exact section counts, min Gram eigenvalue")
 
@@ -75,8 +74,7 @@ def test_a2_harmonicity():
     worst = 0.0
     for degs in [(-1,), (-1, 1)]:
         m = model(*degs)
-        kb = kunneth_basis(m, 1)
-        for idx in kb.indices:
+        for idx in build_basis(m, 1).indices:
             worst = max(worst, harmonicity_residual(m, 1, idx, grid_n=64))
     control = factor_harmonicity_residual(
         TorusFactor(TAU, -1), 1, 0, grid_n=64,
@@ -245,6 +243,7 @@ def test_a10_infrastructure(tmp_path):
         "factor = 0.0 1.0 1\nk_ladder = 2 4 6\nexperiments = offdiag\n",
         "factor = 0.0 1.0 1\nk_ladder = 1 2 3 4\nseed = -1\n",          # negative seed
         "factor = 0.0 1.0 1\nk_ladder = 1 2 3 4\nembed_grid_n = 0\n",   # empty scan grid
+        "factor = 0.0 1.0 1\nk_ladder = 1 2 3 4\nembed_grid_n = 1\n",   # one-point scan grid
     ]
     rejected = 0
     for text in malformed:

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from _oracles import recompute_gram
+from _oracles import RemixedBasis, recompute_gram
 from torusbergman.basis import (
     _HALF,
-    CONJUGATE_FORM,
-    HOLOMORPHIC,
     GramError,
+    HarmonicBasis,
     _covariant,
     _padded_member,
     build_basis,
@@ -15,8 +14,6 @@ from torusbergman.basis import (
     factor_harmonicity_residual,
     gram,
     harmonicity_residual,
-    kunneth_basis,
-    raw_factor_basis,
     theta_gram_diagonal,
 )
 from torusbergman.geometry import ProductModel, TorusFactor
@@ -38,22 +35,23 @@ def haar_unitary(n, rng):
 
 class TestRawFactorBasis:
     def test_positive_degree_one_power_one(self):
-        s = raw_factor_basis(TorusFactor(TAU, 1), 1)
-        assert s.kind == HOLOMORPHIC
+        (s,) = HarmonicBasis(model(1), 1).factor_sets
         assert s.count == 1
 
     def test_negative_three_members_at_k3(self):
-        s = raw_factor_basis(TorusFactor(TAU, -1), 3)
-        assert s.kind == CONJUGATE_FORM
+        (s,) = HarmonicBasis(model(-1), 3).factor_sets
         assert s.count == 3
         assert s.level == 3
 
     def test_member_count_k_times_degree(self):
-        assert raw_factor_basis(TorusFactor(TAU, -2), 5).count == 10
+        assert HarmonicBasis(model(-2), 5).factor_sets[0].count == 10
 
     def test_rejects_nonpositive_power(self):
-        with pytest.raises(ValueError):
-            raw_factor_basis(TorusFactor(TAU, 1), 0)
+        for k in (0, -1):
+            with pytest.raises(ValueError):
+                HarmonicBasis(model(1), k)
+            with pytest.raises(ValueError):
+                build_basis(model(-1, 1), k)
 
     def test_conjugate_first_order_identity(self):
         # (d/dz + 2 dphi_plus/dz) f = 0 certified by the residual operator
@@ -92,8 +90,7 @@ class TestGram:
 
     def test_tensor_product_identity(self):
         m = model(-1, 2)
-        kb = kunneth_basis(m, 2)
-        G = gram(m, kb)
+        G = gram(build_basis(m, 2))
         g1 = factor_gram(m.factors[0], 2)
         g2 = factor_gram(m.factors[1], 2)
         assert np.max(np.abs(G.entries - np.kron(g1.entries, g2.entries))) < 1e-12
@@ -111,23 +108,31 @@ class TestGram:
 
 class TestKunneth:
     def test_product_count(self):
-        kb = kunneth_basis(model(-1, 1), 2)
-        assert kb.count == 4
-        assert len(kb.indices) == 4
+        b = build_basis(model(-1, 1), 2)
+        assert b.dim == 4
+        assert len(b.indices) == 4
 
     def test_positive_single_factor_reduces_to_theta_basis(self):
         m = model(2)
         assert m.n_minus == 0
         assert m.J0 == ()
-        kb = kunneth_basis(m, 1)
-        assert kb.factor_sets[0].kind == HOLOMORPHIC
-        assert kb.count == 2
+        b = build_basis(m, 1)
+        assert b.factor_sets[0].level == 2
+        assert b.dim == 2
 
     def test_ordering_deterministic(self):
-        a = kunneth_basis(model(-1, 2), 2).indices
-        b = kunneth_basis(model(-1, 2), 2).indices
+        a = build_basis(model(-1, 2), 2).indices
+        b = build_basis(model(-1, 2), 2).indices
         assert a == b
         assert a[:3] == [(0, 0), (0, 1), (0, 2)]
+
+    def test_values_are_the_lexicographic_products_of_factor_values(self):
+        b = build_basis(model(-1, 2), 2)
+        pts = np.random.default_rng(5).random((7, 4))
+        zs = b.model.chart_z(pts)
+        v0, v1 = (b.factor_tables(t, zs[:, t])["v"] for t in range(2))
+        want = np.stack([v0[i] * v1[j] for i, j in b.indices])
+        assert np.array_equal(b.values(pts), want)
 
 
 class TestOrthonormalize:
@@ -154,7 +159,7 @@ class TestOrthonormalize:
         U = haar_unitary(b.dim, rng)
         pts = rng.random((20, 2))
         d0 = density(b, pts)
-        d1 = density(b.remixed(U), pts)
+        d1 = density(RemixedBasis(b, U), pts)
         assert np.max(np.abs(d0 - d1)) < 1e-10 * np.max(d0)
 
     def test_closed_form_matches_quadrature(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _oracles import evaluate_combination, project_coefficients
+from _oracles import RemixedBasis, evaluate_combination, project_coefficients
 from torusbergman.basis import build_basis
 from torusbergman.embedding import (
     ProjectivePoint,
@@ -19,8 +19,8 @@ from torusbergman.embedding import (
     well_defined_check,
 )
 from torusbergman.experiment import parse_config, run
-from torusbergman.geometry import ProductModel, TorusFactor, omega
-from torusbergman.kernel import density
+from torusbergman.geometry import ProductModel, TorusFactor, factor_volume, omega
+from torusbergman.kernel import density, leading_coefficient, trace_density
 
 TAU = 1j
 
@@ -96,19 +96,19 @@ class TestWellDefined:
         assert abs(ratios[-1] - 1) < 1e-6
 
     def test_truncated_basis_positive_but_not_reproducing(self):
+        # keep the first half of the sections: their density stays positive on
+        # the grid, but projecting onto them loses a dropped section
         b = build_basis(model(-1), 8)
         keep = b.dim // 2
-        mix = np.zeros((b.dim, b.dim), dtype=complex)
-        mix[:keep, :keep] = np.eye(keep)
-        bt = b.remixed(mix)
-        rep = well_defined_check(bt, 32)
-        assert rep.min_ratio > 0
         N = 64
         g = (np.arange(N) + 0.5) / N
         pts = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
-        dropped = b.values(pts)[-1]
-        c = project_coefficients(bt, dropped, N)
-        rec = evaluate_combination(bt, c, pts)
+        vals = b.values(pts)
+        assert np.min(np.sum(np.abs(vals[:keep]) ** 2, axis=0)) > 0
+        dropped = vals[-1]
+        c = project_coefficients(b, dropped, N)
+        c[keep:] = 0.0
+        rec = evaluate_combination(b, c, pts)
         assert np.linalg.norm(rec - dropped) / np.linalg.norm(dropped) > 0.5
 
 
@@ -134,13 +134,60 @@ class TestInjectivity:
         assert 0.05 < ds.min() and ds.max() < np.pi / 2 - 0.05
 
     def test_collision_detected_for_rank_deficient_basis(self):
+        # at k = 2 the two level-2 theta functions are even, so the lift takes
+        # the same value at z and -z: a 2:1 map, which the scan must catch
         b = build_basis(model(-1), 2)
-        # duplicate section 0, drop section 1: the lift becomes [g0 : g0]
-        mix = np.array([[1.0, 0.0], [1.0, 0.0]], dtype=complex)
-        bt = b.remixed(mix)
-        rep = injectivity_scan(bt, grid_n=16)
+        rep = injectivity_scan(b, grid_n=16)
         assert rep.min_fs_distance < 1e-10
         assert rep.offending_pair is not None
+        x1, x2 = rep.offending_pair
+        assert np.allclose(np.cos(2 * np.pi * (x1 + x2)), 1.0)     # x2 = -x1 mod the lattice
+
+
+class TestFactorRoutesMatchProductGrid:
+    """well_defined_check, injectivity_scan and trace_density work factor by
+    factor; on the full N^4 product grid the product route must give the same
+    numbers.  Re tau != 0 and unequal levels, so no symmetry hides a swap."""
+
+    N = 6
+
+    @pytest.fixture(scope="class")
+    def product_grid(self):
+        m = ProductModel.from_factors([TorusFactor(0.3 + 1.1j, -1), TorusFactor(TAU, 2)])
+        b = build_basis(m, 3)
+        g = (np.arange(self.N) + 0.5) / self.N
+        pts = np.stack(np.meshgrid(g, g, g, g, indexing="ij"), axis=-1).reshape(-1, 4)
+        return b, pts, b.values(pts)
+
+    def test_density_floor(self, product_grid):
+        b, pts, _ = product_grid
+        want = density(b, pts).min() / (leading_coefficient(b.model) * b.k ** 2)
+        assert well_defined_check(b, self.N).min_ratio == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_min_fs_distance(self, product_grid):
+        b, _, V = product_grid
+        U = V / np.linalg.norm(V, axis=0)
+        C = np.abs(U.conj().T @ U)
+        np.fill_diagonal(C, -1.0)
+        i, j = np.unravel_index(np.argmax(C), C.shape)
+        want = fs_distance(ProjectivePoint(V[:, i]), ProjectivePoint(V[:, j]))
+        assert injectivity_scan(b, self.N).min_fs_distance == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_trace_quadrature(self, product_grid):
+        b, pts, _ = product_grid
+        dv = np.prod([factor_volume(f) / self.N**2 for f in b.model.factors])
+        want = float(np.sum(density(b, pts))) * dv
+        assert trace_density(b, self.N) == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_remixed_basis_refused(self, product_grid):
+        # a remixed basis is no tensor product: the factor routes cannot read it
+        b = product_grid[0]
+        fake = RemixedBasis(b, haar_unitary(b.dim, np.random.default_rng(4)))
+        for route in (well_defined_check, injectivity_scan, trace_density):
+            with pytest.raises(AttributeError):
+                route(fake, self.N)
+        with pytest.raises(AttributeError):
+            convergence_report(b.model, [3, 4, 5, 6], grid_n=2, basis_builder=lambda k: fake)
 
 
 class TestDifferential:
@@ -230,7 +277,7 @@ class TestPullback:
         U = haar_unitary(b.dim, rng)
         z = np.array([0.21, 0.67])
         F0 = pullback_jacobian(b, z).form
-        F1 = pullback_jacobian(b.remixed(U), z).form
+        F1 = pullback_jacobian(RemixedBasis(b, U), z).form
         assert np.max(np.abs(F0 - F1)) < 1e-12
 
     def test_projective_gauge_invariance(self):
@@ -418,13 +465,6 @@ class TestConvergence:
         convergence_report(model(-1, 1), [4, 6, 8, 10], grid_n=3)
         assert calls == [0, 0]
 
-    def test_remixed_basis_rejected(self):
-        m = model(-1, 1)
-        U = haar_unitary(16, np.random.default_rng(2))
-        with pytest.raises(ValueError, match="mix"):
-            convergence_report(m, [4, 5, 6, 7], grid_n=3,
-                               basis_builder=lambda k: build_basis(m, 4).remixed(U))
-
     def test_nonmonotone_errors_detected(self):
         # builder that scrambles the ladder produces increasing E(k)
         m = model(-1)
@@ -476,7 +516,7 @@ class TestDerivativeSums:
         # remixing leaves sum_j |Z S_j|^2 unchanged: check via explicit jets
         U = haar_unitary(bases[-1].dim, rng)
         jets0 = bases[-1].jets(p)
-        jets1 = bases[-1].remixed(U).jets(p)
+        jets1 = RemixedBasis(bases[-1], U).jets(p)
         s0 = np.sum(np.abs(jets0["dz"][0]) ** 2)
         s1 = np.sum(np.abs(jets1["dz"][0]) ** 2)
         assert s0 == pytest.approx(s1, rel=1e-9)

@@ -45,15 +45,16 @@ class TestParseConfig:
         assert any("non-monotone" in v[2] for v in err.value.violations)
 
     def test_retired_keys_ignored_with_warning(self):
-        # grid_n and gram_tol took no effect; they still parse (old configs carry
-        # them) and each is named in the summary's warnings, which bench reads
-        # as failures only when they start with "experiment "
-        cfg = parse_config(MINIMAL + "grid_n = 10\ngram_tol = 1e-9\n")
+        # grid_n and gram_tol took no effect, and slope_margin could only loosen
+        # A9; they still parse (old configs carry them) and each is named in the
+        # summary's warnings, which bench reads as failures only when they start
+        # with "experiment "
+        cfg = parse_config(MINIMAL + "grid_n = 10\ngram_tol = 1e-9\nslope_margin = 5\n")
         rep = run(cfg)
         retired = [w for w in rep.warnings if "retired" in w]
-        assert [w.split()[2] for w in retired] == ["grid_n", "gram_tol"]
+        assert [w.split()[2] for w in retired] == ["grid_n", "gram_tol", "slope_margin"]
         assert rep.passed and not any(w.startswith("experiment ") for w in rep.warnings)
-        assert not {"grid_n", "gram_tol"} & set(rep.environment)
+        assert not {"grid_n", "gram_tol", "slope_margin"} & set(rep.environment)
         assert run(parse_config(MINIMAL)).warnings == []
 
     def test_thin_torus_dims_passes_a1_at_grid_floor(self):
@@ -119,11 +120,13 @@ class TestParseConfig:
 
     def test_negative_seed_and_empty_scan_grid_rejected_with_line(self):
         # default_rng rejects a negative seed, and embed_grid_n < 1 left the
-        # pullback grid empty, so A8 took its sup over the random cloud alone
-        with pytest.raises(ConfigError) as err:
-            parse_config(MINIMAL.replace("seed = 7", "seed = -1") + "embed_grid_n = 0\n")
-        assert {v[:2] for v in err.value.violations} == {(4, "seed"), (6, "embed_grid_n")}
-        assert parse_config(MINIMAL.replace("seed = 7", "seed = 0") + "embed_grid_n = 1\n").seed == 0
+        # pullback grid empty, so A8 took its sup over the random cloud alone;
+        # embed_grid_n = 1 leaves A7's FS scan one point, paired with itself
+        for grid_n in (0, 1):
+            with pytest.raises(ConfigError) as err:
+                parse_config(MINIMAL.replace("seed = 7", "seed = -1") + f"embed_grid_n = {grid_n}\n")
+            assert {v[:2] for v in err.value.violations} == {(4, "seed"), (6, "embed_grid_n")}
+        assert parse_config(MINIMAL.replace("seed = 7", "seed = 0") + "embed_grid_n = 2\n").seed == 0
 
     def test_bad_scalar_value_reported(self):
         with pytest.raises(ConfigError) as err:

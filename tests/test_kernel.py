@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from _oracles import evaluate_combination, project_coefficients
+from _oracles import RemixedBasis, evaluate_combination, project_coefficients
 from torusbergman.basis import build_basis
 from torusbergman.geometry import ProductModel, TorusFactor, normal_chart
 from torusbergman.kernel import (
@@ -86,11 +86,9 @@ class TestKernel:
         last = b.values(pts)[-1]
         # truncation: keep only the first half of the sections
         keep = b.dim // 2
-        mix = np.zeros((b.dim, b.dim), dtype=complex)
-        mix[:keep, :keep] = np.eye(keep)
-        bt = b.remixed(mix)
-        ct = project_coefficients(bt, last, N)
-        rec = evaluate_combination(bt, ct, pts)
+        ct = project_coefficients(b, last, N)
+        ct[keep:] = 0.0
+        rec = evaluate_combination(b, ct, pts)
         rel = np.linalg.norm(rec - last) / np.linalg.norm(last)
         assert rel > 0.5
 
@@ -99,7 +97,7 @@ class TestKernel:
         U = haar_unitary(basis_m1_k8.dim, rng)
         x, y = rng.random(2), rng.random(2)
         a = kernel(basis_m1_k8, x, y).value
-        c = kernel(basis_m1_k8.remixed(U), x, y).value
+        c = kernel(RemixedBasis(basis_m1_k8, U), x, y).value
         assert abs(a - c) < 1e-10 * max(1.0, abs(a))
 
 
@@ -234,6 +232,11 @@ class TestExpansionModel:
             im = np.imag(em.psi(z, w))
             assert im >= 0
             assert im >= em.c_lower * 2 * np.sum(np.abs(z - w) ** 2) - 1e-12
+        # the best constant min|lambda| / 2, attained along the weaker axis
+        assert em.c_lower == np.min(np.abs(model(-1, 2).lambdas)) / 2
+        dz = np.zeros(2, dtype=complex)
+        dz[np.argmin(np.abs(em.lam))] = 0.3 + 0.4j
+        assert em.im_psi(dz) == pytest.approx(em.c_lower * 2 * np.sum(np.abs(dz) ** 2), rel=1e-14)
 
 
 @pytest.fixture(scope="module")
