@@ -18,7 +18,9 @@ of the level-m theta basis, Mumford, Tata Lectures on Theta I), so every
 member is scaled by (m / (2 Im tau))^(1/4) and the orthonormal product basis
 stays in lexicographically ordered product form.  The quadrature Gram
 (factor_gram, and its Kronecker product gram) is kept as the independent
-oracle that certifies this closed form.
+oracle that certifies this closed form: the periodic trapezoid rule on the
+half-offset lattice grid, summed over a by discrete orthogonality
+(HarmonicBasis.grid_gram), so it never forms the (m, N^2) grid table.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from math import prod
 import numpy as np
 
 from .geometry import ProductModel, TorusFactor, factor_volume
-from .theta import _members, weighted_grid, weighted_table
+from .theta import _members, weighted_grid, weighted_grid_gram, weighted_table
 
 __all__ = [
     "FactorSectionSet",
@@ -111,7 +113,8 @@ def factor_gram(factor: TorusFactor, k: int, resolution: int | None = None, eps:
     the basis uses in its place.  The periodic trapezoid rule is spectrally
     accurate here: the integrand's Fourier modes decay like
     exp(-pi T nu^2 / (2m)), so the first aliased mode at nu = N sets the
-    recorded quadrature-error estimate.
+    recorded quadrature-error estimate.  The rule is summed by
+    HarmonicBasis.grid_gram, without the (m, N^2) grid table.
     """
     m = k * abs(factor.degree)
     N = default_resolution(m, factor.im_tau) if resolution is None else resolution
@@ -232,9 +235,14 @@ class HarmonicBasis:
         return out
 
     def grid_gram(self, t: int, N: int) -> np.ndarray:
-        """Quadrature Gram of factor t's orthonormalized members on the grid (should be I)."""
-        V = self.grid_table(t, N)
-        return (V @ V.conj().T) * (factor_volume(self.factor_sets[t].factor) / N**2)
+        """Trapezoid Gram of factor t's orthonormalized members on the grid
+        (should be I): the sum V @ V^H * dv over grid_table's points, formed
+        by discrete orthogonality in a (theta.weighted_grid_gram) without
+        the (m, N^2) table."""
+        s = self.factor_sets[t]
+        G = weighted_grid_gram(s.level, s.factor.tau, N, self.eps)
+        G *= s.scale ** 2 * factor_volume(s.factor) / N**2
+        return np.conj(G, out=G) if s.factor.degree < 0 else G
 
     def _combine(self, per_factor: list[np.ndarray]) -> np.ndarray:
         V = per_factor[0]

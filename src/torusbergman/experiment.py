@@ -226,7 +226,8 @@ def _default_pair(model, rng, sep=0.1):
 
 def _exp_dims(cfg, model, rng):
     # The product Gram is the Kronecker product of the factor Grams, so its
-    # minimum eigenvalue is the product of the factor minima.
+    # minimum eigenvalue is the product of the factor minima; a repeated
+    # factor's Gram is formed once per rung and its minimum used per factor.
     rows = []
     ok = True
     min_eig = np.inf
@@ -234,11 +235,16 @@ def _exp_dims(cfg, model, rng):
         b = basis_mod.build_basis(model, k, eps=cfg.theta_eps)
         eig = 1.0
         dev = 0.0
+        seen = {}
         for s in b.factor_sets:
-            g = basis_mod.factor_gram(s.factor, k, eps=cfg.theta_eps).entries
-            c = basis_mod.theta_gram_diagonal(s.level, s.factor.im_tau)
-            eig *= np.linalg.eigvalsh(g)[0]
-            dev = max(dev, float(np.max(np.abs(g - c * np.eye(s.count)))) / c)
+            if s.factor not in seen:
+                g = basis_mod.factor_gram(s.factor, k, eps=cfg.theta_eps).entries
+                c = basis_mod.theta_gram_diagonal(s.level, s.factor.im_tau)
+                seen[s.factor] = (np.linalg.eigvalsh(g)[0],
+                                  float(np.max(np.abs(g - c * np.eye(s.count)))) / c)
+            e, d = seen[s.factor]
+            eig *= e
+            dev = max(dev, d)
         expected = k ** model.n * int(np.prod(np.abs(model.degrees)))
         rows.append([k, b.dim, expected, eig, dev])
         ok = ok and (b.dim == expected) and (eig > 1e-12) and (dev <= _GRAM_DEV_TOL)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .basis import HarmonicBasis, default_resolution
 from .geometry import (VOLUME_NORMALIZATION, NormalChart, ProductModel,
-                        curvature_matrix, factor_volume, normal_chart)
+                        curvature_matrix, normal_chart)
 
 __all__ = [
     "KernelSample",
@@ -81,19 +81,21 @@ def density(basis: HarmonicBasis, points) -> np.ndarray:
 
 
 def trace_density(basis: HarmonicBasis, grid_n: int | None = None) -> float:
-    """Quadrature integral of the density over M (should equal dim).
+    """Trapezoid integral of the density over M (should equal dim).
 
-    The default grid, max(6m, 24) points per side, is finer than (and offset
-    from) the Gram grid, so the identity is a genuine quadrature statement
-    rather than the tautology of re-tracing the orthonormalization grid; on
-    thin tori it is raised to the Gram grid's default_resolution, whose first
-    aliased mode is below 1e-16.
+    The density is the product of the factor densities, so the integral is
+    the product over factors of sum_j sum_grid |g_j|^2 dv, that is of the
+    trace of HarmonicBasis.grid_gram: the same trapezoid sum, summed over a
+    by discrete orthogonality instead of point by point.  The default grid,
+    max(6m, 24) points per side, is finer than (and offset from) factor_gram's
+    max(4m, 16), so the identity is a genuine quadrature statement rather
+    than the tautology of re-tracing the oracle's grid; on thin tori it is
+    raised to default_resolution, whose first aliased mode is below 1e-16.
     """
     tot = 1.0
     for t, s in enumerate(basis.factor_sets):
         N = grid_n or max(6 * s.level, 24, default_resolution(s.level, s.factor.im_tau))
-        dv = factor_volume(s.factor) / N**2
-        tot *= float(np.sum(basis.grid_density(t, N)) * dv)
+        tot *= float(np.trace(basis.grid_gram(t, N)).real)
     return tot
 
 
@@ -270,13 +272,17 @@ def ratio_profile(basis: HarmonicBasis, x, y, t_grid) -> np.ndarray:
 
 
 def disc_model_density(lam: float, k: int, n_modes: int | None = None,
-                       n_r: int = 200, n_th: int = 256, at: float = 0.25) -> float:
+                       n_r: int = 200, at: float = 0.25) -> float:
     """Flat-space oracle: weighted monomial Gram on a disc.
 
     Orthonormalizes monomials under the weight exp(-2 k lam |z|^2) and volume
     2 dx dy on a disc of several Gaussian widths, then evaluates the Bergman
     density at radius `at`*R.  The continuum value is k*lam/pi, which pins the
-    curvature-eigenvalue and volume conventions jointly.
+    curvature-eigenvalue and volume conventions jointly.  Summed over
+    equispaced angles, z^p conj(z^q) vanishes for 0 < |p - q| below their
+    count, so the Gram is diagonal, G_pp = 2 pi VOL sum_r r^(2p) w_r with
+    w_r the Gauss-Legendre radial weight times r exp(-a r^2), and the
+    density is sum_p z0^(2p) / G_pp * exp(-a z0^2).
     """
     if lam <= 0:
         raise ValueError("lam must be positive (use |lambda|)")
@@ -287,14 +293,8 @@ def disc_model_density(lam: float, k: int, n_modes: int | None = None,
     x_gl, w_gl = np.polynomial.legendre.leggauss(n_r)
     r = 0.5 * R * (x_gl + 1.0)
     wr = 0.5 * R * w_gl
-    th = 2.0 * np.pi * np.arange(n_th) / n_th
-    wth = 2.0 * np.pi / n_th
-    z = r[:, None] * np.exp(1j * th[None, :])
     weight = np.exp(-a * r**2) * r * wr
-    mono = z.ravel()[None, :] ** np.arange(n_modes)[:, None]
-    wfull = np.repeat(weight, n_th) * wth * VOLUME_NORMALIZATION
-    G = (mono * wfull[None, :]) @ mono.conj().T
-    L = np.linalg.cholesky(G)
+    p2 = 2 * np.arange(n_modes)[:, None]
+    G = 2.0 * np.pi * VOLUME_NORMALIZATION * ((r[None, :] ** p2) @ weight)
     z0 = at * R
-    v = np.linalg.solve(L, z0 ** np.arange(n_modes).astype(complex))
-    return float(np.sum(np.abs(v) ** 2) * np.exp(-a * z0**2))
+    return float(np.sum(z0 ** p2[:, 0] / G) * np.exp(-a * z0**2))

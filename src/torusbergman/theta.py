@@ -1,4 +1,5 @@
-"""Weighted level-m theta functions: two evaluators over one term formula.
+"""Weighted level-m theta functions: two evaluators and a grid Gram over one
+term formula.
 
 Normalization:
 
@@ -25,7 +26,10 @@ exp(2 pi i (m n + j) a) (r = n + j/m) splits off, so each characteristic is
 one (N x R_j) @ (R_j x N) matrix product with O(N R) complex exponentials
 instead of O(N^2 R).  weighted_grid yields one characteristic at a time, so a
 caller that reduces as it goes (the density sum_j |W_j|^2) holds one N x N
-array, not the whole m x N^2 table.
+array, not the whole m x N^2 table.  weighted_grid_gram sums the trapezoid
+Gram of those grid values over a by discrete orthogonality (the a-phases of
+two terms are orthogonal on the grid unless their frequencies m n + j differ
+by a multiple of N), so it holds only the b-only factors, O(N R m) numbers.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-__all__ = ["phi_plus", "weighted_grid", "weighted_table"]
+__all__ = ["phi_plus", "weighted_grid", "weighted_grid_gram", "weighted_table"]
 
 
 def phi_plus(m: int, tau: complex, z) -> np.ndarray:
@@ -75,9 +79,10 @@ def _windows(m: int, tau: complex, y: np.ndarray, eps: float, order: int) -> lis
     T = tau.imag
     R = _tail_radius(m, T, eps, float(np.max(np.abs(y))) / T, order)
     center = -y / T
+    lo, hi = center.min() - R, center.max() + R
     out = []
     for j in range(m):
-        n = np.arange(int(np.floor(center.min() - R - j / m)), int(np.ceil(center.max() + R - j / m)) + 1)
+        n = np.arange(int(np.floor(lo - j / m)), int(np.ceil(hi - j / m)) + 1)
         out.append((n, (n + j / m)[:, None]))
     return out
 
@@ -125,6 +130,17 @@ def _members(m: int, tau: complex, z, members, orders: int, eps: float) -> np.nd
     return out
 
 
+def _grid_factors(m: int, tau: complex, N: int, eps: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Per characteristic j on the half-offset N-point grid t = (arange(N) + 0.5) / N:
+    the integer a-frequencies f = m n + j of its window and the b-only factor
+    G[n, b] = exp(_exponent(m, tau, r, t)), so that W_j[a, b] is
+    sum_n exp(2 pi i f_n t_a) G[n, b]."""
+    t = (np.arange(N) + 0.5) / N
+    # the windows see Im z = Im(tau) b, as weighted_table would at these points
+    for j, (n, r) in enumerate(_windows(m, tau, tau.imag * t, eps, 0)):
+        yield m * n + j, np.exp(_exponent(m, tau, r, t))
+
+
 def weighted_grid(m: int, tau: complex, N: int, eps: float = 1e-12) -> Iterator[np.ndarray]:
     """W_0 of weighted_table on the half-offset N x N lattice grid, one
     characteristic at a time.
@@ -132,10 +148,43 @@ def weighted_grid(m: int, tau: complex, N: int, eps: float = 1e-12) -> Iterator[
     Yields m arrays of shape (N, N) indexed [a, b] for z = a + tau b with
     a, b in (arange(N) + 0.5) / N, so that raveling gives the a-major point
     order.  Characteristic j is E_j @ G_j with E_j[a, n] = exp(2 pi i (m n + j) a)
-    and G_j[n, b] the b-only factor (see the module docstring).
+    and G_j the b-only factor of _grid_factors.
     """
     t = (np.arange(N) + 0.5) / N
-    # the windows see Im z = Im(tau) b, as weighted_table would at these points
-    for j, (n, r) in enumerate(_windows(m, tau, tau.imag * t, eps, 0)):
-        E = np.exp(2j * np.pi * np.outer(t, m * n + j))
-        yield E @ np.exp(_exponent(m, tau, r, t))
+    for f, G in _grid_factors(m, tau, N, eps):
+        yield np.exp(2j * np.pi * np.outer(t, f)) @ G
+
+
+_PAIR_CHUNK = 256
+
+
+def weighted_grid_gram(m: int, tau: complex, N: int, eps: float = 1e-12) -> np.ndarray:
+    """Trapezoid Gram sum_(a,b) W_j conj(W_j') of the weighted_grid values, (m, m),
+    summed over a by discrete orthogonality instead of on the grid.
+
+    With f = m n + j and f' = m n' + j', sum_a exp(2 pi i (f - f') a) over the N
+    half-offset points is exactly N (-1)^((f - f') / N) when N divides f - f'
+    and 0 otherwise, so the Gram is a signed sum, over the aliased term pairs
+    only, of the b-sums sum_b G_j[n, b] conj(G_j'[n', b]).  Memory is
+    O(N sum_j R_j); when m divides N only j = j' pairs alias and the Gram is
+    exactly diagonal.
+    """
+    terms = list(_grid_factors(m, tau, N, eps))
+    f = np.concatenate([x for x, _ in terms])   # distinct integers, one per term
+    char = f % m
+    G = np.concatenate([g for _, g in terms])
+    del terms
+    row = np.full(f.max() - f.min() + 1, -1)    # term index of each frequency
+    row[f - f.min()] = np.arange(len(f))
+    gram = np.zeros((m, m), dtype=complex)
+    span = (f.max() - f.min()) // N
+    for q in range(-span, span + 1):
+        partner = f - q * N - f.min()
+        i = np.flatnonzero((partner >= 0) & (partner < len(row)))
+        i = i[row[partner[i]] >= 0]
+        i2 = row[partner[i]]
+        for c in range(0, len(i), _PAIR_CHUNK):     # bounds the gathered copies of G
+            a, b = i[c:c + _PAIR_CHUNK], i2[c:c + _PAIR_CHUNK]
+            b_sums = np.einsum("ib,ib->i", G[a], G[b].conj())
+            np.add.at(gram, (char[a], char[b]), (-1.0) ** q * N * b_sums)
+    return gram

@@ -1,15 +1,18 @@
 """Independent oracles shared by the tests: the Bergman projector evaluated by
 quadrature on the product grid, against which the kernel's closed forms and
 the embedding's truncation checks are compared, the quadrature Gram of an
-orthonormalized basis, a remixed basis that is not a tensor product, against
-which the pointwise routes' invariances are checked, the global weight and
-injectivity scale of a model, against which charts and separations are
-checked, and the 17-digit float text against which CSV cells are checked."""
+orthonormalized basis, summed point by point over the grid table, against
+which the discrete-orthogonality Gram is checked, the disc oracle by
+Cholesky of its full monomial Gram, against which the diagonal radial rule
+is checked, a remixed basis that is not a tensor product, against which the
+pointwise routes' invariances are checked, the global weight and injectivity
+scale of a model, against which charts and separations are checked, and the
+17-digit float text against which CSV cells are checked."""
 
 import numpy as np
 
 from torusbergman.basis import HarmonicBasis, default_resolution
-from torusbergman.geometry import ProductModel, factor_volume
+from torusbergman.geometry import VOLUME_NORMALIZATION, ProductModel, factor_volume
 
 
 def project_coefficients(basis: HarmonicBasis, samples: np.ndarray, grid_n: int) -> np.ndarray:
@@ -34,14 +37,44 @@ def evaluate_combination(basis: HarmonicBasis, coeffs: np.ndarray, points) -> np
     return coeffs @ basis.values(points)
 
 
+def dense_grid_gram(basis: HarmonicBasis, t: int, N: int) -> np.ndarray:
+    """HarmonicBasis.grid_gram by the (m, N^2) grid table: V @ V^H * dv."""
+    V = basis.grid_table(t, N)
+    return (V @ V.conj().T) * (factor_volume(basis.factor_sets[t].factor) / N**2)
+
+
 def recompute_gram(basis: HarmonicBasis) -> np.ndarray:
     """Quadrature Gram of the orthonormalized sections (should be I)."""
-    Gs = [basis.grid_gram(t, default_resolution(s.level, s.factor.im_tau))
+    Gs = [dense_grid_gram(basis, t, default_resolution(s.level, s.factor.im_tau))
           for t, s in enumerate(basis.factor_sets)]
     G = Gs[0]
     for g2 in Gs[1:]:
         G = np.kron(G, g2)
     return G
+
+
+def cholesky_disc_density(lam: float, k: int, n_modes: int | None = None,
+                          n_r: int = 200, n_th: int = 256, at: float = 0.25) -> float:
+    """kernel.disc_model_density by the full monomial Gram on the n_r x n_th
+    polar product rule, orthonormalized by Cholesky."""
+    a = 2.0 * k * lam
+    R = 6.0 / np.sqrt(a)
+    if n_modes is None:
+        n_modes = int(np.ceil(a * (at * R) ** 2)) + 12
+    x_gl, w_gl = np.polynomial.legendre.leggauss(n_r)
+    r = 0.5 * R * (x_gl + 1.0)
+    wr = 0.5 * R * w_gl
+    th = 2.0 * np.pi * np.arange(n_th) / n_th
+    wth = 2.0 * np.pi / n_th
+    z = r[:, None] * np.exp(1j * th[None, :])
+    weight = np.exp(-a * r**2) * r * wr
+    mono = z.ravel()[None, :] ** np.arange(n_modes)[:, None]
+    wfull = np.repeat(weight, n_th) * wth * VOLUME_NORMALIZATION
+    G = (mono * wfull[None, :]) @ mono.conj().T
+    L = np.linalg.cholesky(G)
+    z0 = at * R
+    v = np.linalg.solve(L, z0 ** np.arange(n_modes).astype(complex))
+    return float(np.sum(np.abs(v) ** 2) * np.exp(-a * z0**2))
 
 
 class RemixedBasis:

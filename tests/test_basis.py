@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from _oracles import RemixedBasis, recompute_gram
+from _oracles import RemixedBasis, dense_grid_gram, recompute_gram
 from torusbergman.basis import (
     _HALF,
     GramError,
@@ -94,6 +96,32 @@ class TestGram:
         g1 = factor_gram(m.factors[0], 2)
         g2 = factor_gram(m.factors[1], 2)
         assert np.max(np.abs(G.entries - np.kron(g1.entries, g2.entries))) < 1e-12
+
+    @pytest.mark.parametrize("k", [5, 20, 40])
+    @pytest.mark.parametrize("d", [-1, 2])
+    @pytest.mark.parametrize("tau", [TAU, 0.3 + 1.2j, 0.1 + 0.05j])
+    def test_grid_gram_matches_dense_grid_table_route(self, tau, d, k):
+        # the default grid (m divides it: exactly diagonal), 4m + 3 (aliased
+        # pairs off the diagonal) and the coarse m + 2, where on the thin
+        # torus the aliased entries reach 2e-2 of the diagonal
+        b = build_basis(model(d, tau=tau), k)
+        m = b.factor_sets[0].level
+        for N in (default_resolution(m, tau.imag), 4 * m + 3, m + 2):
+            want = dense_grid_gram(b, 0, N)
+            got = b.grid_gram(0, N)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(np.diag(want))), N
+
+    def test_factor_gram_holds_no_grid_table(self):
+        # the (160, 640^2) complex grid table alone is 1 GB
+        tracemalloc.start()
+        try:
+            g = factor_gram(TorusFactor(TAU, -1), 160)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        c = theta_gram_diagonal(160, 1.0)
+        assert np.max(np.abs(g.entries - c * np.eye(160))) <= 1e-14 * c
+        assert peak < 100e6
 
     def test_floor_violation_raises(self):
         with pytest.raises(GramError):

@@ -3,9 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from _oracles import RemixedBasis, evaluate_combination, project_coefficients
-from torusbergman.basis import build_basis
-from torusbergman.geometry import ProductModel, TorusFactor, normal_chart
+from _oracles import RemixedBasis, cholesky_disc_density, evaluate_combination, project_coefficients
+from torusbergman.basis import build_basis, default_resolution
+from torusbergman.geometry import ProductModel, TorusFactor, factor_volume, normal_chart
 from torusbergman.kernel import (
     density,
     disc_model_density,
@@ -128,6 +128,19 @@ class TestDensity:
         assert abs(tr / b.dim - 1.0) < 1e-8
         assert peak < 10e6
 
+    def test_trace_density_matches_summed_grid_density(self):
+        # the orthogonality sum against the point-by-point sum on the same grid
+        cases = [(model(-1), 8), (model(-1, tau=0.05j), 6), (model(2, tau=0.3 + 1.2j), 5),
+                 (ProductModel.from_factors([TorusFactor(0.3 + 1.1j, -1), TorusFactor(TAU, 2)]), 3)]
+        for m, k in cases:
+            b = build_basis(m, k)
+            for grid_n in (None, 13):
+                want = 1.0
+                for t, s in enumerate(b.factor_sets):
+                    N = grid_n or max(6 * s.level, 24, default_resolution(s.level, s.factor.im_tau))
+                    want *= float(np.sum(b.grid_density(t, N))) * factor_volume(s.factor) / N**2
+                assert trace_density(b, grid_n) == pytest.approx(want, rel=1e-14, abs=0)
+
     def test_density_matches_40_digit_theta_sums(self):
         # at (0.3, 0.97) the term exponents -pi m r^2 - 2 pi m r y - pi m y^2
         # are each ~300 at k = 100 and cancel; the density must still carry
@@ -196,6 +209,36 @@ class TestCalibrationOracles:
             got = disc_model_density(lam, k)
             want = k * lam / np.pi
             assert abs(got / want - 1.0) < 0.01
+
+    def test_disc_oracle_matches_cholesky_of_full_gram(self):
+        for lam, k in [(np.pi / 2, 8), (np.pi, 6), (np.pi / 2, 40), (0.7, 3), (10 * np.pi, 8)]:
+            assert disc_model_density(lam, k) == pytest.approx(cholesky_disc_density(lam, k),
+                                                               rel=1e-14, abs=0)
+
+    def test_disc_oracle_matches_40_digit_radial_rule(self):
+        mp = pytest.importorskip("mpmath")
+        for lam, k in [(np.pi / 2, 8), (np.pi, 6)]:
+            a = 2.0 * k * lam
+            R = 6.0 / np.sqrt(a)
+            x, w = np.polynomial.legendre.leggauss(200)
+            with mp.workdps(40):
+                r = [mp.mpf(float(v)) for v in 0.5 * R * (x + 1.0)]
+                wr = [mp.exp(-a * ri**2) * ri * mp.mpf(float(v)) for ri, v in zip(r, 0.5 * R * w)]
+                z0 = mp.mpf(0.25 * R)
+                # G_pp = 2 pi VOL sum_r r^(2p) w_r, VOL = 2
+                ref = mp.fsum(z0 ** (2 * p) / (4 * mp.pi * mp.fsum(ri ** (2 * p) * v for ri, v in zip(r, wr)))
+                              for p in range(int(np.ceil(a * (0.25 * R) ** 2)) + 12))
+                ref = float(ref * mp.exp(-a * z0**2))
+            assert disc_model_density(lam, k) == pytest.approx(ref, rel=1e-15, abs=0)
+
+    def test_disc_oracle_holds_no_monomial_table(self):
+        tracemalloc.start()
+        try:
+            disc_model_density(np.pi / 2, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
     def test_b0_from_curvature(self):
         assert leading_coefficient(model(-1)) == pytest.approx(0.5)
