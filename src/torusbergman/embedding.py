@@ -313,12 +313,21 @@ def pullback_ddbar(basis: HarmonicBasis, z) -> PullbackSample:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
+    """E(k) per method, its fitted rates and, with keep_fields, the form fields.
+
+    (1/k) Phi_k* omega_FS is block diagonal with block t depending on z_t
+    alone, so a field is kept as its factor blocks: fields[(method, k)][t]
+    is factor t's (U_t, 2, 2) block at the distinct z_t of the samples, grid
+    point p's block t is row grid_index[p, t] of it, and the cross-factor
+    cells are exactly 0.
+    """
     ks: np.ndarray
     errors: dict[str, np.ndarray]          # method -> E(k) sup errors
     slopes: dict[str, SlopeFit | None]    # top-half fit over the rungs above floor; None if < 4
     floor: float                           # float floor of E(k): 1e-12 * max(1, max|omega|)
-    grid: np.ndarray | None = None         # structured sample points
-    fields: dict | None = None             # (method, k) -> form field on grid
+    grid: np.ndarray | None = None         # structured sample points, (P, 2n)
+    grid_index: np.ndarray | None = None   # (P, n): each grid point's row in its factor blocks
+    fields: dict | None = None             # (method, k) -> per-factor (U_t, 2, 2) blocks
 
 
 def _grid_points(model: ProductModel, grid_n: int) -> np.ndarray:
@@ -327,29 +336,27 @@ def _grid_points(model: ProductModel, grid_n: int) -> np.ndarray:
     return np.stack([a.ravel() for a in axes], axis=1)
 
 
-def _factor_points(pts: np.ndarray, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per factor t, the distinct coordinates z_t among pts and the inverse map."""
-    return [np.unique(pts[:, 2 * t:2 * t + 2], axis=0, return_inverse=True) for t in range(n)]
+def _factor_points(pts: np.ndarray, n: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """Per factor t, the distinct coordinates z_t among pts; and each point's
+    row in them, shape (len(pts), n)."""
+    found = [np.unique(pts[:, 2 * t:2 * t + 2], axis=0, return_inverse=True) for t in range(n)]
+    return [u for u, _ in found], np.stack([inv.reshape(-1) for _, inv in found], axis=1)
 
 
-def _form_field(basis: HarmonicBasis, pts: np.ndarray, method: str, factored=None) -> np.ndarray:
-    """(1/k) Phi* omega_FS at pts, one factor at a time: (P, 2n, 2n).
+def _form_blocks(basis: HarmonicBasis, method: str, uniq: list[np.ndarray]) -> list[np.ndarray]:
+    """(1/k) Phi* omega_FS one factor at a time: per factor t, the one-factor
+    form at the coordinates uniq[t], shape (U_t, 2, 2).
 
     The product lift is the Segre composite of the factor lifts, so the form
-    is the sum of the factor forms: block (2t, 2t+1) is the one-factor form
-    at z_t, evaluated once per distinct factor coordinate, and the
-    cross-factor blocks are exactly 0.  `factored` is _factor_points(pts, n),
-    passed in by a caller that evaluates many fields on the same points.
+    is the sum of the factor forms: block (2t, 2t+1) of the product form is
+    the one-factor form at z_t, and the cross-factor blocks are exactly 0.
     """
     fn = pullback_jacobian_many if method == "jacobian" else pullback_ddbar_many
-    n = basis.model.n
-    factored = _factor_points(pts, n) if factored is None else factored
-    out = np.zeros((len(pts), 2 * n, 2 * n))
-    for t, (f, (uniq, inv)) in enumerate(zip(basis.model.factors, factored)):
+    blocks = []
+    for f, u in zip(basis.model.factors, uniq):
         one = HarmonicBasis(ProductModel((f,)), basis.k, basis.eps)
-        block = np.concatenate([fn(one, uniq[i0:i0 + 512]) for i0 in range(0, len(uniq), 512)])
-        out[:, 2 * t:2 * t + 2, 2 * t:2 * t + 2] = block[inv.reshape(-1)]
-    return out
+        blocks.append(np.concatenate([fn(one, u[i0:i0 + 512]) for i0 in range(0, len(u), 512)]))
+    return blocks
 
 
 def convergence_report(model: ProductModel, ks, grid_n: int = 8,
@@ -372,7 +379,9 @@ def convergence_report(model: ProductModel, ks, grid_n: int = 8,
     block t depending on z_t alone (for both routes, and for conjugate
     factors too).  pullback_jacobian_many / pullback_ddbar_many run on each
     one-factor basis at the distinct factor coordinates only; on the full
-    basis they are the oracle for this.
+    basis they are the oracle for this.  E(k) is the max over t of
+    max |block_t - omega_t|, since the cross-factor cells of the form and of
+    omega are both exactly 0; no product-size field is formed.
     """
     from .basis import build_basis
 
@@ -383,17 +392,18 @@ def convergence_report(model: ProductModel, ks, grid_n: int = 8,
     pts = _grid_points(model, grid_n)
     rng = np.random.default_rng(seed)
     samples = np.concatenate([pts, rng.random((n_random, 2 * model.n))])    # grid, then cloud
-    factored = _factor_points(samples, model.n)
+    uniq, index = _factor_points(samples, model.n)
     w0 = omega_form(model)
     errors = {m: [] for m in methods}
     kept = {} if keep_fields else None
     for k in ks:
         b = build(int(k))
         for m in methods:
-            field = _form_field(b, samples, m, factored)
+            blocks = _form_blocks(b, m, uniq)
             if keep_fields:
-                kept[(m, int(k))] = field[:len(pts)]
-            errors[m].append(float(np.max(np.abs(field - w0))))
+                kept[(m, int(k))] = blocks
+            errors[m].append(max(float(np.max(np.abs(block - w0[2 * t:2 * t + 2, 2 * t:2 * t + 2])))
+                                 for t, block in enumerate(blocks)))
     slopes = {}
     floor = 1e-12 * max(1.0, float(np.max(np.abs(w0))))
     for m in methods:
@@ -404,8 +414,8 @@ def convergence_report(model: ProductModel, ks, grid_n: int = 8,
         i0 = asymptotic_window(int(live.sum()))
         slopes[m] = fit_slope(ks[live][i0:], e[live][i0:]) if live.sum() >= 4 else None
     return ConvergenceReport(ks=ks, errors={m: np.array(v) for m, v in errors.items()},
-                             slopes=slopes, floor=floor,
-                             grid=pts if keep_fields else None, fields=kept)
+                             slopes=slopes, floor=floor, grid=pts if keep_fields else None,
+                             grid_index=index[:len(pts)] if keep_fields else None, fields=kept)
 
 
 # -- directional derivative sums ---------------------------------------------

@@ -403,13 +403,20 @@ def _exp_pullback(cfg, model, rng):
     w0 = omega_form(model)
     n2 = 2 * model.n
     ia, ib = np.triu_indices(n2, 1)
+    own = np.flatnonzero((ia % 2 == 0) & (ib == ia + 1))     # column (2t, 2t+1) of each factor t
+    idx = rep.grid_index.T
     rows = []          # one block per (method, k): the grid runs down its lines
     for m in rep.errors:
         for k in rep.ks:
-            field = rep.fields[(m, int(k))]
-            rows.append([rep.grid, int(k), m, field[:, ia, ib], np.max(np.abs(field - w0), axis=(1, 2))])
-    # E(k) reaching the float floor by the last rung passes the rate check, as A5
-    # passes on kernel underflow; with < 4 rungs above the floor beta reads inf
+            blocks = rep.fields[(m, int(k))]
+            cols = np.zeros((len(rep.grid), len(ia)))     # the cross-factor cells are exactly 0
+            errs = []
+            for t, (block, i) in enumerate(zip(blocks, idx)):
+                cols[:, own[t]] = block[i, 0, 1]
+                errs.append(np.max(np.abs(block - w0[2 * t:2 * t + 2, 2 * t:2 * t + 2]), axis=(1, 2))[i])
+            rows.append([rep.grid, int(k), m, cols, np.max(errs, axis=0)])
+    # E(k) reaching the float floor by the last rung passes the rate check;
+    # with < 4 rungs above the floor beta reads inf
     e_dd = rep.errors["ddbar_log"]
     fit = rep.slopes["ddbar_log"]
     beta = -fit.slope if fit else np.inf
@@ -578,7 +585,7 @@ def _write_block(fh, row) -> None:
         bits, inv = np.unique(X.view(np.uint64), return_inverse=True)
         texts = np.array(["%.17g" % x for x in bits.view(np.float64).tolist()], dtype=object)
         lines = np.insert(texts[inv.reshape(X.shape)], where, scalars, axis=1)
-        fh.write("".join(",".join(line) + "\n" for line in lines.tolist()))
+        fh.write("\n".join(map(",".join, lines.tolist())) + "\n")
 
 
 def _write_rows(fh, rows) -> None:

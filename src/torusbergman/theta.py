@@ -66,10 +66,11 @@ def _tail_radius(m: int, im_tau: float, eps: float, y_over_t: float, order: int)
     return R
 
 
-def _windows(m: int, tau: complex, y: np.ndarray, eps: float, order: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per characteristic j, the integers n and the column r = n + j/m that cover
-    |r + y / Im tau| <= R at every point, R the tail radius for eps at the given
-    derivative order.  Rejects a level below 1, Im tau <= 0 and eps <= 0."""
+def _windows(m: int, tau: complex, y: np.ndarray, eps: float, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per characteristic j, the least and greatest integer n (arrays of shape (m,))
+    such that r = n + j/m covers |r + y / Im tau| <= R at every point, R the tail
+    radius for eps at the given derivative order.  Rejects a level below 1,
+    Im tau <= 0 and eps <= 0."""
     if m < 1:
         raise ValueError("level must be a positive integer")
     if tau.imag <= 0:
@@ -80,18 +81,16 @@ def _windows(m: int, tau: complex, y: np.ndarray, eps: float, order: int) -> lis
     R = _tail_radius(m, T, eps, float(np.max(np.abs(y))) / T, order)
     center = -y / T
     lo, hi = center.min() - R, center.max() + R
-    out = []
-    for j in range(m):
-        n = np.arange(int(np.floor(lo - j / m)), int(np.ceil(hi - j / m)) + 1)
-        out.append((n, (n + j / m)[:, None]))
-    return out
+    j = np.arange(m)
+    return np.floor(lo - j / m).astype(int), np.ceil(hi - j / m).astype(int)
 
 
 def _exponent(m: int, tau: complex, r: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """pi i m Re(tau) r (r + 2 s) - pi m Im(tau) (r + s)^2 for a column r and a
-    row s = Im z / Im tau: the term exponent without its a-phase, its real and
-    imaginary parts built as real arrays and written into one complex buffer."""
-    e = np.empty((r.shape[0], s.shape[0]), dtype=complex)
+    """pi i m Re(tau) r (r + 2 s) - pi m Im(tau) (r + s)^2 for terms r broadcast
+    against points s = Im z / Im tau (last axis): the term exponent without its
+    a-phase, its real and imaginary parts built as real arrays and written into
+    one complex buffer."""
+    e = np.empty(np.broadcast_shapes(r.shape, s.shape), dtype=complex)
     e.real = -np.pi * m * tau.imag * (r + s) ** 2
     e.imag = np.pi * m * tau.real * r * (r + 2.0 * s)
     return e
@@ -110,23 +109,43 @@ def weighted_table(m: int, tau: complex, z, orders: int = 0, eps: float = 1e-12)
     return _members(m, tau, z, range(m), orders, eps)
 
 
+_TERMS = 1 << 15    # complex terms one pass of _members holds
+
+
 def _members(m: int, tau: complex, z, members, orders: int, eps: float) -> np.ndarray:
     """weighted_table for the listed characteristics only, in their order:
-    shape (orders+1, len(members), len(z)), bit for bit its rows."""
+    shape (orders+1, len(members), len(z)), bit for bit its rows.
+
+    The members whose n windows have the same length (at most three lengths
+    occur) are evaluated together as one (members, terms, points) array, in
+    passes over the points of about _TERMS terms each.
+    """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     s = z.imag / tau.imag
     phase = 2.0 * np.pi * m * (z.real - tau.real * s)      # 2 pi m a
-    windows = _windows(m, tau, z.imag, eps, orders)
-    out = np.empty((orders + 1, len(members), z.shape[0]), dtype=complex)
-    for i, j in enumerate(members):
-        r = windows[j][1]
-        expo = _exponent(m, tau, r, s)
-        expo.imag += r * phase
-        term = np.exp(expo, out=expo)
-        out[0, i] = term.sum(axis=0)
-        for nu in range(1, orders + 1):
-            term *= 2j * np.pi * m * r
-            out[nu, i] = term.sum(axis=0)
+    j = np.asarray(members, dtype=int)
+    lo, hi = (w[j] for w in _windows(m, tau, z.imag, eps, orders))
+    P = z.shape[0]
+    out = np.empty((orders + 1, len(j), P), dtype=complex)
+    counts = hi - lo + 1
+    for count in range(counts.min(), counts.max() + 1):    # not np.unique: it imports numpy.ma
+        g = counts == count
+        if not g.any():
+            continue
+        r = (lo[g, None] + np.arange(count) + (j[g] / m)[:, None])[:, :, None]
+        # every pass has at least 2 points unless P is 1: numpy sums a lone
+        # column pairwise but a wider block term by term, and the sums must
+        # not depend on the passes
+        passes = max(1, P // max(2, _TERMS // r.size))
+        cuts = [P * i // passes for i in range(passes + 1)]
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            expo = _exponent(m, tau, r, s[a:b])
+            expo.imag += r * phase[a:b]
+            term = np.exp(expo, out=expo)
+            out[0, g, a:b] = term.sum(axis=1)
+            for nu in range(1, orders + 1):
+                term *= 2j * np.pi * m * r
+                out[nu, g, a:b] = term.sum(axis=1)
     return out
 
 
@@ -137,8 +156,9 @@ def _grid_factors(m: int, tau: complex, N: int, eps: float) -> Iterator[tuple[np
     sum_n exp(2 pi i f_n t_a) G[n, b]."""
     t = (np.arange(N) + 0.5) / N
     # the windows see Im z = Im(tau) b, as weighted_table would at these points
-    for j, (n, r) in enumerate(_windows(m, tau, tau.imag * t, eps, 0)):
-        yield m * n + j, np.exp(_exponent(m, tau, r, t))
+    for j, (lo, hi) in enumerate(zip(*_windows(m, tau, tau.imag * t, eps, 0))):
+        n = np.arange(lo, hi + 1)
+        yield m * n + j, np.exp(_exponent(m, tau, (n + j / m)[:, None], t))
 
 
 def weighted_grid(m: int, tau: complex, N: int, eps: float = 1e-12) -> Iterator[np.ndarray]:

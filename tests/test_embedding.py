@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from _oracles import RemixedBasis, evaluate_combination, project_coefficients
+from _oracles import RemixedBasis, evaluate_combination, expand_form_blocks, project_coefficients
 from torusbergman.basis import build_basis
 from torusbergman.embedding import (
     ProjectivePoint,
@@ -431,23 +433,42 @@ class TestConvergence:
         (((1j, -2), (0.25 + 1.5j, 1)), (4, 8, 12, 16), 4),
     ])
     def test_factor_fields_match_product_route(self, factors, ks, grid_n):
-        # the Segre identity against pullback_*_many on the full product basis
-        from torusbergman.embedding import _form_field
+        # the Segre identity: the kept factor blocks, and blocks made at a
+        # cloud, spread to product fields against pullback_*_many on the full
+        # product basis
+        from torusbergman.embedding import _factor_points, _form_blocks
 
         m = ProductModel.from_factors([TorusFactor(tau, d) for tau, d in factors])
         n2 = 2 * m.n
         cross = np.arange(n2)[:, None] // 2 != np.arange(n2)[None, :] // 2
         rep = convergence_report(m, ks, grid_n=grid_n, keep_fields=True)
         cloud = np.random.default_rng(3).random((40, n2))
+        uniq, index = _factor_points(cloud, m.n)
         product = {"jacobian": pullback_jacobian_many, "ddbar_log": pullback_ddbar_many}
         for k in ks:
             b = build_basis(m, k)
             for method, fn in product.items():
-                for pts, field in ((rep.grid, rep.fields[(method, k)]),
-                                   (cloud, _form_field(b, cloud, method))):
+                for pts, field in ((rep.grid, expand_form_blocks(rep.fields[(method, k)], rep.grid_index)),
+                                   (cloud, expand_form_blocks(_form_blocks(b, method, uniq), index))):
                     want = np.concatenate([fn(b, pts[i:i + 128]) for i in range(0, len(pts), 128)])
                     assert np.max(np.abs(field - want)) <= 1e-12, (method, k)
                     assert np.all(field[:, cross] == 0.0)
+
+    def test_report_holds_no_product_size_field(self):
+        # embed_sig11's model, ladder and scan, whose 14 product fields of shape
+        # (4096, 4, 4) would hold 7.3 MB
+        m = model(-1, 1)
+        ks = [4, 6, 8, 10, 12, 14, 16]
+        convergence_report(m, ks[:4], grid_n=2)       # warm the imports and caches
+        tracemalloc.start()
+        try:
+            rep = convergence_report(m, ks, grid_n=8, keep_fields=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6, peak
+        assert rep.grid_index.shape == (8**4, 2)
+        assert all(b.shape == (64 + 128, 2, 2) for b in rep.fields[("ddbar_log", 16)])
 
     def test_factor_points_sorted_once_per_factor(self, monkeypatch):
         # one np.unique per factor for the whole report, not one per

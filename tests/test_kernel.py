@@ -1,3 +1,4 @@
+import importlib
 import tracemalloc
 
 import numpy as np
@@ -321,6 +322,18 @@ class TestFarField:
         y = np.array([0.2, 0.6])
         rep = far_separation_check(decay_ladder, y, y)
         assert not rep.passed   # density grows like k^n: damped sequences increase
+
+    def test_one_underflowed_rung_does_not_pass(self, decay_ladder, monkeypatch):
+        # the coincident control with its lowest rung floored: the rungs
+        # above the floor still grow, so the underflow annotation is no pass
+        module = importlib.import_module("torusbergman.kernel")    # the package's `kernel` is the function
+        floor = module._noise_floor
+        floored = iter([np.inf])
+        monkeypatch.setattr(module, "_noise_floor", lambda pxx, pyy: next(floored, floor(pxx, pyy)))
+        y = np.array([0.2, 0.6])
+        rep = far_separation_check(decay_ladder, y, y)
+        assert rep.underflow_ks == (decay_ladder[0].k,)
+        assert not rep.passed
 
     def test_noise_floor_annotated_as_underflow(self):
         # thin torus: the true antipodal kernel sits far below the rounding

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from torusbergman.theta import phi_plus, weighted_grid, weighted_table
+from _oracles import looped_weighted_table
+from torusbergman.theta import _members, phi_plus, weighted_grid, weighted_table
 
 TAU = 1j
 
@@ -200,6 +203,36 @@ class TestWeightedTable:
         # the weighted form never produces large intermediates
         W = weighted_table(40, TAU, np.array([0.3 + 0.95j]), orders=0)
         assert np.all(np.abs(W) < 10)
+
+
+    @pytest.mark.parametrize("m, tau, P", [(1, 1j, 7), (3, 0.3 + 1.2j, 1), (8, 0.1 + 0.05j, 2),
+                                           (16, 1j, 3), (40, 0.1 + 0.05j, 1), (40, 1j, 1000),
+                                           (400, 0.3 + 1.2j, 97)])
+    @pytest.mark.parametrize("orders", [0, 2])
+    def test_matches_one_characteristic_loop(self, m, tau, P, orders):
+        # the characteristics stacked by window length, in passes over the
+        # points, against the loop over characteristics that they replace
+        rng = np.random.default_rng(m + P)
+        z = rng.random(P) - 0.5 + tau * (1.4 * rng.random(P) - 0.2)
+        got = weighted_table(m, tau, z, orders=orders)
+        want = looped_weighted_table(m, tau, z, orders=orders)
+        for nu in range(orders + 1):
+            assert np.max(np.abs(got[nu] - want[nu])) <= 2e-15 * np.max(np.abs(want[nu])), nu
+        members = [m - 1, 0, m // 2]
+        assert np.array_equal(_members(m, tau, z, members, orders, 1e-12), got[:, members])
+
+    def test_one_pass_holds_a_bounded_number_of_terms(self):
+        # the (2, 400, 512) table is 6.6 MB; one pass over all 512 points
+        # would hold about 13 MB of terms on top of it
+        z = np.random.default_rng(0).random(512) * (1 + 1j)
+        weighted_table(400, TAU, z[:8], orders=1)
+        tracemalloc.start()
+        try:
+            weighted_table(400, TAU, z, orders=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6, peak
 
 
 class TestWeightedGrid:
