@@ -19,8 +19,8 @@ from torusbergman import (
     differential,
     injectivity_scan,
     omega,
-    pullback_ddbar,
-    pullback_jacobian,
+    pullback_ddbar_many,
+    pullback_jacobian_many,
     well_defined_check,
 )
 
@@ -40,8 +40,8 @@ def main():
 
     z = np.array([0.21, 0.37, 0.61, 0.13])
     w0 = omega(model)
-    fj = pullback_jacobian(basis, z).form
-    fd = pullback_ddbar(basis, z).form
+    fj = pullback_jacobian_many(basis, z)[0]
+    fd = pullback_ddbar_many(basis, z)[0]
     print(f"sup |jacobian pullback - omega| = {np.max(np.abs(fj - w0)):.3e}")
     print(f"sup |ddbar pullback - omega|    = {np.max(np.abs(fd - w0)):.3e}")
     print(f"sup |jacobian - ddbar|          = {np.max(np.abs(fj - fd)):.3e}\n")

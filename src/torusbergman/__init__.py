@@ -1,7 +1,7 @@
 """Bergman kernels and projective embeddings for flat complex torus models.
 
 Layout:
-    geometry    - torus factors, product models, curvature, charts, distances
+    geometry    - torus factors, product models, curvature, charts
     theta       - weighted level-m theta functions with certified truncation
     basis       - harmonic bases, Gram quadrature, Laplacian certification
     kernel      - projector kernel, density, decay fits, ratio profile
@@ -23,15 +23,13 @@ from .basis import (
 from .embedding import (
     DerivativeReport,
     ProjectivePoint,
-    PullbackSample,
     convergence_report,
     derivative_sums,
     differential,
     fs_distance,
     injectivity_scan,
-    phi,
-    pullback_ddbar,
-    pullback_jacobian,
+    pullback_ddbar_many,
+    pullback_jacobian_many,
     well_defined_check,
 )
 from .experiment import ExperimentConfig, RunReport, emit_report, parse_config, run
@@ -40,10 +38,8 @@ from .geometry import (
     ProductModel,
     TorusFactor,
     curvature_matrix,
-    distance,
     normal_chart,
     omega,
-    signature,
 )
 from .kernel import (
     ExpansionModel,
@@ -64,15 +60,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "TorusFactor", "ProductModel", "NormalChart",
-    "curvature_matrix", "signature", "omega", "normal_chart", "distance",
+    "curvature_matrix", "omega", "normal_chart",
     "FactorSectionSet", "GramMatrix", "HarmonicBasis", "gram", "factor_gram",
     "orthonormalize", "build_basis", "harmonicity_residual",
     "KernelSample", "ExpansionModel", "kernel", "density", "trace_density",
     "expansion_model", "offdiagonal_fit", "far_separation_check",
     "ratio_profile", "disc_model_density", "leading_coefficient",
-    "ProjectivePoint", "PullbackSample", "DerivativeReport", "phi",
+    "ProjectivePoint", "DerivativeReport",
     "well_defined_check", "fs_distance", "injectivity_scan", "differential",
-    "pullback_jacobian", "pullback_ddbar", "convergence_report",
+    "pullback_jacobian_many", "pullback_ddbar_many", "convergence_report",
     "derivative_sums",
     "ExperimentConfig", "RunReport", "parse_config", "run", "emit_report",
     "fit_slope",

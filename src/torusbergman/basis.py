@@ -146,8 +146,11 @@ class HarmonicBasis:
     On a flat product model the harmonic space is exactly the tensor product
     of the factor spaces, so the sections are the products of factor members,
     indexed lexicographically by their per-factor member indices (`indices`).
-    The factor-by-factor routes (trace identity, density floor, FS scan,
-    Segre pullback blocks) rest on this structure.
+    Every route a CLI run takes rests on this structure and reads factor
+    tables (kernel, density and ratio profile, trace identity, density floor,
+    FS scan, A7's rank check, Segre pullback blocks); values and jets form the
+    (dim, P) product tables, which on several factors serve the public pullback
+    routes, the 24-point near-diagonal FS profile and the tests' oracles.
     """
 
     model: ProductModel

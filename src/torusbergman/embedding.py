@@ -18,6 +18,7 @@ pullback_ddbar_many.  convergence_report (criterion A8) uses the Segre
 identity instead: the product lift is the Segre composite of the factor
 lifts, so the pulled-back form is block diagonal with block t the
 one-factor form at z_t, and it evaluates each block on a one-factor basis.
+A7's rank check (_rank_many) sums the one-factor ranks by the same identity.
 """
 
 from __future__ import annotations
@@ -33,15 +34,11 @@ from .util import SlopeFit, asymptotic_window, fit_slope
 
 __all__ = [
     "ProjectivePoint",
-    "PullbackSample",
     "DerivativeReport",
-    "phi",
     "well_defined_check",
     "fs_distance",
     "injectivity_scan",
     "differential",
-    "pullback_jacobian",
-    "pullback_ddbar",
     "pullback_jacobian_many",
     "pullback_ddbar_many",
     "convergence_report",
@@ -58,12 +55,6 @@ class ProjectivePoint:
         n = np.linalg.norm(self.homogeneous)
         if not np.isfinite(n) or n < 1e-300:
             raise ValueError("projective point needs a nonzero homogeneous vector")
-
-
-def phi(basis: HarmonicBasis, z) -> ProjectivePoint:
-    """The embedding lift at z: the weighted J0-coefficient vector."""
-    v = basis.values(np.asarray(z, dtype=float))[:, 0]
-    return ProjectivePoint(homogeneous=v)
 
 
 def fs_distance(a: ProjectivePoint, b: ProjectivePoint) -> float:
@@ -213,6 +204,13 @@ def _differential_many(basis: HarmonicBasis, pts, rank_tol: float = 1e-7) -> Dif
                         singular_values=sv)
 
 
+def _rank_many(basis: HarmonicBasis, pts: np.ndarray) -> np.ndarray:
+    """rank dPhi_k at points (P, 2n), the sum of the one-factor ranks at z_t: the lift
+    is the Segre composite of the factor lifts, and the Segre map is an embedding."""
+    return sum(_differential_many(HarmonicBasis(ProductModel((f,)), basis.k, basis.eps),
+                                  pts[:, 2 * t:2 * t + 2]).rank for t, f in enumerate(basis.model.factors))
+
+
 def differential(basis: HarmonicBasis, z, rank_tol: float = 1e-7) -> Differential:
     """Real differential of the lift and the induced rank of the map.
 
@@ -223,14 +221,6 @@ def differential(basis: HarmonicBasis, z, rank_tol: float = 1e-7) -> Differentia
     d = _differential_many(basis, z, rank_tol)
     return Differential(lift=d.lift[0], partials=d.partials[0], rank=int(d.rank[0]),
                         singular_values=d.singular_values[0])
-
-
-@dataclass(frozen=True)
-class PullbackSample:
-    z: np.ndarray
-    k: int
-    method: str
-    form: np.ndarray           # (2n, 2n) real antisymmetric: (1/k) Phi* omega_FS
 
 
 def _real_partials_many(jets):
@@ -256,12 +246,6 @@ def pullback_jacobian_many(basis: HarmonicBasis, pts) -> np.ndarray:
     F = np.imag(num) / (np.pi * nrm2[None, None, :] ** 2) / basis.k
     F = 0.5 * (F - np.transpose(F, (1, 0, 2)))
     return np.moveaxis(F, -1, 0)
-
-
-def pullback_jacobian(basis: HarmonicBasis, z) -> PullbackSample:
-    """(1/k) Phi* omega_FS through the full real differential of the lift."""
-    F = pullback_jacobian_many(basis, np.asarray(z, dtype=float))[0]
-    return PullbackSample(z=np.asarray(z, float), k=basis.k, method="jacobian", form=F)
 
 
 def hermitian_to_real_form(H: np.ndarray) -> np.ndarray:
@@ -303,12 +287,6 @@ def pullback_ddbar_many(basis: HarmonicBasis, pts) -> np.ndarray:
     t4 = np.einsum("jp,bajp->abp", g, dzdzb.conj())
     H = (t1 + t2 + t3 + t4) / Q - dQ[:, None, :] * dbQ[None, :, :] / Q**2
     return omega_form(model) + hermitian_to_real_form(np.moveaxis(H, -1, 0)) / (2.0 * np.pi * basis.k)
-
-
-def pullback_ddbar(basis: HarmonicBasis, z) -> PullbackSample:
-    """(1/k) Phi* omega_FS via omega + (i / 2 pi k) del delbar log(density)."""
-    F = pullback_ddbar_many(basis, np.asarray(z, dtype=float))[0]
-    return PullbackSample(z=np.asarray(z, float), k=basis.k, method="ddbar_log", form=F)
 
 
 @dataclass(frozen=True)

@@ -206,8 +206,17 @@ class RunReport:
         return all(c["pass"] for c in self.criteria)
 
 
-def _rng_for(cfg: ExperimentConfig, name: str) -> np.random.Generator:
-    return np.random.default_rng(cfg.seed + 1000 * EXPERIMENTS.index(name))
+class _LazyRng:
+    """Experiment name's seeded generator, made on its first draw: making one
+    imports numpy.random, which an experiment that never draws does without."""
+
+    def __init__(self, cfg: ExperimentConfig, name: str):
+        self._seed, self._gen = cfg.seed + 1000 * EXPERIMENTS.index(name), None
+
+    def __getattr__(self, attr):
+        if self._gen is None:
+            self._gen = np.random.default_rng(self._seed)
+        return getattr(self._gen, attr)
 
 
 def _bases(cfg: ExperimentConfig, model, ks=None):
@@ -383,7 +392,7 @@ def _exp_embed(cfg, model, rng):
         if bas.dim > 2 * model.n:
             # one draw of 50 points reads the same PCG64 stream as 50 single draws;
             # all 50 are drawn even when a rank check fails
-            ranks = emb._differential_many(bas, rng.random((50, 2 * model.n))).rank
+            ranks = emb._rank_many(bas, rng.random((50, 2 * model.n)))
             rank_ok = bool(np.all(ranks == 2 * model.n))
         rows.append([k, wd.min_ratio, scan.min_fs_distance, scan.near_diagonal_alpha, int(rank_ok)])
         worst_ratio = min(worst_ratio, wd.min_ratio)
@@ -403,18 +412,17 @@ def _exp_pullback(cfg, model, rng):
     w0 = omega_form(model)
     n2 = 2 * model.n
     ia, ib = np.triu_indices(n2, 1)
-    own = np.flatnonzero((ia % 2 == 0) & (ib == ia + 1))     # column (2t, 2t+1) of each factor t
     idx = rep.grid_index.T
     rows = []          # one block per (method, k): the grid runs down its lines
     for m in rep.errors:
         for k in rep.ks:
             blocks = rep.fields[(m, int(k))]
-            cols = np.zeros((len(rep.grid), len(ia)))     # the cross-factor cells are exactly 0
-            errs = []
-            for t, (block, i) in enumerate(zip(blocks, idx)):
-                cols[:, own[t]] = block[i, 0, 1]
-                errs.append(np.max(np.abs(block - w0[2 * t:2 * t + 2, 2 * t:2 * t + 2]), axis=(1, 2))[i])
-            rows.append([rep.grid, int(k), m, cols, np.max(errs, axis=0)])
+            # cell f_{2t,2t+1} is factor t's block at the grid point; the cross-factor cells are exactly 0
+            cells = [IndexedColumn(blocks[a // 2][:, 0, 1], idx[a // 2]) if a % 2 == 0 and b == a + 1
+                     else 0.0 for a, b in zip(ia, ib)]
+            err = np.max([np.max(np.abs(block - w0[2 * t:2 * t + 2, 2 * t:2 * t + 2]), axis=(1, 2))[i]
+                          for t, (block, i) in enumerate(zip(blocks, idx))], axis=0)
+            rows.append([rep.grid, int(k), m, *cells, err])
     # E(k) reaching the float floor by the last rung passes the rate check;
     # with < 4 rungs above the floor beta reads inf
     e_dd = rep.errors["ddbar_log"]
@@ -504,7 +512,7 @@ def run(cfg: ExperimentConfig, experiments: tuple[str, ...] | None = None) -> Ru
         t0 = time.perf_counter()
         probes = {}
         try:
-            out = _EXP_FN[name](cfg, model, _rng_for(cfg, name))
+            out = _EXP_FN[name](cfg, model, _LazyRng(cfg, name))
             rows, header, crit = out[:3]
             if len(out) > 3:
                 probes = out[3]
@@ -553,6 +561,25 @@ _CSV_NAME = {"dims": "dims.csv", "density": "density.csv", "offdiag": "offdiag.c
              "pullback": "pullback.csv", "derivs": "derivatives.csv"}
 
 
+@dataclass(frozen=True)
+class IndexedColumn:
+    """A block column kept as values and an index, line p reading values[index[p]];
+    it slices like a (P,) array, so _write_block gathers it chunk by chunk."""
+
+    values: np.ndarray
+    index: np.ndarray
+    ndim = 1
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __getitem__(self, lines):
+        return self.values[self.index[lines]]
+
+
+_COLUMN = (np.ndarray, IndexedColumn)      # the float columns of a block
+
+
 def _cell(v) -> str:
     """The text of one CSV cell; _write_block writes a block's floats with the same bytes."""
     if isinstance(v, (float, np.floating)):
@@ -566,21 +593,23 @@ _CHUNK = 1024     # block lines formatted together
 
 
 def _write_block(fh, row) -> None:
-    """Write a block: its float arrays, of shape (P,) or (P, c), run down P lines
+    """Write a block: its float columns, of shape (P,) or (P, c), run down P lines
     and its scalar cells repeat on each.  Per chunk each distinct float is
     formatted once; a pullback cell depends on one factor coordinate, so few are."""
     arrays, where, scalars = [], [], []
+    width = 0
     for v in row:
-        if isinstance(v, np.ndarray):
-            arrays.append(v[:, None] if v.ndim == 1 else v)
+        if isinstance(v, _COLUMN):
+            arrays.append(v)
+            width += 1 if v.ndim == 1 else v.shape[1]
         else:
-            where.append(sum(a.shape[1] for a in arrays))
+            where.append(width)
             scalars.append(_cell(v))
     lengths = {len(a) for a in arrays}
     if len(lengths) != 1:
         raise ValueError(f"block arrays have unequal lengths {sorted(lengths)}")
     for lo in range(0, lengths.pop(), _CHUNK):
-        X = np.hstack([a[lo:lo + _CHUNK] for a in arrays]).astype(np.float64, copy=False)
+        X = np.column_stack([a[lo:lo + _CHUNK] for a in arrays]).astype(np.float64, copy=False)
         # unique bit patterns keep -0.0 apart from 0.0 and every NaN payload apart
         bits, inv = np.unique(X.view(np.uint64), return_inverse=True)
         texts = np.array(["%.17g" % x for x in bits.view(np.float64).tolist()], dtype=object)
@@ -589,9 +618,9 @@ def _write_block(fh, row) -> None:
 
 
 def _write_rows(fh, rows) -> None:
-    """Write rows as they come: a row holding an np.ndarray is a block, any other one line."""
+    """Write rows as they come: a row holding a column is a block, any other one line."""
     for row in rows:
-        if any(isinstance(v, np.ndarray) for v in row):
+        if any(isinstance(v, _COLUMN) for v in row):
             _write_block(fh, row)
         else:
             fh.write(",".join(map(_cell, row)) + "\n")

@@ -27,10 +27,8 @@ __all__ = [
     "VOLUME_NORMALIZATION",
     "factor_volume",
     "curvature_matrix",
-    "signature",
     "omega",
     "normal_chart",
-    "distance",
 ]
 
 # dV = VOLUME_NORMALIZATION * dx dy per factor, forced by the Riemannian
@@ -151,14 +149,6 @@ def curvature_matrix(model: ProductModel, k: int = 1) -> np.ndarray:
     return np.diag(2.0 * k * model.lambdas)
 
 
-def signature(model: ProductModel) -> tuple[int, int]:
-    """(n_minus, n_plus) eigenvalue signs of the curvature matrix."""
-    eig = np.diag(curvature_matrix(model))
-    if np.any(eig == 0.0):
-        raise ValueError("degenerate curvature: zero eigenvalue")
-    return int(np.sum(eig < 0)), int(np.sum(eig > 0))
-
-
 def omega(model: ProductModel, p=None) -> np.ndarray:
     """The constant 2-form (i/2pi)*R^L in chart real coordinates.
 
@@ -215,21 +205,3 @@ def normal_chart(model: ProductModel, p) -> NormalChart:
     a2 = -model.lambdas
     return NormalChart(model=model, basepoint=p, z0=z0, a0=a0, a1=a1, a2=a2.astype(float))
 
-
-def distance(model: ProductModel, x, y) -> float:
-    """Geodesic distance under g: minimum over lattice translates."""
-    dz = _min_image_dz(model, x, y)
-    return float(np.sqrt(2.0 * np.sum(np.abs(dz) ** 2)))
-
-
-def _min_image_dz(model: ProductModel, x, y) -> np.ndarray:
-    d = model.centered(model.check_point(x) - model.check_point(y))
-    da = d[..., 0::2]
-    db = d[..., 1::2]
-    shifts = np.array([-1.0, 0.0, 1.0])
-    best = np.empty(model.n, dtype=complex)
-    for t, tau in enumerate(model.taus):
-        cand = (da[..., t, None, None] + shifts[:, None]) + tau * (db[..., t, None, None] + shifts[None, :])
-        flat = cand.reshape(-1)
-        best[t] = flat[np.argmin(np.abs(flat))]
-    return best

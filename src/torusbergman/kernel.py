@@ -3,8 +3,11 @@
 The localized J0-scalar kernel in the global theta trivialization is the
 finite sum P(x,y) = sum_j g_j(x) conj(g_j(y)) over the orthonormal basis of
 weighted coefficients g_j; its diagonal is the local density of states.  The
-comparison model is the quadratic-phase Gaussian e^{ik Psi} b0 k^n, which on
-flat models is the exact local behavior up to lattice-periodization terms.
+basis is a tensor product, so kernel, density and ratio profile are products
+of their factor values, evaluated one factor table at a time (cost grows with
+sum_t m_t, not dim).  The comparison model is the quadratic-phase Gaussian
+e^{ik Psi} b0 k^n, which on flat models is the exact local behavior up to
+lattice-periodization terms.
 """
 
 from __future__ import annotations
@@ -49,10 +52,18 @@ class KernelSample:
         return self.value * self.gauge_x * np.conj(self.gauge_y)
 
 
+def _factor_values(basis: HarmonicBasis, points) -> list[np.ndarray]:
+    """Per factor t, the weighted values g_tj(z_t) at the points: (m_t, P).
+    On one factor this is basis.values itself, bit for bit."""
+    zs = basis.model.chart_z(np.atleast_2d(np.asarray(points, dtype=float)))
+    return [basis.factor_tables(t, zs[:, t])["v"] for t in range(basis.model.n)]
+
+
 def kernel(basis: HarmonicBasis, x, y) -> KernelSample:
-    """P_{k,J0,J0}(x,y) in the global trivialization."""
-    v = basis.values(np.stack([np.asarray(x, dtype=float), np.asarray(y, dtype=float)]))
-    val = complex(np.sum(v[:, 0] * np.conj(v[:, 1])))
+    """P_{k,J0,J0}(x,y) in the global trivialization: the product over
+    factors of sum_j g_tj(x_t) conj(g_tj(y_t))."""
+    tabs = _factor_values(basis, np.stack([np.asarray(x, dtype=float), np.asarray(y, dtype=float)]))
+    val = complex(np.prod([np.sum(v[:, 0] * np.conj(v[:, 1])) for v in tabs]))
     return KernelSample(x=np.asarray(x, float), y=np.asarray(y, float), k=basis.k, value=val)
 
 
@@ -73,10 +84,9 @@ def kernel_in_chart(basis: HarmonicBasis, chart: NormalChart, x, y) -> KernelSam
 
 
 def density(basis: HarmonicBasis, points) -> np.ndarray:
-    """Diagonal J0 density sum_j |g_j|^2 at one or more points."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    v = basis.values(pts)
-    out = np.sum(np.abs(v) ** 2, axis=0)
+    """Diagonal J0 density sum_j |g_j|^2 at one or more points: the product
+    of the factor densities sum_j |g_tj(z_t)|^2."""
+    out = np.prod([np.sum(np.abs(v) ** 2, axis=0) for v in _factor_values(basis, points)], axis=0)
     return out if np.asarray(points).ndim > 1 else float(out[0])
 
 
@@ -259,17 +269,19 @@ def ratio_profile(basis: HarmonicBasis, x, y, t_grid) -> np.ndarray:
 
     The segment runs on the covering space so a single chart contains it;
     Cauchy-Schwarz gives f_k in [0, 1] with value 1 at coincidence (t=0).
+    Kernel and density factor, so f_k is the product of the factor ratios.
     """
     model = basis.model
     ts = np.asarray(t_grid, dtype=float)
     pts, _ = _segment_points(model, x, y, ts)
-    ybase = model.reduce(y)
-    V = basis.values(pts)
-    vy = basis.values(ybase)[:, 0]
-    num = np.abs(V.conj().T @ vy) ** 2
-    pxx = np.sum(np.abs(V) ** 2, axis=0)
-    pyy = float(np.sum(np.abs(vy) ** 2))
-    return num / (pxx * pyy)
+    ratios = []
+    for V, vy in zip(_factor_values(basis, pts), _factor_values(basis, model.reduce(y))):
+        vy = vy[:, 0]
+        num = np.abs(V.conj().T @ vy) ** 2
+        pxx = np.sum(np.abs(V) ** 2, axis=0)
+        pyy = float(np.sum(np.abs(vy) ** 2))
+        ratios.append(num / (pxx * pyy))
+    return np.prod(ratios, axis=0)
 
 
 _DISC_NR = 200      # Gauss-Legendre radial nodes of the disc oracle

@@ -5,17 +5,22 @@ orthonormalized basis, summed row by row over the grid table, against
 which the discrete-orthogonality Gram is checked, the disc oracle by
 Cholesky of its full monomial Gram, against which the diagonal radial rule
 is checked, the theta table one characteristic at a time, against which
-the stacked evaluation is checked, the product form field spread from its
-factor blocks, against which the Segre route is checked on the full
-product basis, a remixed basis that is not a tensor product, against which
-the pointwise routes' invariances are checked, the global weight and
-injectivity scale of a model, against which charts and separations are
-checked, and the 17-digit float text against which CSV cells are checked."""
+the stacked evaluation is checked, the lift of one point as a projective
+point, the product form field spread from its factor blocks, against which
+the Segre route is checked on the full product basis, the kernel, density
+and ratio profile summed over the full product basis, against which their
+factor-by-factor routes are checked, a remixed basis that is not a tensor
+product, against which the pointwise routes' invariances are checked, the
+global weight, injectivity scale, curvature signature and geodesic distance
+of a model, against which charts and separations are checked, and the
+17-digit float text against which CSV cells are checked."""
 
 import numpy as np
 
 from torusbergman.basis import HarmonicBasis, default_resolution
-from torusbergman.geometry import VOLUME_NORMALIZATION, ProductModel, factor_volume
+from torusbergman.embedding import ProjectivePoint
+from torusbergman.geometry import VOLUME_NORMALIZATION, ProductModel, curvature_matrix, factor_volume
+from torusbergman.kernel import _segment_points
 from torusbergman.theta import _exponent, _windows
 
 
@@ -109,6 +114,11 @@ def looped_weighted_table(m: int, tau: complex, z, orders: int = 0, eps: float =
     return out
 
 
+def phi(basis: HarmonicBasis, z) -> ProjectivePoint:
+    """The embedding lift at z: the weighted J0-coefficient vector."""
+    return ProjectivePoint(homogeneous=basis.values(np.asarray(z, dtype=float))[:, 0])
+
+
 def expand_form_blocks(blocks: list[np.ndarray], index: np.ndarray) -> np.ndarray:
     """The (P, 2n, 2n) product form field of per-factor (U_t, 2, 2) blocks:
     point p's block t is blocks[t][index[p, t]], the cross-factor cells 0."""
@@ -117,6 +127,25 @@ def expand_form_blocks(blocks: list[np.ndarray], index: np.ndarray) -> np.ndarra
     for t, block in enumerate(blocks):
         out[:, 2 * t:2 * t + 2, 2 * t:2 * t + 2] = block[index[:, t]]
     return out
+
+
+def product_density(basis: HarmonicBasis, points) -> np.ndarray:
+    """kernel.density as sum_j |g_j|^2 over the full product basis."""
+    return np.sum(np.abs(basis.values(np.atleast_2d(points))) ** 2, axis=0)
+
+
+def product_kernel(basis: HarmonicBasis, x, y) -> complex:
+    """kernel.kernel's value as sum_j g_j(x) conj(g_j(y)) over the full product basis."""
+    v = basis.values(np.stack([np.asarray(x, dtype=float), np.asarray(y, dtype=float)]))
+    return complex(np.sum(v[:, 0] * np.conj(v[:, 1])))
+
+
+def product_ratio_profile(basis: HarmonicBasis, x, y, t_grid) -> np.ndarray:
+    """kernel.ratio_profile from the full product basis's values on the segment."""
+    pts, _ = _segment_points(basis.model, x, y, np.asarray(t_grid, dtype=float))
+    V = basis.values(pts)
+    vy = basis.values(basis.model.reduce(y))[:, 0]
+    return np.abs(V.conj().T @ vy) ** 2 / (np.sum(np.abs(V) ** 2, axis=0) * np.sum(np.abs(vy) ** 2))
 
 
 class RemixedBasis:
@@ -154,6 +183,25 @@ def injectivity_scale(model: ProductModel) -> float:
         v = v[np.abs(v) > 0]
         scale = min(scale, np.sqrt(2.0) * np.min(np.abs(v)) / 2.0)
     return float(scale)
+
+
+def signature(model: ProductModel) -> tuple[int, int]:
+    """(n_minus, n_plus) eigenvalue signs of the curvature matrix."""
+    eig = np.diag(curvature_matrix(model))
+    if np.any(eig == 0.0):
+        raise ValueError("degenerate curvature: zero eigenvalue")
+    return int(np.sum(eig < 0)), int(np.sum(eig > 0))
+
+
+def distance(model: ProductModel, x, y) -> float:
+    """Geodesic distance under g: minimum over lattice translates."""
+    d = model.centered(model.check_point(x) - model.check_point(y))
+    shifts = np.array([-1.0, 0.0, 1.0])
+    dz = np.empty(model.n, dtype=complex)
+    for t, tau in enumerate(model.taus):
+        cand = ((d[2 * t] + shifts[:, None]) + tau * (d[2 * t + 1] + shifts[None, :])).reshape(-1)
+        dz[t] = cand[np.argmin(np.abs(cand))]
+    return float(np.sqrt(2.0 * np.sum(np.abs(dz) ** 2)))
 
 
 def fmt17(x) -> str:

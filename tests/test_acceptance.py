@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _oracles import injectivity_scale
+from _oracles import distance, injectivity_scale
 from torusbergman.basis import (
     build_basis,
     factor_harmonicity_residual,
@@ -131,8 +131,6 @@ def test_a4_offdiagonal_gaussian_decay(decay_ladder):
 def test_a5_far_field_decay(decay_ladder):
     m = model(-1)
     x, y = np.array([0.0, 0.0]), np.array([0.5, 0.5])
-    from torusbergman.geometry import distance
-
     assert distance(m, x, y) >= 0.4 * injectivity_scale(m)
     rep = far_separation_check(decay_ladder, x, y)
     ok = rep.gamma > 0 and all(rep.damped_decreasing.values())

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from _oracles import RemixedBasis, evaluate_combination, expand_form_blocks, project_coefficients
+from _oracles import RemixedBasis, evaluate_combination, expand_form_blocks, phi, project_coefficients
 from torusbergman.basis import build_basis
 from torusbergman.embedding import (
     ProjectivePoint,
@@ -12,10 +12,7 @@ from torusbergman.embedding import (
     differential,
     fs_distance,
     injectivity_scan,
-    phi,
-    pullback_ddbar,
     pullback_ddbar_many,
-    pullback_jacobian,
     pullback_jacobian_many,
     hermitian_to_real_form,
     well_defined_check,
@@ -240,6 +237,17 @@ class TestDifferential:
         ranks = _differential_many(b, pts).rank
         assert ranks.tolist() == [differential(b, p).rank for p in pts] == [rank] * 50
 
+    @pytest.mark.parametrize("factors, k, rank", [
+        ([(TAU, -1), (TAU, 1)], 4, 4), ([(TAU, -1), (TAU, 1), (TAU, 1)], 3, 6),
+        ([(TAU, -2), (TAU, 1)], 3, 4), ([(0.3 + 1.2j, -1), (-0.2 + 0.9j, 2)], 5, 4),
+        ([(TAU, -5), (TAU, 1)], 1, 2)])     # the degree-1 factor at k = 1 maps to a point
+    def test_factor_ranks_match_product_route(self, factors, k, rank):
+        from torusbergman.embedding import _differential_many, _rank_many
+
+        b = build_basis(ProductModel.from_factors([TorusFactor(tau, d) for tau, d in factors]), k)
+        pts = np.random.default_rng(k).random((50, 2 * b.model.n))
+        assert _rank_many(b, pts).tolist() == _differential_many(b, pts).rank.tolist() == [rank] * 50
+
     def test_embed_scan_bytes_unchanged(self, tmp_path):
         # embed_scan.csv of configs/sig11_smoke.cfg as the per-point rank loop
         # wrote it: the 50-point draw keeps the seeded stream that the second
@@ -270,7 +278,7 @@ class TestPullback:
 
     def test_antisymmetry(self):
         b = build_basis(model(-1, 1), 4)
-        F = pullback_jacobian(b, np.array([0.3, 0.1, 0.7, 0.2])).form
+        F = pullback_jacobian_many(b, np.array([0.3, 0.1, 0.7, 0.2]))[0]
         assert np.max(np.abs(F + F.T)) < 1e-12
 
     def test_unitary_composition_invariance(self):
@@ -278,8 +286,8 @@ class TestPullback:
         rng = np.random.default_rng(7)
         U = haar_unitary(b.dim, rng)
         z = np.array([0.21, 0.67])
-        F0 = pullback_jacobian(b, z).form
-        F1 = pullback_jacobian(RemixedBasis(b, U), z).form
+        F0 = pullback_jacobian_many(b, z)[0]
+        F1 = pullback_jacobian_many(RemixedBasis(b, U), z)[0]
         assert np.max(np.abs(F0 - F1)) < 1e-12
 
     def test_projective_gauge_invariance(self):
@@ -320,7 +328,7 @@ class TestPullback:
         m = model(-1)
         w0 = omega(m)
         b = build_basis(m, 24)
-        F = pullback_ddbar(b, np.array([0.3, 0.8])).form
+        F = pullback_ddbar_many(b, np.array([0.3, 0.8]))[0]
         assert np.max(np.abs(F - w0)) < 1e-9
 
     def test_correction_term_bounded_by_c_over_k(self):
@@ -390,7 +398,7 @@ class TestConvergence:
         b = build_basis(m, 10)
         rng = np.random.default_rng(9)
         for p in rng.random((10, 4)):
-            F = pullback_jacobian(b, p).form
+            F = pullback_jacobian_many(b, p)[0]
             assert F[0, 1] < 0 and F[2, 3] > 0
             assert abs(np.linalg.det(F)) > 1e-6
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +13,7 @@ from torusbergman.cli import main as cli_main
 from torusbergman.experiment import (
     EXPERIMENTS,
     ConfigError,
+    IndexedColumn,
     emit_report,
     fit_slope,
     parse_config,
@@ -162,11 +167,13 @@ class TestFitSlope:
 
 def _cell_oracle(header, rows) -> bytes:
     """The CSV of a table with every cell formatted on its own by _cell, each
-    block first expanded to its lines (the arrays' line and the scalar cells)."""
-    from torusbergman.experiment import _cell
+    block first expanded to its lines (the arrays' line and the scalar cells;
+    an IndexedColumn is first spread to its P values)."""
+    from torusbergman.experiment import IndexedColumn, _cell
 
     lines = [header]
     for row in rows:
+        row = [v.values[v.index] if isinstance(v, IndexedColumn) else v for v in row]
         arrays = [v for v in row if isinstance(v, np.ndarray)]
         if not arrays:
             lines.append([_cell(v) for v in row])
@@ -341,13 +348,51 @@ class TestRun:
         assert rep.passed, rep.criteria
         header, blocks = rep.tables["pullback"]
         assert sum(len(b[0]) for b in blocks) == 2 * 4 * 3 ** 4
-        cross = [header.index(h) - header.index("f01") for h in ("f02", "f03", "f12", "f13")]
-        for grid, k, method, comps, err in blocks:
+        own = [header.index(h) - header.index("f01") for h in ("f01", "f23")]
+        for grid, k, method, *comps, err in blocks:
             assert type(k) is int and type(method) is str
-            assert grid.dtype == comps.dtype == err.dtype == np.float64
-            assert len(grid) == len(comps) == len(err)
-            assert grid.shape[1] + 2 + comps.shape[1] + 1 == len(header)
-            assert np.all(comps[:, cross] == 0.0)     # cross-factor cells
+            assert grid.dtype == err.dtype == np.float64
+            assert grid.shape[1] + 2 + len(comps) + 1 == len(header)
+            for c, cell in enumerate(comps):
+                if c in own:      # factor t's form values, gathered through its grid index
+                    assert isinstance(cell, IndexedColumn) and len(cell) == len(grid) == len(err)
+                    assert cell.values.dtype == np.float64
+                else:             # cross-factor cells
+                    assert type(cell) is float and cell == 0.0
+
+    def test_frontier_ladder_memory(self):
+        # signature (1,2) to k = 36 (dim 46,656): A6 and A7's rank check go factor
+        # by factor, so no product-basis table of the 65-point profile or of the
+        # 50 rank points is formed (the product routes needed several hundred MB)
+        cfg = parse_config("factor = 0 1 -1\nfactor = 0 1 1\nfactor = 0 1 1\n"
+                           "k_ladder = 8 12 16 36\nexperiments = ratio embed\n")
+        tracemalloc.start()
+        try:
+            rep = run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.passed, rep.criteria
+        assert peak < 40_000_000
+
+    def test_generator_made_on_first_draw(self):
+        # a dims run draws nothing, so it never imports numpy.random (and the
+        # secrets / hmac / libcrypto modules behind it)
+        from torusbergman.experiment import _LazyRng
+
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = (f"import sys\nfrom torusbergman.experiment import parse_config, run\n"
+                f"assert run(parse_config({MINIMAL!r})).passed\n"
+                "print('numpy.random' in sys.modules)\n")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path}, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.split() == ["False"]
+        # the stream is the one default_rng gives the experiment's seed
+        cfg = parse_config(MINIMAL)
+        want = np.random.default_rng(cfg.seed + 1000 * EXPERIMENTS.index("embed")).random((3, 4))
+        assert _LazyRng(cfg, "embed").random((3, 4)).tolist() == want.tolist()
 
     def test_budget_warning_not_failure(self, smoke):
         cfg = parse_config(SMOKE + "budget_dims = 0.000001\n")

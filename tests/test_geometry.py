@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
-from _oracles import global_weight, injectivity_scale
+from _oracles import distance, global_weight, injectivity_scale, signature
 from torusbergman.geometry import (
     ProductModel,
     TorusFactor,
     curvature_matrix,
-    distance,
     normal_chart,
     omega,
-    signature,
 )
 
 TAU = 1j
