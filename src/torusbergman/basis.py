@@ -66,11 +66,6 @@ class FactorSectionSet:
         return self.k * abs(self.factor.degree)
 
     @property
-    def count(self) -> int:
-        """One member per theta characteristic: the level."""
-        return self.level
-
-    @property
     def scale(self) -> float:
         """Orthonormalizing factor (m / (2 Im tau))^(1/4) of the raw members."""
         return theta_gram_diagonal(self.level, self.factor.im_tau) ** -0.5
@@ -167,27 +162,26 @@ class HarmonicBasis:
 
     @property
     def dim(self) -> int:
-        return prod(s.count for s in self.factor_sets)
+        return prod(s.level for s in self.factor_sets)
 
     @property
     def indices(self) -> list[tuple[int, ...]]:
-        return list(iproduct(*[range(s.count) for s in self.factor_sets]))
+        return list(iproduct(*[range(s.level) for s in self.factor_sets]))
 
     # -- factor-level evaluation ----------------------------------------
 
-    def factor_tables(self, t: int, z, orders: str = "v", eps: float | None = None) -> dict[str, np.ndarray]:
+    def factor_tables(self, t: int, z, orders: str = "v") -> dict[str, np.ndarray]:
         """Orthonormalized weighted jet tables for factor t at complex points z.
 
         orders: "v" values only, "d1" adds dz/dzb, "d2" adds the diagonal
         second derivative d/dz d/dzbar (zzb).  Keys: v, z, zb, zzb.
         """
-        eps = self.eps if eps is None else eps
         s = self.factor_sets[t]
         f = s.factor
         m = s.level
         z = np.atleast_1d(np.asarray(z, dtype=complex))
         nord = {"v": 0, "d1": 1, "d2": 1}[orders]
-        Wc = weighted_table(m, f.tau, z, orders=nord, eps=eps)
+        Wc = weighted_table(m, f.tau, z, orders=nord, eps=self.eps)
         Wc *= s.scale
         T = f.im_tau
         out = {"v": Wc[0]}
@@ -215,7 +209,7 @@ class HarmonicBasis:
         """Factor t's orthonormalized weighted values (factor_tables(t, z)["v"])
         on the half-offset N x N lattice grid z = a + tau b, a-major: (m, N^2)."""
         s = self.factor_sets[t]
-        V = np.empty((s.count, N * N), dtype=complex)
+        V = np.empty((s.level, N * N), dtype=complex)
         for j, W in enumerate(weighted_grid(s.level, s.factor.tau, N, self.eps)):
             V[j] = W.ravel()
         V *= s.scale
@@ -253,16 +247,19 @@ class HarmonicBasis:
             V = (V[:, None, :] * tab[None, :, :]).reshape(-1, tab.shape[1])
         return V
 
+    def factor_values(self, points) -> list[np.ndarray]:
+        """Per factor t, the weighted values g_tj(z_t) at the points: (m_t, npoints)."""
+        zs = self.model.chart_z(np.atleast_2d(self.model.check_point(points)))
+        return [self.factor_tables(t, zs[:, t])["v"] for t in range(self.model.n)]
+
     def values(self, points) -> np.ndarray:
-        """Weighted J0-coefficients of all sections: shape (dim, npoints).
+        """Weighted J0-coefficients of all sections: shape (dim, npoints), the
+        lexicographic products of factor_values.
 
         These are the localized-frame coefficients g_j = f_j * exp(-k*phi0);
         sums sum_j g_j(x) conj(g_j(y)) are the localized kernel directly.
         """
-        pts = np.atleast_2d(self.model.check_point(points))
-        zs = self.model.chart_z(pts)
-        tabs = [self.factor_tables(t, zs[:, t], "v")["v"] for t in range(self.model.n)]
-        return self._combine(tabs)
+        return self._combine(self.factor_values(points))
 
     def jets(self, points, second: bool = False) -> dict[str, np.ndarray]:
         """Values and chart-coordinate derivatives of the weighted coefficients.

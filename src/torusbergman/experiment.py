@@ -223,11 +223,19 @@ def _bases(cfg: ExperimentConfig, model, ks=None):
     return [basis_mod.build_basis(model, k, eps=cfg.theta_eps) for k in (ks or cfg.k_ladder)]
 
 
-def _default_pair(model, rng, sep=0.1):
-    base = model.reduce(rng.random(2 * model.n))
-    x = base.copy()
-    x[0] = (x[0] + sep) % 1.0
-    return x, base
+def _probe_pair(probes, model, rng, shift):
+    """(x, y): a probe list's first two points, else a random y and x = y + shift
+    reduced to the torus (drawn only then)."""
+    if probes and len(probes) >= 2:
+        return np.array(probes[0], dtype=float), np.array(probes[1], dtype=float)
+    y = model.reduce(rng.random(2 * model.n))
+    return model.reduce(y + shift), y
+
+
+def _criterion(cid, measured, threshold, ok, description=None) -> dict:
+    """One summary.json criterion record; description defaults to _CRITERIA_DESC[cid]."""
+    return {"criterion_id": cid, "description": description or _CRITERIA_DESC[cid],
+            "measured": float(measured), "threshold": threshold, "pass": bool(ok)}
 
 
 # -- individual experiments --------------------------------------------------
@@ -250,7 +258,7 @@ def _exp_dims(cfg, model, rng):
                 g = basis_mod.factor_gram(s.factor, k, eps=cfg.theta_eps).entries
                 c = basis_mod.theta_gram_diagonal(s.level, s.factor.im_tau)
                 seen[s.factor] = (np.linalg.eigvalsh(g)[0],
-                                  float(np.max(np.abs(g - c * np.eye(s.count)))) / c)
+                                  float(np.max(np.abs(g - c * np.eye(s.level)))) / c)
             e, d = seen[s.factor]
             eig *= e
             dev = max(dev, d)
@@ -258,8 +266,7 @@ def _exp_dims(cfg, model, rng):
         rows.append([k, b.dim, expected, eig, dev])
         ok = ok and (b.dim == expected) and (eig > 1e-12) and (dev <= _GRAM_DEV_TOL)
         min_eig = min(min_eig, eig)
-    crit = [{"criterion_id": "A1", "description": _CRITERIA_DESC["A1"],
-             "measured": float(min_eig), "threshold": 1e-12, "pass": bool(ok)}]
+    crit = [_criterion("A1", min_eig, 1e-12, ok)]
     # harmonicity of the level-1 members: the 6th-order stencil's residual falls
     # ~64x per grid doubling; grid 64 meets 1e-6 unless Im tau is small (a thin
     # torus, Im tau = 0.05, needs grid 128), so the grid doubles while above the
@@ -276,11 +283,9 @@ def _exp_dims(cfg, model, rng):
         control = basis_mod.factor_harmonicity_residual(
             model.factors[0], 1, 0, grid_n=grid,
             perturb=lambda A, B: 0.01 * np.cos(2 * np.pi * A) * np.cos(2 * np.pi * B))["laplacian"]
-        crit.append({"criterion_id": "A2", "description": _CRITERIA_DESC["A2"].format(grid=grid),
-                     "measured": float(worst), "threshold": 1e-6,
-                     "pass": bool(worst <= 1e-6 and control >= 1e-3)})
-    header = ["k", "sections", "expected", "gram_min_eig", "gram_dev"]
-    return rows, header, crit
+        crit.append(_criterion("A2", worst, 1e-6, worst <= 1e-6 and control >= 1e-3,
+                               _CRITERIA_DESC["A2"].format(grid=grid)))
+    return rows, ["k", "sections", "expected", "gram_min_eig", "gram_dev"], crit, {}
 
 
 def _exp_density(cfg, model, rng):
@@ -311,20 +316,13 @@ def _exp_density(cfg, model, rng):
         got = ker.disc_model_density(lam, 8)
         disc_rel = max(disc_rel, abs(got / (8 * lam / np.pi) - 1.0))
     ok = worst_trace <= 1e-8 and disc_rel <= 0.01 and worst_rel <= 0.02
-    crit = [{"criterion_id": "A3", "description": _CRITERIA_DESC["A3"],
-             "measured": float(max(worst_trace, disc_rel, worst_rel)), "threshold": 0.02,
-             "pass": bool(ok)}]
+    crit = [_criterion("A3", max(worst_trace, disc_rel, worst_rel), 0.02, ok)]
     header = [f"z{i}" for i in range(2 * model.n)] + ["k", "density", "b0k_n", "relerr"]
     return rows, header, crit, {"density": pts.tolist()}
 
 
 def _exp_offdiag(cfg, model, rng):
-    probes = cfg.probes.get("offdiag")
-    if probes and len(probes) >= 2:
-        x = np.array(probes[0], dtype=float)
-        y = np.array(probes[1], dtype=float)
-    else:
-        x, y = _default_pair(model, rng, sep=0.1)
+    x, y = _probe_pair(cfg.probes.get("offdiag"), model, rng, 0.1 * np.eye(2 * model.n)[0])
     bases = _bases(cfg, model)
     fit = ker.offdiagonal_fit(bases, x, y)
     x2 = y + 2.0 * model.centered(x - y)
@@ -333,35 +331,24 @@ def _exp_offdiag(cfg, model, rng):
     rows = [[b.k, float(np.linalg.norm(model.chart_dz(x, y))), lr, -b.k * fit.c_model]
             for b, lr in zip(bases, fit.log_ratio)]
     ok = fit.rel_dev <= 0.10 and abs(quad_ratio / 4.0 - 1.0) <= 0.15
-    crit = [{"criterion_id": "A4", "description": _CRITERIA_DESC["A4"],
-             "measured": float(fit.rel_dev), "threshold": 0.10, "pass": bool(ok)}]
+    crit = [_criterion("A4", fit.rel_dev, 0.10, ok)]
     return rows, ["k", "dist", "log_ratio", "model"], crit, {"offdiag": [x.tolist(), y.tolist()]}
 
 
 def _exp_far(cfg, model, rng):
-    probes = cfg.probes.get("far")
-    if probes and len(probes) >= 2:
-        x = np.array(probes[0], dtype=float)
-        y = np.array(probes[1], dtype=float)
-    else:
-        y = model.reduce(rng.random(2 * model.n))
-        x = model.reduce(y + 0.5)
+    x, y = _probe_pair(cfg.probes.get("far"), model, rng, 0.5)
     bases = _bases(cfg, model)
     rep = ker.far_separation_check(bases, x, y)
     rows = [[int(k), float(np.linalg.norm(model.chart_dz(x, y))), v]
             for k, v in zip(rep.ks, rep.abs_p)]
-    crit = [{"criterion_id": "A5", "description": _CRITERIA_DESC["A5"],
-             "measured": float(rep.gamma), "threshold": 0.0, "pass": bool(rep.passed)}]
+    crit = [_criterion("A5", rep.gamma, 0.0, rep.passed)]
     return rows, ["k", "dist", "abs_p"], crit, {"far": [x.tolist(), y.tolist()]}
 
 
 def _exp_ratio(cfg, model, rng):
-    probes = cfg.probes.get("ratio") or cfg.probes.get("offdiag")
-    if probes and len(probes) >= 2:
-        x = np.array(probes[0], dtype=float)
-        y = np.array(probes[1], dtype=float)
-    else:
-        x, y = _default_pair(model, rng, sep=0.1)
+    # a present but short probe_ratio falls back to the default pair, not to probe_offdiag
+    x, y = _probe_pair(cfg.probes.get("ratio") or cfg.probes.get("offdiag"), model, rng,
+                       0.1 * np.eye(2 * model.n)[0])
     k20 = 20 if 20 in cfg.k_ladder else max(cfg.k_ladder)
     bas = basis_mod.build_basis(model, k20, eps=cfg.theta_eps)
     ts = np.linspace(0.0, 1.0, 65)
@@ -374,8 +361,7 @@ def _exp_ratio(cfg, model, rng):
     coin = abs(fk[0] - 1.0)
     ok = in_range and coin <= 1e-12 and mid_rel <= 0.15
     rows = [[t, v] for t, v in zip(ts, fk)]
-    crit = [{"criterion_id": "A6", "description": _CRITERIA_DESC["A6"],
-             "measured": float(mid_rel), "threshold": 0.15, "pass": bool(ok)}]
+    crit = [_criterion("A6", mid_rel, 0.15, ok)]
     return rows, ["t", "f_k"], crit, {"ratio": [x.tolist(), y.tolist()]}
 
 
@@ -397,9 +383,8 @@ def _exp_embed(cfg, model, rng):
         rows.append([k, wd.min_ratio, scan.min_fs_distance, scan.near_diagonal_alpha, int(rank_ok)])
         worst_ratio = min(worst_ratio, wd.min_ratio)
         ok = ok and wd.passed and scan.passed and rank_ok
-    crit = [{"criterion_id": "A7", "description": _CRITERIA_DESC["A7"],
-             "measured": float(worst_ratio), "threshold": 0.5, "pass": bool(ok)}]
-    return rows, ["k", "min_ratio", "min_fs", "alpha", "rank_ok"], crit
+    crit = [_criterion("A7", worst_ratio, 0.5, ok)]
+    return rows, ["k", "min_ratio", "min_fs", "alpha", "rank_ok"], crit, {}
 
 
 def _exp_pullback(cfg, model, rng):
@@ -441,11 +426,9 @@ def _exp_pullback(cfg, model, rng):
     desc = _CRITERIA_DESC["A8"]
     if floored:
         desc += f"; ddbar E(k) at the float floor {rep.floor:.0e} for k = {floored}"
-    crit = [{"criterion_id": "A8", "description": desc,
-             "measured": float(beta), "threshold": 0.8, "pass": bool(ok)}]
     header = ([f"z{i}" for i in range(n2)] + ["k", "method"]
               + [f"f{a}{b}" for a, b in zip(ia, ib)] + ["err"])
-    return rows, header, crit
+    return rows, header, [_criterion("A8", beta, 0.8, ok, desc)], {}
 
 
 def _exp_derivs(cfg, model, rng):
@@ -480,8 +463,7 @@ def _exp_derivs(cfg, model, rng):
             worst_gap = min(worst_gap, g_slope - s_slope)
     gap_ok = worst_gap >= 0.4
     ok = special_ok and generic_ok and gap_ok and rep.extremal_dev <= 1e-9
-    crit = [{"criterion_id": "A9", "description": _CRITERIA_DESC["A9"],
-             "measured": float(rep.extremal_dev), "threshold": 1e-9, "pass": bool(ok)}]
+    crit = [_criterion("A9", rep.extremal_dev, 1e-9, ok)]
     return rows, ["t", "family", "k", "sum", "slope"], crit, {"derivs": [p.tolist()]}
 
 
@@ -510,18 +492,12 @@ def run(cfg: ExperimentConfig, experiments: tuple[str, ...] | None = None) -> Ru
 
     def _one(name):
         t0 = time.perf_counter()
-        probes = {}
         try:
-            out = _EXP_FN[name](cfg, model, _LazyRng(cfg, name))
-            rows, header, crit = out[:3]
-            if len(out) > 3:
-                probes = out[3]
+            rows, header, crit, probes = _EXP_FN[name](cfg, model, _LazyRng(cfg, name))
             err = None
         except Exception as exc:   # noqa: BLE001 - isolate sibling experiments
-            rows, header, crit, err = [], [], [{
-                "criterion_id": _EXP_CRITERION[name],
-                "description": f"{name} failed",
-                "measured": float("nan"), "threshold": float("nan"), "pass": False}], _describe(exc)
+            rows, header, probes, err = [], [], {}, _describe(exc)
+            crit = [_criterion(_EXP_CRITERION[name], np.nan, np.nan, False, f"{name} failed")]
         return rows, header, crit, err, probes, time.perf_counter() - t0
 
     probes_used = {}

@@ -94,10 +94,6 @@ class ProductModel:
     def n_minus(self) -> int:
         return sum(1 for f in self.factors if f.degree < 0)
 
-    @property
-    def J0(self) -> tuple[int, ...]:
-        return tuple(range(1, self.n_minus + 1))
-
     @cached_property
     def lambdas(self) -> np.ndarray:
         return np.array([f.weight_scale for f in self.factors])

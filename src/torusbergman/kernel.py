@@ -4,10 +4,10 @@ The localized J0-scalar kernel in the global theta trivialization is the
 finite sum P(x,y) = sum_j g_j(x) conj(g_j(y)) over the orthonormal basis of
 weighted coefficients g_j; its diagonal is the local density of states.  The
 basis is a tensor product, so kernel, density and ratio profile are products
-of their factor values, evaluated one factor table at a time (cost grows with
-sum_t m_t, not dim).  The comparison model is the quadratic-phase Gaussian
-e^{ik Psi} b0 k^n, which on flat models is the exact local behavior up to
-lattice-periodization terms.
+of their factor values, read one factor table at a time through
+HarmonicBasis.factor_values (cost grows with sum_t m_t, not dim).  The
+comparison model is the quadratic-phase Gaussian e^{ik Psi} b0 k^n, which on
+flat models is the exact local behavior up to lattice-periodization terms.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import numpy as np
 from .basis import HarmonicBasis, default_resolution
 from .geometry import (VOLUME_NORMALIZATION, NormalChart, ProductModel,
                         curvature_matrix, normal_chart)
+from .util import fit_line
 
 __all__ = [
     "KernelSample",
@@ -40,9 +41,6 @@ __all__ = [
 class KernelSample:
     """One localized kernel value between the rank-one J0 form fibers."""
 
-    x: np.ndarray
-    y: np.ndarray
-    k: int
     value: complex
     gauge_x: complex = 1.0 + 0.0j   # phase transporting to a chart frame
     gauge_y: complex = 1.0 + 0.0j
@@ -52,19 +50,11 @@ class KernelSample:
         return self.value * self.gauge_x * np.conj(self.gauge_y)
 
 
-def _factor_values(basis: HarmonicBasis, points) -> list[np.ndarray]:
-    """Per factor t, the weighted values g_tj(z_t) at the points: (m_t, P).
-    On one factor this is basis.values itself, bit for bit."""
-    zs = basis.model.chart_z(np.atleast_2d(np.asarray(points, dtype=float)))
-    return [basis.factor_tables(t, zs[:, t])["v"] for t in range(basis.model.n)]
-
-
 def kernel(basis: HarmonicBasis, x, y) -> KernelSample:
     """P_{k,J0,J0}(x,y) in the global trivialization: the product over
-    factors of sum_j g_tj(x_t) conj(g_tj(y_t))."""
-    tabs = _factor_values(basis, np.stack([np.asarray(x, dtype=float), np.asarray(y, dtype=float)]))
-    val = complex(np.prod([np.sum(v[:, 0] * np.conj(v[:, 1])) for v in tabs]))
-    return KernelSample(x=np.asarray(x, float), y=np.asarray(y, float), k=basis.k, value=val)
+    factors of sum_j g_tj(x_t) conj(g_tj(y_t)), from basis.factor_values."""
+    tabs = basis.factor_values(np.stack([np.asarray(x, dtype=float), np.asarray(y, dtype=float)]))
+    return KernelSample(value=complex(np.prod([np.sum(v[:, 0] * np.conj(v[:, 1])) for v in tabs])))
 
 
 def kernel_in_chart(basis: HarmonicBasis, chart: NormalChart, x, y) -> KernelSample:
@@ -78,15 +68,13 @@ def kernel_in_chart(basis: HarmonicBasis, chart: NormalChart, x, y) -> KernelSam
     uy = model.chart_z(np.asarray(y, float)) - chart.z0
     gx = np.exp(-1j * np.imag(chart.gauge(ux, basis.k)))
     gy = np.exp(-1j * np.imag(chart.gauge(uy, basis.k)))
-    base = kernel(basis, x, y)
-    return KernelSample(x=base.x, y=base.y, k=basis.k, value=base.value,
-                        gauge_x=complex(gx), gauge_y=complex(gy))
+    return KernelSample(value=kernel(basis, x, y).value, gauge_x=complex(gx), gauge_y=complex(gy))
 
 
 def density(basis: HarmonicBasis, points) -> np.ndarray:
     """Diagonal J0 density sum_j |g_j|^2 at one or more points: the product
     of the factor densities sum_j |g_tj(z_t)|^2."""
-    out = np.prod([np.sum(np.abs(v) ** 2, axis=0) for v in _factor_values(basis, points)], axis=0)
+    out = np.prod([np.sum(np.abs(v) ** 2, axis=0) for v in basis.factor_values(points)], axis=0)
     return out if np.asarray(points).ndim > 1 else float(out[0])
 
 
@@ -117,10 +105,8 @@ def leading_coefficient(model: ProductModel) -> float:
 
 @dataclass(frozen=True)
 class ExpansionModel:
-    """Quadratic phase model e^{ik Psi} b0 k^n at a basepoint."""
+    """Quadratic phase model e^{ik Psi} b0 k^n at a basepoint (b0: leading_coefficient)."""
 
-    chart: NormalChart
-    b0: float
     lam: np.ndarray
     c_lower: float
 
@@ -141,15 +127,11 @@ def expansion_model(model: ProductModel, p) -> ExpansionModel:
     lam = model.lambdas
     # best constant in Im Psi >= c |x-y|_g^2 with |.|_g^2 = 2 sum |dz|^2: Im Psi
     # = sum |lambda_t| |dz_t|^2, so c = min|lambda| / 2, attained along an axis
-    return ExpansionModel(chart=normal_chart(model, p), b0=leading_coefficient(model), lam=lam,
-                          c_lower=float(np.min(np.abs(lam))) / 2.0)
+    return ExpansionModel(lam=lam, c_lower=float(np.min(np.abs(lam))) / 2.0)
 
 
 @dataclass(frozen=True)
 class OffdiagonalFit:
-    x: np.ndarray
-    y: np.ndarray
-    ks: np.ndarray
     log_ratio: np.ndarray           # log f_k = log |P(x,y)|^2/(P(x)P(y))
     c_fit: float                    # fitted decay constant: -d(log f)/dk
     c_model: float                  # 2 Im Psi(x,y)
@@ -193,15 +175,11 @@ def offdiagonal_fit(bases: list[HarmonicBasis], x, y) -> OffdiagonalFit:
         logf.append(np.log(abs(val) ** 2 / (pxx * pyy)))
         ph = np.angle(val) - b.k * np.real(psi)
         phs.append(np.angle(np.exp(1j * ph)))   # wrap to (-pi, pi]
-    ks = np.array(ks, dtype=float)
     logf = np.array(logf)
-    A = np.stack([np.ones_like(ks), ks], axis=1)
-    coef, *_ = np.linalg.lstsq(A, logf, rcond=None)
-    c_fit = float(-coef[1])
+    c_fit = -fit_line(ks, logf).slope
     c_model = float(2.0 * em.im_psi(ux - uy))
     rel = abs(c_fit - c_model) / c_model if c_model > 0 else abs(c_fit)
-    return OffdiagonalFit(x=np.asarray(x, float), y=np.asarray(y, float), ks=ks,
-                          log_ratio=logf, c_fit=c_fit, c_model=c_model,
+    return OffdiagonalFit(log_ratio=logf, c_fit=c_fit, c_model=c_model,
                           rel_dev=float(rel), phase_dev=float(np.max(np.abs(phs))))
 
 
@@ -228,15 +206,18 @@ class FarFieldReport:
         return self.gamma > 0 and all(self.damped_decreasing.values())
 
 
-def far_separation_check(bases: list[HarmonicBasis], x, y,
-                         damping_orders=(1, 2, 4, 8)) -> FarFieldReport:
+_DAMPING_ORDERS = (1, 2, 4, 8)      # A5's powers N of k in the damped sequences k^N |P_k|
+
+
+def far_separation_check(bases: list[HarmonicBasis], x, y) -> FarFieldReport:
     """Rapid-decay check at well-separated points.
 
     Fits |P_k| <= A e^{-gamma k} and verifies k^N |P_k| decreasing on the top
-    half of the ladder for each damping order N.  Kernel values at or below
-    the floating-point noise floor are left out of the fit and the damped
-    sequences and annotated in underflow_ks (the kernel is certifiably below
-    measurement there); the rungs above the floor must still pass.
+    half of the ladder for each damping order N in _DAMPING_ORDERS.  Kernel
+    values at or below the floating-point noise floor are left out of the fit
+    and the damped sequences and annotated in underflow_ks (the kernel is
+    certifiably below measurement there); the rungs above the floor must
+    still pass.
     """
     ks, vals, under = [], [], []
     for b in bases:
@@ -249,15 +230,10 @@ def far_separation_check(bases: list[HarmonicBasis], x, y,
         vals.append(abs(s.value))
     ks = np.array(ks, dtype=float)
     vals = np.array(vals)
-    if len(ks) >= 2:
-        A = np.stack([np.ones_like(ks), ks], axis=1)
-        coef, *_ = np.linalg.lstsq(A, np.log(vals), rcond=None)
-        gamma = float(-coef[1])
-    else:
-        gamma = np.inf
+    gamma = -fit_line(ks, np.log(vals)).slope if len(ks) >= 2 else np.inf
     dec = {}
     half = len(ks) // 2
-    for N in damping_orders:
+    for N in _DAMPING_ORDERS:
         seq = ks[half:] ** N * vals[half:]
         dec[N] = bool(np.all(np.diff(seq) < 0)) if len(seq) > 1 else True
     return FarFieldReport(ks=ks, abs_p=vals, gamma=gamma, damped_decreasing=dec,
@@ -275,7 +251,7 @@ def ratio_profile(basis: HarmonicBasis, x, y, t_grid) -> np.ndarray:
     ts = np.asarray(t_grid, dtype=float)
     pts, _ = _segment_points(model, x, y, ts)
     ratios = []
-    for V, vy in zip(_factor_values(basis, pts), _factor_values(basis, model.reduce(y))):
+    for V, vy in zip(basis.factor_values(pts), basis.factor_values(model.reduce(y))):
         vy = vy[:, 0]
         num = np.abs(V.conj().T @ vy) ** 2
         pxx = np.sum(np.abs(V) ** 2, axis=0)

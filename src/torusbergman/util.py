@@ -1,4 +1,4 @@
-"""Shared numerical helpers: power-law slope fits."""
+"""Shared numerical helpers: least-squares line and power-law slope fits."""
 
 from __future__ import annotations
 
@@ -6,18 +6,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SlopeFit", "fit_slope", "asymptotic_window"]
+__all__ = ["SlopeFit", "fit_line", "fit_slope", "asymptotic_window"]
 
 
 @dataclass(frozen=True)
 class SlopeFit:
     slope: float
     intercept: float
-    residual: float     # max absolute deviation in log space
+    residual: float     # max absolute deviation of y from the fitted line
+
+
+def fit_line(x, y) -> SlopeFit:
+    """Least-squares line y = intercept + slope * x."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    A = np.stack([np.ones_like(x), x], axis=1)
+    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
+    return SlopeFit(slope=float(coef[1]), intercept=float(coef[0]),
+                    residual=float(np.max(np.abs(y - A @ coef))))
 
 
 def fit_slope(ks, values) -> SlopeFit:
-    """OLS of log(value) on log(k) for O(k^alpha) rate measurements."""
+    """fit_line of log(value) on log(k) for O(k^alpha) rate measurements."""
     ks = np.asarray(ks, dtype=float)
     values = np.asarray(values, dtype=float)
     if len(ks) < 4:
@@ -25,13 +34,7 @@ def fit_slope(ks, values) -> SlopeFit:
     bad = np.where(values <= 0)[0]
     if bad.size:
         raise ValueError(f"non-positive value at k={ks[bad[0]]:g}")
-    lx = np.log(ks)
-    ly = np.log(values)
-    A = np.stack([np.ones_like(lx), lx], axis=1)
-    coef, *_ = np.linalg.lstsq(A, ly, rcond=None)
-    fitted = A @ coef
-    return SlopeFit(slope=float(coef[1]), intercept=float(coef[0]),
-                    residual=float(np.max(np.abs(ly - fitted))))
+    return fit_line(np.log(ks), np.log(values))
 
 
 def asymptotic_window(n: int) -> int:

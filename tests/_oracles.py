@@ -5,9 +5,11 @@ orthonormalized basis, summed row by row over the grid table, against
 which the discrete-orthogonality Gram is checked, the disc oracle by
 Cholesky of its full monomial Gram, against which the diagonal radial rule
 is checked, the theta table one characteristic at a time, against which
-the stacked evaluation is checked, the lift of one point as a projective
-point, the product form field spread from its factor blocks, against which
-the Segre route is checked on the full product basis, the kernel, density
+the stacked evaluation is checked, the normal-frame first jets straight
+from the theta table, against which the factor_tables route of
+derivative_sums is checked, the lift of one point as a projective point,
+the product form field spread from its factor blocks, against which the
+Segre route is checked on the full product basis, the kernel, density
 and ratio profile summed over the full product basis, against which their
 factor-by-factor routes are checked, a remixed basis that is not a tensor
 product, against which the pointwise routes' invariances are checked, the
@@ -21,7 +23,7 @@ from torusbergman.basis import HarmonicBasis, default_resolution
 from torusbergman.embedding import ProjectivePoint
 from torusbergman.geometry import VOLUME_NORMALIZATION, ProductModel, curvature_matrix, factor_volume
 from torusbergman.kernel import _segment_points
-from torusbergman.theta import _exponent, _windows
+from torusbergman.theta import _exponent, _windows, weighted_table
 
 
 def project_coefficients(basis: HarmonicBasis, samples: np.ndarray, grid_n: int) -> np.ndarray:
@@ -111,6 +113,32 @@ def looped_weighted_table(m: int, tau: complex, z, orders: int = 0, eps: float =
         for nu in range(1, orders + 1):
             term *= 2j * np.pi * m * r
             out[nu, j] = term.sum(axis=0)
+    return out
+
+
+def normal_frame_first_jets(basis: HarmonicBasis, p):
+    """Per-factor normal-frame weighted jets (v, du, dubar) at the chart center.
+
+    At the center the gauge phase is 1 and its first derivative is explicit,
+    so holomorphic-side members get dubar exactly 0 and du = W1 - 2 P W0;
+    conjugate members are the mirror image.  P is formed on a (1,) array:
+    numpy's complex / float multiplies by the reciprocal where Python's
+    divides each part, and the one-ulp difference, amplified by the
+    cancellation in W1 - 2 P W0, would move the sums by up to 2e-15.
+    """
+    model = basis.model
+    zs = model.chart_z(model.reduce(np.asarray(p, dtype=float)))
+    out = []
+    for t, s in enumerate(basis.factor_sets):
+        f = s.factor
+        m = s.level
+        val, W1 = weighted_table(m, f.tau, zs[t:t + 1], orders=1, eps=basis.eps)[:, :, 0] * s.scale
+        P = -1j * np.pi * m * zs[t:t + 1].imag / f.im_tau
+        du = W1 - 2.0 * P * val
+        dubar = np.zeros_like(val)
+        if f.degree < 0:
+            val, du, dubar = np.conj(val), np.conj(dubar), np.conj(du)
+        out.append({"v": val, "du": du, "dubar": dubar})
     return out
 
 

@@ -38,15 +38,14 @@ def haar_unitary(n, rng):
 class TestRawFactorBasis:
     def test_positive_degree_one_power_one(self):
         (s,) = HarmonicBasis(model(1), 1).factor_sets
-        assert s.count == 1
+        assert s.level == 1
 
     def test_negative_three_members_at_k3(self):
         (s,) = HarmonicBasis(model(-1), 3).factor_sets
-        assert s.count == 3
         assert s.level == 3
 
     def test_member_count_k_times_degree(self):
-        assert HarmonicBasis(model(-2), 5).factor_sets[0].count == 10
+        assert HarmonicBasis(model(-2), 5).factor_sets[0].level == 10
 
     def test_rejects_nonpositive_power(self):
         for k in (0, -1):
@@ -143,7 +142,6 @@ class TestKunneth:
     def test_positive_single_factor_reduces_to_theta_basis(self):
         m = model(2)
         assert m.n_minus == 0
-        assert m.J0 == ()
         b = build_basis(m, 1)
         assert b.factor_sets[0].level == 2
         assert b.dim == 2

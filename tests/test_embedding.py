@@ -3,10 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from _oracles import RemixedBasis, evaluate_combination, expand_form_blocks, phi, project_coefficients
-from torusbergman.basis import build_basis
+from _oracles import (RemixedBasis, evaluate_combination, expand_form_blocks, normal_frame_first_jets, phi,
+                      project_coefficients)
+from torusbergman.basis import HarmonicBasis, build_basis
 from torusbergman.embedding import (
     ProjectivePoint,
+    _normal_frame_first_jets,
     convergence_report,
     derivative_sums,
     differential,
@@ -527,6 +529,30 @@ class TestDerivativeSums:
     def test_extremal_identity(self, mixed_report):
         rep, _ = mixed_report
         assert rep.extremal_dev <= 1e-9
+
+    def test_factor_tables_jets_match_theta_table_oracle(self):
+        # degrees -2, -1, 1, 2, Re tau != 0 and three factors; k in 4..100 at 200
+        # random points.  The two routes differ only in the generic direction's
+        # rounding (their values are the same bits): sum |du|^2 (or |dubar|^2)
+        # agrees to 5.6e-16 here and to 7.8e-16 at most over 12 seeds; the
+        # special direction's sum is exactly 0 on both, which needs P0 built
+        # exactly as factor_tables builds P
+        models = [ProductModel.from_factors([TorusFactor(tau, d) for tau, d in fs]) for fs in (
+            [(0.3 + 1.2j, -2), (-0.2 + 0.9j, 1)], [(1j, -1), (0.5 + 1j, 2)], [(0.45 + 0.6j, -1)],
+            [(1j, -1), (0.1 + 1.1j, -2), (-0.4 + 0.7j, 1)], [(-0.3 + 1.5j, 2)])]
+        rng = np.random.default_rng(3)
+        worst = 0.0
+        for i in range(200):
+            m = models[i % len(models)]
+            b = HarmonicBasis(m, int(rng.integers(4, 101)))
+            p = rng.random(2 * m.n)
+            for t, (new, old) in enumerate(zip(_normal_frame_first_jets(b, p), normal_frame_first_jets(b, p))):
+                special, generic = ("du", "dubar") if t < m.n_minus else ("dubar", "du")
+                assert np.array_equal(new["v"], old["v"])
+                assert np.sum(np.abs(new[special]) ** 2) == 0.0 == np.sum(np.abs(old[special]) ** 2)
+                s_new, s_old = (np.sum(np.abs(j[generic]) ** 2) for j in (new, old))
+                worst = max(worst, abs(s_new / s_old - 1.0))
+        assert worst <= 1e-15
 
     def test_positive_config_special_family_vanishes(self):
         m = model(2)

@@ -19,6 +19,7 @@ from torusbergman.experiment import (
     parse_config,
     run,
 )
+from torusbergman.util import fit_line
 
 MINIMAL = """
 factor = 0.0 1.0 -1
@@ -163,6 +164,21 @@ class TestFitSlope:
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             fit_slope([1, 2, 3], [1.0, 2.0, 3.0])
+
+    def test_is_fit_line_on_logs(self):
+        ks, vals = np.arange(4, 20), np.linspace(1.0, 9.0, 16) ** 3
+        assert fit_slope(ks, vals) == fit_line(np.log(ks), np.log(vals))
+
+
+class TestFitLine:
+    def test_integer_line_recovered_to_rounding(self):
+        # the least-squares solve is not exact on integer data: 7 - 3x over
+        # x = 4..19 comes back 1.3e-15 off in slope and 1.5e-14 in intercept
+        x = np.arange(4, 20)
+        fit = fit_line(x, 7 - 3 * x)
+        assert abs(fit.slope + 3.0) <= 1e-14
+        assert abs(fit.intercept - 7.0) <= 1e-13
+        assert fit.residual <= 1e-13
 
 
 def _cell_oracle(header, rows) -> bytes:
@@ -469,6 +485,15 @@ class TestCli:
 
 
 class TestShippedConfigs:
+    @pytest.mark.parametrize("path", sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg")),
+                             ids=lambda p: p.name)
+    def test_cli_all_passes_every_criterion_without_warnings(self, path, tmp_path):
+        out = tmp_path / "out"
+        assert cli_main(["all", "--config", str(path), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["criteria"] and all(c["pass"] for c in summary["criteria"])
+        assert summary["pass"] and summary["warnings"] == []
+
     def test_all_shipped_configs_parse(self):
         cfg_dir = Path(__file__).resolve().parents[1] / "configs"
         files = sorted(cfg_dir.glob("*.cfg"))

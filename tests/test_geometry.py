@@ -34,7 +34,7 @@ class TestProductModel:
     def test_ordering_negative_first(self):
         m = ProductModel.from_factors([TorusFactor(TAU, 2), TorusFactor(TAU, -1)])
         assert m.degrees == (-1, 2)
-        assert m.J0 == (1,)
+        assert m.n_minus == 1
 
     def test_rejects_wrong_order(self):
         with pytest.raises(ValueError):
