@@ -30,7 +30,7 @@ import numpy as np
 from .basis import HarmonicBasis
 from .geometry import ProductModel, omega as omega_form
 from .kernel import leading_coefficient
-from .util import SlopeFit, asymptotic_window, fit_slope
+from .util import Draws, SlopeFit, asymptotic_window, fit_slope
 
 __all__ = [
     "ProjectivePoint",
@@ -134,11 +134,11 @@ def injectivity_scan(basis: HarmonicBasis, grid_n: int = 64, rng=None) -> Inject
     distance over the grid_n^(2n) scan equals the minimum over factors of the
     per-factor scan; that is computed exhaustively.  The near-diagonal profile
     measures FS distance at g-distances delta in {0.5, 1, 2}/sqrt(k) along
-    seeded directions and fits alpha = min fs / (sqrt(k) delta).
+    rng's directions (default util.Draws(0), or a numpy Generator); alpha = min fs / (sqrt(k) delta).
     """
     model = basis.model
     k = basis.k
-    rng = np.random.default_rng(0) if rng is None else rng
+    rng = Draws(0) if rng is None else rng
     min_fs = np.inf
     worst_pair = None
     for t in range(model.n):
@@ -368,7 +368,7 @@ def convergence_report(model: ProductModel, ks, grid_n: int = 8, basis_builder=N
     if len(ks) < 4:
         raise ValueError("need at least 4 ladder values")
     pts = _grid_points(model, grid_n)
-    samples = np.concatenate([pts, np.random.default_rng(7).random((128, 2 * model.n))])
+    samples = np.concatenate([pts, Draws(7).random((128, 2 * model.n))])
     uniq, index = _factor_points(samples, model.n)
     w0 = omega_form(model)
     errors = {m: [] for m in ("jacobian", "ddbar_log")}

@@ -15,16 +15,16 @@ Config files are plain key = value lines (``#`` comments allowed).  Keys:
 Outputs: one CSV per experiment plus summary.json mapping every enabled
 acceptance criterion to {criterion_id, description, measured, threshold,
 pass}.  Reruns with the same config and seed produce byte-identical CSV
-bodies; random probes come from numpy's seeded PCG64 generator and their
-coordinates are echoed into the CSVs.  The retired keys grid_n, gram_tol,
-workers and slope_margin are accepted, ignored and named in the summary's
-warnings.
+bodies; random probes come from util.Draws(seed + 1000 * index in EXPERIMENTS)
+and their coordinates are echoed into the CSVs.  The retired keys grid_n,
+gram_tol, workers and slope_margin are accepted, ignored and named in the
+summary's warnings.
 """
 
 from __future__ import annotations
 
 import json
-import platform
+import os
 import sys
 import time
 import traceback
@@ -37,7 +37,7 @@ from . import basis as basis_mod
 from . import embedding as emb
 from . import kernel as ker
 from .geometry import ProductModel, TorusFactor
-from .util import fit_slope
+from .util import Draws, fit_slope
 
 __all__ = ["ExperimentConfig", "ConfigError", "RunReport", "parse_config", "run",
            "emit_report", "fit_slope", "EXPERIMENTS"]
@@ -206,19 +206,6 @@ class RunReport:
         return all(c["pass"] for c in self.criteria)
 
 
-class _LazyRng:
-    """Experiment name's seeded generator, made on its first draw: making one
-    imports numpy.random, which an experiment that never draws does without."""
-
-    def __init__(self, cfg: ExperimentConfig, name: str):
-        self._seed, self._gen = cfg.seed + 1000 * EXPERIMENTS.index(name), None
-
-    def __getattr__(self, attr):
-        if self._gen is None:
-            self._gen = np.random.default_rng(self._seed)
-        return getattr(self._gen, attr)
-
-
 def _bases(cfg: ExperimentConfig, model, ks=None):
     return [basis_mod.build_basis(model, k, eps=cfg.theta_eps) for k in (ks or cfg.k_ladder)]
 
@@ -376,8 +363,7 @@ def _exp_embed(cfg, model, rng):
         scan = emb.injectivity_scan(bas, grid_n=scan_n, rng=rng)
         rank_ok = True
         if bas.dim > 2 * model.n:
-            # one draw of 50 points reads the same PCG64 stream as 50 single draws;
-            # all 50 are drawn even when a rank check fails
+            # all 50 points in one draw (the stream of 50 single draws), whatever the ranks
             ranks = emb._rank_many(bas, rng.random((50, 2 * model.n)))
             rank_ok = bool(np.all(ranks == 2 * model.n))
         rows.append([k, wd.min_ratio, scan.min_fs_distance, scan.near_diagonal_alpha, int(rank_ok)])
@@ -493,7 +479,8 @@ def run(cfg: ExperimentConfig, experiments: tuple[str, ...] | None = None) -> Ru
     def _one(name):
         t0 = time.perf_counter()
         try:
-            rows, header, crit, probes = _EXP_FN[name](cfg, model, _LazyRng(cfg, name))
+            rng = Draws(cfg.seed + 1000 * EXPERIMENTS.index(name))
+            rows, header, crit, probes = _EXP_FN[name](cfg, model, rng)
             err = None
         except Exception as exc:   # noqa: BLE001 - isolate sibling experiments
             rows, header, probes, err = [], [], {}, _describe(exc)
@@ -520,7 +507,7 @@ def run(cfg: ExperimentConfig, experiments: tuple[str, ...] | None = None) -> Ru
     env = {
         "python": sys.version.split()[0],
         "numpy": np.__version__,
-        "platform": platform.platform(),
+        "platform": "{0.sysname}-{0.release}-{0.machine}".format(os.uname()),
         "seed": cfg.seed,
         "theta_eps": cfg.theta_eps,
         "k_ladder": list(cfg.k_ladder),

@@ -1,12 +1,30 @@
-"""Shared numerical helpers: least-squares line and power-law slope fits."""
+"""Shared numerical helpers: seeded draws, least-squares line and power-law slope fits."""
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SlopeFit", "fit_line", "fit_slope", "asymptotic_window"]
+__all__ = ["Draws", "SlopeFit", "fit_line", "fit_slope", "asymptotic_window"]
+
+
+class Draws:
+    """Seeded arrays from the stdlib random.Random, which, unlike numpy.random, loads no libcrypto."""
+
+    def __init__(self, seed: int):
+        self._uniform = random.Random(seed).random
+
+    def random(self, size) -> np.ndarray:
+        """Uniform [0, 1) values of shape size, filled in C order."""
+        return np.array([self._uniform() for _ in range(int(np.prod(size)))]).reshape(size)
+
+    def normal(self, size) -> np.ndarray:
+        """Box-Muller: each pair (u, v) of random() gives r cos(a), then r sin(a)."""
+        u, v = self.random(((int(np.prod(size)) + 1) // 2, 2)).T
+        r, a = np.sqrt(-2.0 * np.log1p(-u)), 2.0 * np.pi * v
+        return np.resize(np.stack([r * np.cos(a), r * np.sin(a)], axis=1), size)
 
 
 @dataclass(frozen=True)

@@ -262,8 +262,8 @@ class TestDifferential:
         emit_report(run(parse_config(cfg_path.read_text()), experiments=("embed",)), tmp_path)
         assert (tmp_path / "embed_scan.csv").read_text() == (
             "k,min_ratio,min_fs,alpha,rank_ok\n"
-            "4,0.98626893811761007,0.33420298317881558,0.70927114311388628,1\n"
-            "10,0.99999881755223496,0.54595119762724387,0.7628368642459803,1\n")
+            "4,0.98626893811761007,0.33420298317881558,0.60935989036592897,1\n"
+            "10,0.99999881755223496,0.54595119762724387,0.76282686569756208,1\n")
 
 
 class TestPullback:

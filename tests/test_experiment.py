@@ -19,7 +19,7 @@ from torusbergman.experiment import (
     parse_config,
     run,
 )
-from torusbergman.util import fit_line
+from torusbergman.util import Draws, fit_line
 
 MINIMAL = """
 factor = 0.0 1.0 -1
@@ -125,7 +125,7 @@ class TestParseConfig:
         assert any("key = value" in v[2] for v in err.value.violations)
 
     def test_negative_seed_and_empty_scan_grid_rejected_with_line(self):
-        # default_rng rejects a negative seed, and embed_grid_n < 1 left the
+        # random.Random(-s) repeats seed s's stream, and embed_grid_n < 1 left the
         # pullback grid empty, so A8 took its sup over the random cloud alone;
         # embed_grid_n = 1 leaves A7's FS scan one point, paired with itself
         for grid_n in (0, 1):
@@ -179,6 +179,37 @@ class TestFitLine:
         assert abs(fit.slope + 3.0) <= 1e-14
         assert abs(fit.intercept - 7.0) <= 1e-13
         assert fit.residual <= 1e-13
+
+
+class TestDraws:
+    def test_shapes_and_uniform_range(self):
+        d = Draws(3)
+        assert d.random(5).shape == (5,) and d.random((4, 3)).shape == (4, 3)
+        assert d.normal(size=7).shape == (7,) and d.normal((2, 5)).shape == (2, 5)
+        u = Draws(3).random((100, 4))
+        assert np.all((u >= 0) & (u < 1))
+
+    def test_same_seed_same_stream_distinct_seeds_distinct(self):
+        a, b = Draws(11), Draws(11)
+        assert a.random(6).tolist() == b.random(6).tolist()
+        assert a.normal(size=5).tolist() == b.normal(size=5).tolist()
+        assert Draws(11).random(6).tolist() != Draws(12).random(6).tolist()
+
+    def test_normal_moments(self):
+        # mean and variance of 10^4 standard normals within 5 standard errors
+        n = 10**4
+        x = Draws(5).normal(size=n)
+        assert abs(x.mean()) < 5 / np.sqrt(n)
+        assert abs(x.var() - 1) < 5 * np.sqrt(2 / n)
+
+    def test_injectivity_scan_default_rng_deterministic(self):
+        from torusbergman.basis import build_basis
+        from torusbergman.embedding import injectivity_scan
+
+        b = build_basis(parse_config(SMOKE).model, 4)
+        r1, r2 = injectivity_scan(b, grid_n=6), injectivity_scan(b, grid_n=6)
+        assert r1.near_diagonal_alpha == r2.near_diagonal_alpha
+        assert r1.min_fs_distance == r2.min_fs_distance
 
 
 def _cell_oracle(header, rows) -> bytes:
@@ -391,24 +422,33 @@ class TestRun:
         assert rep.passed, rep.criteria
         assert peak < 40_000_000
 
-    def test_generator_made_on_first_draw(self):
-        # a dims run draws nothing, so it never imports numpy.random (and the
-        # secrets / hmac / libcrypto modules behind it)
-        from torusbergman.experiment import _LazyRng
-
+    def test_generator_made_on_first_draw(self, tmp_path):
+        # a CLI run of every experiment draws from the stdlib generator, so it
+        # never imports numpy.random and the secrets / hmac / libcrypto modules
+        # behind it, nor subprocess (platform.platform() forks `uname -p`)
         src = str(Path(__file__).resolve().parents[1] / "src")
-        code = (f"import sys\nfrom torusbergman.experiment import parse_config, run\n"
-                f"assert run(parse_config({MINIMAL!r})).passed\n"
-                "print('numpy.random' in sys.modules)\n")
+        cfg_path = Path(__file__).resolve().parents[1] / "configs" / "sig11_smoke.cfg"
+        assert parse_config(cfg_path.read_text()).experiments == EXPERIMENTS
+        code = (f"import sys\nfrom torusbergman.cli import main\n"
+                f"assert main(['all', '--config', {str(cfg_path)!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+                "print([m for m in ('numpy.random', 'secrets', 'hmac', '_hashlib', 'subprocess')"
+                " if m in sys.modules])\n")
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": path}, timeout=120)
         assert proc.returncode == 0, proc.stderr[-2000:]
-        assert proc.stdout.split() == ["False"]
-        # the stream is the one default_rng gives the experiment's seed
-        cfg = parse_config(MINIMAL)
-        want = np.random.default_rng(cfg.seed + 1000 * EXPERIMENTS.index("embed")).random((3, 4))
-        assert _LazyRng(cfg, "embed").random((3, 4)).tolist() == want.tolist()
+        assert proc.stdout.splitlines()[-1] == "[]"
+        # the stream is random.Random's at the experiment's seed: the run's
+        # density probes, and the embed generator's first draws
+        import random
+
+        seed = parse_config(cfg_path.read_text()).seed
+        r = random.Random(seed + 1000 * EXPERIMENTS.index("density"))
+        probes = json.loads((tmp_path / "summary.json").read_text())["environment"]["probes"]
+        assert probes["density"] == [[r.random() for _ in range(4)] for _ in range(5)]
+        r = random.Random(seed + 1000 * EXPERIMENTS.index("embed"))
+        want = [[r.random() for _ in range(4)] for _ in range(3)]
+        assert Draws(seed + 1000 * EXPERIMENTS.index("embed")).random((3, 4)).tolist() == want
 
     def test_budget_warning_not_failure(self, smoke):
         cfg = parse_config(SMOKE + "budget_dims = 0.000001\n")
