@@ -143,9 +143,9 @@ class HarmonicBasis:
     indexed lexicographically by their per-factor member indices (`indices`).
     Every route a CLI run takes rests on this structure and reads factor
     tables (kernel, density and ratio profile, trace identity, density floor,
-    FS scan, A7's rank check, Segre pullback blocks); values and jets form the
-    (dim, P) product tables, which on several factors serve the public pullback
-    routes, the 24-point near-diagonal FS profile and the tests' oracles.
+    FS scan, A7's rank check, the pullback form's factor fields); values and
+    jets form the (dim, P) product tables, which on several factors serve only
+    the 24-point near-diagonal FS profile and the tests' oracles.
     """
 
     model: ProductModel
@@ -261,17 +261,13 @@ class HarmonicBasis:
         """
         return self._combine(self.factor_values(points))
 
-    def jets(self, points, second: bool = False) -> dict[str, np.ndarray]:
-        """Values and chart-coordinate derivatives of the weighted coefficients.
-
-        Returns val (dim, P), dz and dzb (n, dim, P) and, when second=True,
-        the block dzdzb (n, n, dim, P) of d/dz_a d/dzbar_b.
-        """
+    def jets(self, points) -> dict[str, np.ndarray]:
+        """Values and chart-coordinate derivatives of the weighted coefficients:
+        val (dim, P), dz and dzb (n, dim, P)."""
         pts = np.atleast_2d(self.model.check_point(points))
         zs = self.model.chart_z(pts)
         n = self.model.n
-        order = "d2" if second else "d1"
-        tabs = [self.factor_tables(t, zs[:, t], order) for t in range(n)]
+        tabs = [self.factor_tables(t, zs[:, t], "d1") for t in range(n)]
         val = self._combine([tabs[t]["v"] for t in range(n)])
         P = val.shape[1]
         dz = np.empty((n, self.dim, P), dtype=complex)
@@ -279,24 +275,7 @@ class HarmonicBasis:
         for a in range(n):
             dz[a] = self._combine([tabs[t]["z" if t == a else "v"] for t in range(n)])
             dzb[a] = self._combine([tabs[t]["zb" if t == a else "v"] for t in range(n)])
-        out = {"val": val, "dz": dz, "dzb": dzb}
-        if second:
-            dzdzb = np.empty((n, n, self.dim, P), dtype=complex)
-            for a in range(n):
-                for b in range(n):
-                    keys = []
-                    for t in range(n):
-                        if t == a == b:
-                            keys.append("zzb")
-                        elif t == a:
-                            keys.append("z")
-                        elif t == b:
-                            keys.append("zb")
-                        else:
-                            keys.append("v")
-                    dzdzb[a, b] = self._combine([tabs[t][keys[t]] for t in range(n)])
-            out["dzdzb"] = dzdzb
-        return out
+        return {"val": val, "dz": dz, "dzb": dzb}
 
 
 def orthonormalize(model: ProductModel, k: int, eps: float = 1e-12) -> HarmonicBasis:

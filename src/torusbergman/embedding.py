@@ -5,20 +5,21 @@ The map sends z to the projective class of the weighted J0-coefficient vector
 (g_0(z), ..., g_{d_k}(z)); the common positive weight drops out projectively,
 so this is the same point as the frame-coefficient lift and stays bounded.
 
-Two pullback routes are implemented.  The jacobian route pushes real tangent
-vectors through the full differential of the lift and evaluates the
-Fubini-Study form there; it is valid for arbitrary smooth maps and is treated
-as ground truth.  The ddbar route applies i/(2 pi k) del delbar to the log of
-the lift norm squared (equivalently omega plus the same operator on log of
-the density); the two agree for holomorphic maps and their gap on
+The basis is a tensor product, so the lift is the Segre composite of the
+factor lifts and (1/k) Phi_k* omega_FS is the sum of the factor forms: block
+t is [[0, f_t], [-f_t, 0]] with f_t a scalar field of z_t alone, and every
+cross-factor cell is exactly 0.  _factor_form evaluates f_t from the factor
+tables by one of two routes.  The jacobian route pushes real tangent vectors
+through the differential of the factor lift and evaluates the Fubini-Study
+form there; it is valid for arbitrary smooth maps and is treated as ground
+truth.  The ddbar route applies i/(2 pi k) del delbar to the log of the lift
+norm squared (equivalently omega plus the same operator on log of the
+density); the two agree for holomorphic maps and their gap on
 indefinite-signature models is reported as a measured diagnostic.
-
-Both routes run on any basis through pullback_jacobian_many and
-pullback_ddbar_many.  convergence_report (criterion A8) uses the Segre
-identity instead: the product lift is the Segre composite of the factor
-lifts, so the pulled-back form is block diagonal with block t the
-one-factor form at z_t, and it evaluates each block on a one-factor basis.
-A7's rank check (_rank_many) sums the one-factor ranks by the same identity.
+pullback_jacobian_many and pullback_ddbar_many write these fields into the
+(P, 2n, 2n) form, and convergence_report (criterion A8) keeps them as they
+are.  A7's rank check (_rank_many) sums the one-factor ranks by the same
+identity.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ __all__ = [
     "pullback_ddbar_many",
     "convergence_report",
     "derivative_sums",
-    "hermitian_to_real_form",
 ]
 
 
@@ -178,10 +178,8 @@ def injectivity_scan(basis: HarmonicBasis, grid_n: int = 64, rng=None) -> Inject
 
 @dataclass(frozen=True)
 class Differential:
-    lift: np.ndarray          # (dim,)
     partials: np.ndarray      # (2n, dim): chart real-coordinate partials
     rank: int
-    singular_values: np.ndarray
 
 
 _RANK_TOL = 1e-7    # a singular value counts toward the rank above this times max(largest, |lift|)
@@ -201,8 +199,7 @@ def _differential_many(basis: HarmonicBasis, pts) -> Differential:
     Mreal = np.concatenate([proj.real, proj.imag], axis=2)    # (P, 2n, 2*dim)
     sv = np.linalg.svd(Mreal, compute_uv=False)                # (P, 2n)
     tol = _RANK_TOL * np.maximum(sv.max(axis=1, initial=0.0), np.sqrt(nrm2))
-    return Differential(lift=w, partials=V, rank=np.sum(sv > tol[:, None], axis=1),
-                        singular_values=sv)
+    return Differential(partials=V, rank=np.sum(sv > tol[:, None], axis=1))
 
 
 def _rank_many(basis: HarmonicBasis, pts: np.ndarray) -> np.ndarray:
@@ -220,8 +217,7 @@ def differential(basis: HarmonicBasis, z) -> Differential:
     stacked real/imaginary parts.
     """
     d = _differential_many(basis, z)
-    return Differential(lift=d.lift[0], partials=d.partials[0], rank=int(d.rank[0]),
-                        singular_values=d.singular_values[0])
+    return Differential(partials=d.partials[0], rank=int(d.rank[0]))
 
 
 def _real_partials_many(jets):
@@ -235,78 +231,83 @@ def _real_partials_many(jets):
     return V
 
 
-def pullback_jacobian_many(basis: HarmonicBasis, pts) -> np.ndarray:
-    """(1/k) Phi* omega_FS at many points: array (P, 2n, 2n)."""
-    jets = basis.jets(np.atleast_2d(np.asarray(pts, dtype=float)))
-    w = jets["val"]                                   # (dim, P)
-    V = _real_partials_many(jets)                     # (2n, dim, P)
-    nrm2 = np.sum(np.abs(w) ** 2, axis=0)             # (P,)
-    vw = np.einsum("ajp,jp->ap", V, w.conj())         # <V_a, w>
-    vv = np.einsum("ajp,bjp->abp", V, V.conj())       # <V_a, V_b>
-    num = vw[:, None, :] * vw.conj()[None, :, :] - vv * nrm2[None, None, :]
-    F = np.imag(num) / (np.pi * nrm2[None, None, :] ** 2) / basis.k
-    F = 0.5 * (F - np.transpose(F, (1, 0, 2)))
-    return np.moveaxis(F, -1, 0)
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_j a_jp conj(b_jp) per point p."""
+    return np.einsum("jp,jp->p", a, b.conj())
 
 
-def hermitian_to_real_form(H: np.ndarray) -> np.ndarray:
-    """Real components of the 2-form i sum H_ab dz_a wedge dzbar_b.
+def _factor_form(basis: HarmonicBasis, t: int, u: np.ndarray, method: str) -> np.ndarray:
+    """Factor t's one-factor form (1/k) Phi_{k,t}* omega_FS at its lattice
+    coordinates u (U, 2): it is [[0, f], [-f, 0]] on (x_t, y_t), and this is f,
+    shape (U,), evaluated 512 points at a time.
 
-    Input H is the matrix of second derivatives d/dz_a d/dzbar_b (Hermitian
-    for a real potential), or a stack of them, shape (..., n, n); output is
-    the antisymmetric (..., 2n, 2n) matrix on the chart real coordinate frame
-    (x_1, y_1, ..., x_n, y_n).
+    method "jacobian": the Fubini-Study form on the real partials V of the
+    lift g, antisymmetrised.  "ddbar_log": omega_t + 2 Re(H) / (2 pi k), H the
+    complex Hessian of log Q, Q = sum_j |g_j|^2, by the full Wirtinger product
+    rule (the weighted coefficients are not holomorphic).
     """
-    H = np.asarray(H)
-    n = H.shape[-1]
-    u = np.array([1.0, 1j])                    # dz on (d/dx, d/dy); dzbar is its conjugate
-    M = H[..., :, None, :, None] * u[:, None, None] * u.conj()
-    M = M.reshape(H.shape[:-2] + (2 * n, 2 * n))
-    return (1j * (M - np.swapaxes(M, -1, -2))).real
+    tau = basis.factor_sets[t].factor.tau
+    c = omega_form(basis.model)[2 * t, 2 * t + 1]
+    out = np.empty(len(u))
+    for i0 in range(0, len(u), 512):
+        z = u[i0:i0 + 512, 0] + tau * u[i0:i0 + 512, 1]
+        tab = basis.factor_tables(t, z, "d1" if method == "jacobian" else "d2")
+        g, dz, dzb = tab["v"], tab["z"], tab["zb"]                         # (m, U)
+        Q = np.sum(np.abs(g) ** 2, axis=0)
+        if method == "jacobian":
+            V = np.stack([dz + dzb, 1j * (dz - dzb)])                       # (2, m, U)
+            vw = np.einsum("ajp,jp->ap", V, g.conj())                       # <V_a, g>
+            num = vw[:, None, :] * vw.conj()[None, :, :] - np.einsum("ajp,bjp->abp", V, V.conj()) * Q
+            F = np.imag(num) / (np.pi * Q ** 2) / basis.k
+            out[i0:i0 + 512] = 0.5 * (F[0, 1] - F[1, 0])
+        else:
+            dbQ = _dots(dzb, g) + _dots(dz, g).conj()
+            H = ((_dots(tab["zzb"], g) + _dots(dzb, dzb) + _dots(dz, dz) + _dots(g, tab["zzb"])) / Q
+                 - np.conj(dbQ) * dbQ / Q**2)
+            out[i0:i0 + 512] = c + 2.0 * H.real / (2.0 * np.pi * basis.k)
+    return out
+
+
+def _segre_form(basis: HarmonicBasis, pts, method: str) -> np.ndarray:
+    """(1/k) Phi* omega_FS at points (P, 2n): the Segre composite of the factor
+    forms, f_t in cell (2t, 2t+1), -f_t in (2t+1, 2t), every other cell 0."""
+    pts = np.atleast_2d(basis.model.check_point(pts))
+    n = basis.model.n
+    F = np.zeros((len(pts), 2 * n, 2 * n))
+    for t in range(n):
+        f = _factor_form(basis, t, pts[:, 2 * t:2 * t + 2], method)
+        F[:, 2 * t, 2 * t + 1] = f
+        F[:, 2 * t + 1, 2 * t] = -f
+    return F
+
+
+def pullback_jacobian_many(basis: HarmonicBasis, pts) -> np.ndarray:
+    """(1/k) Phi* omega_FS by the jacobian route at many points: (P, 2n, 2n)."""
+    return _segre_form(basis, pts, "jacobian")
 
 
 def pullback_ddbar_many(basis: HarmonicBasis, pts) -> np.ndarray:
-    """(1/k) Phi* omega_FS via the del-delbar route at many points: (P, 2n, 2n).
-
-    The complex Hessian of log Q for the non-holomorphic weighted coefficients
-    uses the full Wirtinger product rule; for holomorphic lifts it reduces to
-    the familiar rank-one formula.
-    """
-    model = basis.model
-    jets = basis.jets(np.atleast_2d(np.asarray(pts, dtype=float)), second=True)
-    g = jets["val"]                                        # (dim, P)
-    dz = jets["dz"]                                        # (n, dim, P)
-    dzb = jets["dzb"]
-    dzdzb = jets["dzdzb"]                                  # (n, n, dim, P)
-    Q = np.sum(np.abs(g) ** 2, axis=0)                     # (P,)
-    dbQ = (np.einsum("bjp,jp->bp", dzb, g.conj())
-           + np.einsum("bjp,jp->bp", dz, g.conj()).conj())
-    dQ = np.conj(dbQ)
-    t1 = np.einsum("abjp,jp->abp", dzdzb, g.conj())
-    t2 = np.einsum("bjp,ajp->abp", dzb, dzb.conj())
-    t3 = np.einsum("ajp,bjp->abp", dz, dz.conj())
-    t4 = np.einsum("jp,bajp->abp", g, dzdzb.conj())
-    H = (t1 + t2 + t3 + t4) / Q - dQ[:, None, :] * dbQ[None, :, :] / Q**2
-    return omega_form(model) + hermitian_to_real_form(np.moveaxis(H, -1, 0)) / (2.0 * np.pi * basis.k)
+    """(1/k) Phi* omega_FS by the del-delbar route at many points: (P, 2n, 2n)."""
+    return _segre_form(basis, pts, "ddbar_log")
 
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """E(k) per method, its fitted rates and, with keep_fields, the form fields.
+    """E(k) per method, its fitted rates and the form fields.
 
-    (1/k) Phi_k* omega_FS is block diagonal with block t depending on z_t
-    alone, so a field is kept as its factor blocks: fields[(method, k)][t]
-    is factor t's (U_t, 2, 2) block at the distinct z_t of the samples, grid
-    point p's block t is row grid_index[p, t] of it, and the cross-factor
-    cells are exactly 0.
+    (1/k) Phi_k* omega_FS is block diagonal, block t being [[0, f_t], [-f_t, 0]]
+    with f_t depending on z_t alone, so a field is kept as its factor scalars:
+    fields[(method, k)][t] is f_t at the distinct z_t of the samples, shape
+    (U_t,), grid point p's value is entry grid_index[p, t] of it, and the
+    cross-factor cells are exactly 0.
     """
     ks: np.ndarray
     errors: dict[str, np.ndarray]          # method -> E(k) sup errors
     slopes: dict[str, SlopeFit | None]    # top-half fit over the rungs above floor; None if < 4
     floor: float                           # float floor of E(k): 1e-12 * max(1, max|omega|)
-    grid: np.ndarray | None = None         # structured sample points, (P, 2n)
-    grid_index: np.ndarray | None = None   # (P, n): each grid point's row in its factor blocks
-    fields: dict | None = None             # (method, k) -> per-factor (U_t, 2, 2) blocks
+    grid: np.ndarray                       # structured sample points, (P, 2n)
+    grid_index: np.ndarray                 # (P, n): each grid point's entry in its factor fields
+    fields: dict                           # (method, k) -> per-factor (U_t,) fields f_t
 
 
 def _grid_points(model: ProductModel, grid_n: int) -> np.ndarray:
@@ -322,26 +323,10 @@ def _factor_points(pts: np.ndarray, n: int) -> tuple[list[np.ndarray], np.ndarra
     return [u for u, _ in found], np.stack([inv.reshape(-1) for _, inv in found], axis=1)
 
 
-def _form_blocks(basis: HarmonicBasis, method: str, uniq: list[np.ndarray]) -> list[np.ndarray]:
-    """(1/k) Phi* omega_FS one factor at a time: per factor t, the one-factor
-    form at the coordinates uniq[t], shape (U_t, 2, 2).
-
-    The product lift is the Segre composite of the factor lifts, so the form
-    is the sum of the factor forms: block (2t, 2t+1) of the product form is
-    the one-factor form at z_t, and the cross-factor blocks are exactly 0.
-    """
-    fn = pullback_jacobian_many if method == "jacobian" else pullback_ddbar_many
-    blocks = []
-    for f, u in zip(basis.model.factors, uniq):
-        one = HarmonicBasis(ProductModel((f,)), basis.k, basis.eps)
-        blocks.append(np.concatenate([fn(one, u[i0:i0 + 512]) for i0 in range(0, len(u), 512)]))
-    return blocks
-
-
-def convergence_report(model: ProductModel, ks, grid_n: int = 8, basis_builder=None,
-                       keep_fields: bool = False) -> ConvergenceReport:
+def convergence_report(model: ProductModel, ks, grid_n: int = 8, eps: float = 1e-12) -> ConvergenceReport:
     """Sup-norm errors E(k) = max |(1/k) Phi* omega_FS - omega| and fitted rates,
-    for both pullback routes ("jacobian" and "ddbar_log").
+    for both pullback routes ("jacobian" and "ddbar_log"), on the bases
+    basis.build_basis(model, k, eps=eps).
 
     The sup is taken over the structured grid plus a cloud of 128 points from
     a generator seeded with 7; the grid alone can alias the lattice-frequency
@@ -351,19 +336,15 @@ def convergence_report(model: ProductModel, ks, grid_n: int = 8, basis_builder=N
     fitted on the top half of the rungs whose E(k) is above the floor, and
     is None when fewer than 4 are.
 
-    The fields are built factor by factor: the product basis is a tensor
-    product, so Phi_k is the Segre composite of the factor lifts and
-    Phi_k* omega_FS = sum_t pr_t* Phi_{k,t}* omega_FS, block diagonal with
-    block t depending on z_t alone (for both routes, and for conjugate
-    factors too).  pullback_jacobian_many / pullback_ddbar_many run on each
-    one-factor basis at the distinct factor coordinates only; on the full
-    basis they are the oracle for this.  E(k) is the max over t of
-    max |block_t - omega_t|, since the cross-factor cells of the form and of
+    The fields are built factor by factor: _factor_form evaluates f_t at the
+    distinct factor coordinates only, and E(k) is the max over t of
+    max |f_t - omega_t|, since the cross-factor cells of the form and of
     omega are both exactly 0; no product-size field is formed.
+    pullback_jacobian_many / pullback_ddbar_many are the same fields written
+    into (P, 2n, 2n) forms.
     """
     from .basis import build_basis
 
-    build = basis_builder or (lambda k: build_basis(model, k))
     ks = np.asarray(list(ks), dtype=int)
     if len(ks) < 4:
         raise ValueError("need at least 4 ladder values")
@@ -372,15 +353,12 @@ def convergence_report(model: ProductModel, ks, grid_n: int = 8, basis_builder=N
     uniq, index = _factor_points(samples, model.n)
     w0 = omega_form(model)
     errors = {m: [] for m in ("jacobian", "ddbar_log")}
-    kept = {} if keep_fields else None
+    fields = {}
     for k in ks:
-        b = build(int(k))
+        b = build_basis(model, int(k), eps=eps)
         for m in errors:
-            blocks = _form_blocks(b, m, uniq)
-            if keep_fields:
-                kept[(m, int(k))] = blocks
-            errors[m].append(max(float(np.max(np.abs(block - w0[2 * t:2 * t + 2, 2 * t:2 * t + 2])))
-                                 for t, block in enumerate(blocks)))
+            fs = fields[(m, int(k))] = [_factor_form(b, t, u, m) for t, u in enumerate(uniq)]
+            errors[m].append(max(float(np.max(np.abs(f - w0[2 * t, 2 * t + 1]))) for t, f in enumerate(fs)))
     slopes = {}
     floor = 1e-12 * max(1.0, float(np.max(np.abs(w0))))
     for m in errors:
@@ -391,8 +369,8 @@ def convergence_report(model: ProductModel, ks, grid_n: int = 8, basis_builder=N
         i0 = asymptotic_window(int(live.sum()))
         slopes[m] = fit_slope(ks[live][i0:], e[live][i0:]) if live.sum() >= 4 else None
     return ConvergenceReport(ks=ks, errors={m: np.array(v) for m, v in errors.items()},
-                             slopes=slopes, floor=floor, grid=pts if keep_fields else None,
-                             grid_index=index[:len(pts)] if keep_fields else None, fields=kept)
+                             slopes=slopes, floor=floor, grid=pts, grid_index=index[:len(pts)],
+                             fields=fields)
 
 
 # -- directional derivative sums ---------------------------------------------

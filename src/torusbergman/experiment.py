@@ -10,7 +10,8 @@ Config files are plain key = value lines (``#`` comments allowed).  Keys:
     embed_grid_n  = 9                              (optional scan override)
     budget_<exp>  = 30.0                           (optional wall budget, s;
                                                     budget_all bounds the summed time)
-    probe_<name>  = a1 b1 a2 b2 ; a1 b1 a2 b2      (named point lists)
+    probe_<name>  = a1 b1 a2 b2 ; a1 b1 a2 b2      (point lists, 2 coordinates per factor;
+                                                    name one of density offdiag far ratio derivs)
 
 Outputs: one CSV per experiment plus summary.json mapping every enabled
 acceptance criterion to {criterion_id, description, measured, threshold,
@@ -36,7 +37,7 @@ import numpy as np
 from . import basis as basis_mod
 from . import embedding as emb
 from . import kernel as ker
-from .geometry import ProductModel, TorusFactor
+from .geometry import ProductModel, TorusFactor, omega as omega_form
 from .util import Draws, fit_slope
 
 __all__ = ["ExperimentConfig", "ConfigError", "RunReport", "parse_config", "run",
@@ -49,6 +50,7 @@ _SLOPE_MARGIN = 0.3     # A9: special-family growth slopes may exceed n by at mo
 _KNOWN_KEYS = {"factor", "k_ladder", "theta_eps", "seed", "experiments", "embed_grid_n"}
 _RETIRED_KEYS = {"grid_n", "gram_tol", "workers", "slope_margin"}   # accepted, ignored and warned about
 _INT_MIN = {"seed": 0, "embed_grid_n": 2}            # integer keys and their least value
+_PROBES = ("density", "offdiag", "far", "ratio", "derivs")    # the probe_<name> lists experiments read
 _CRITERIA_DESC = {
     "A1": "dimension law: k^n * prod|d_j| sections, full-rank Gram within 1e-9 of closed form",
     "A2": ("harmonicity: discrete Kodaira-Laplacian residual <= 1e-6 at grid {grid} "
@@ -92,6 +94,7 @@ def parse_config(text: str) -> ExperimentConfig:
     violations = []
     factors = []
     probes = {}
+    probe_lines = {}
     budgets = {}
     scalars = {}
     retired = []
@@ -125,12 +128,16 @@ def parse_config(text: str) -> ExperimentConfig:
             factors.append(TorusFactor(tau=complex(tre, tim), degree=deg))
         elif key.startswith("probe_"):
             name = key[len("probe_"):]
+            if name not in _PROBES:
+                violations.append((ln, key, f"unknown probe {name!r}; probes are {' '.join(_PROBES)}"))
+                continue
             try:
                 pts = [tuple(float(x) for x in chunk.split()) for chunk in val.split(";") if chunk.strip()]
             except ValueError:
                 violations.append((ln, key, f"non-numeric probe {val!r}"))
                 continue
             probes[name] = pts
+            probe_lines[name] = ln
         elif key.startswith("budget_"):
             name = key[len("budget_"):]
             if name not in EXPERIMENTS and name != "all":
@@ -170,6 +177,11 @@ def parse_config(text: str) -> ExperimentConfig:
 
     if not factors:
         violations.append((0, "factor", "at least one factor is required"))
+    for name, pts in probes.items():
+        counts = [len(pt) for pt in pts]
+        if factors and any(c != 2 * len(factors) for c in counts):
+            violations.append((probe_lines[name], f"probe_{name}",
+                               f"each point needs {2 * len(factors)} coordinates (2 per factor), got {counts}"))
     ladder = kw.get("k_ladder", ())
     if not ladder:
         violations.append((0, "k_ladder", "k_ladder is required"))
@@ -197,7 +209,6 @@ def parse_config(text: str) -> ExperimentConfig:
 class RunReport:
     criteria: list[dict]
     tables: dict[str, tuple[list[str], list[list]]]   # exp -> (header, rows); see _write_rows
-    wall: dict[str, float]
     warnings: list[str]
     environment: dict
 
@@ -374,12 +385,8 @@ def _exp_embed(cfg, model, rng):
 
 
 def _exp_pullback(cfg, model, rng):
-    from .geometry import omega as omega_form
-
     grid_n = cfg.embed_grid_n or (9 if model.n == 1 else 5)
-    rep = emb.convergence_report(
-        model, cfg.k_ladder, grid_n=grid_n, keep_fields=True,
-        basis_builder=lambda k: basis_mod.build_basis(model, k, eps=cfg.theta_eps))
+    rep = emb.convergence_report(model, cfg.k_ladder, grid_n=grid_n, eps=cfg.theta_eps)
     w0 = omega_form(model)
     n2 = 2 * model.n
     ia, ib = np.triu_indices(n2, 1)
@@ -387,12 +394,12 @@ def _exp_pullback(cfg, model, rng):
     rows = []          # one block per (method, k): the grid runs down its lines
     for m in rep.errors:
         for k in rep.ks:
-            blocks = rep.fields[(m, int(k))]
-            # cell f_{2t,2t+1} is factor t's block at the grid point; the cross-factor cells are exactly 0
-            cells = [IndexedColumn(blocks[a // 2][:, 0, 1], idx[a // 2]) if a % 2 == 0 and b == a + 1
+            fields = rep.fields[(m, int(k))]
+            # cell f_{2t,2t+1} is factor t's field at the grid point; the cross-factor cells are exactly 0
+            cells = [IndexedColumn(fields[a // 2], idx[a // 2]) if a % 2 == 0 and b == a + 1
                      else 0.0 for a, b in zip(ia, ib)]
-            err = np.max([np.max(np.abs(block - w0[2 * t:2 * t + 2, 2 * t:2 * t + 2]), axis=(1, 2))[i]
-                          for t, (block, i) in enumerate(zip(blocks, idx))], axis=0)
+            err = np.max([np.abs(f - w0[2 * t, 2 * t + 1])[i] for t, (f, i) in enumerate(zip(fields, idx))],
+                         axis=0)
             rows.append([rep.grid, int(k), m, *cells, err])
     # E(k) reaching the float floor by the last rung passes the rate check;
     # with < 4 rungs above the floor beta reads inf
@@ -423,31 +430,16 @@ def _exp_derivs(cfg, model, rng):
     bases = _bases(cfg, model)
     rep = emb.derivative_sums(bases, p)
     n = model.n
-    rows = []
-    special_ok = True
-    generic_ok = True
-    worst_gap = np.inf
-    for d, fam in rep.families.items():
-        sl = rep.slopes[d]
-        zero = d in rep.exact_zero
-        slope_val = float("nan") if zero else sl.slope
-        for k, s in zip(rep.ks, rep.sums[d]):
-            rows.append([d[0], fam, int(k), s, slope_val])
-        if fam == "special":
-            if not zero:
-                special_ok = special_ok and sl.slope <= n + _SLOPE_MARGIN
-        else:
-            generic_ok = generic_ok and (sl is not None and sl.slope >= n + 0.7)
-    for ds, fs in rep.families.items():
-        if fs != "special":
-            continue
-        for dg, fg in rep.families.items():
-            if fg != "generic":
-                continue
-            s_slope = -np.inf if ds in rep.exact_zero else rep.slopes[ds].slope
-            g_slope = rep.slopes[dg].slope if rep.slopes[dg] else -np.inf
-            worst_gap = min(worst_gap, g_slope - s_slope)
-    gap_ok = worst_gap >= 0.4
+    # an exact zero (no fit) reads slope -inf: it passes the special bound and
+    # fails the generic one; each factor has one direction of each family
+    slope = {d: rep.slopes[d].slope if rep.slopes[d] else -np.inf for d in rep.families}
+    rows = [[d[0], fam, int(k), s, float("nan") if d in rep.exact_zero else slope[d]]
+            for d, fam in rep.families.items() for k, s in zip(rep.ks, rep.sums[d])]
+    special = max(slope[d] for d, fam in rep.families.items() if fam == "special")
+    generic = min(slope[d] for d, fam in rep.families.items() if fam == "generic")
+    special_ok = special <= n + _SLOPE_MARGIN
+    generic_ok = generic >= n + 0.7
+    gap_ok = generic - special >= 0.4        # the least pairwise gap; nan (both -inf) fails
     ok = special_ok and generic_ok and gap_ok and rep.extremal_dev <= 1e-9
     crit = [_criterion("A9", rep.extremal_dev, 1e-9, ok)]
     return rows, ["t", "family", "k", "sum", "slope"], crit, {"derivs": [p.tolist()]}
@@ -515,8 +507,7 @@ def run(cfg: ExperimentConfig, experiments: tuple[str, ...] | None = None) -> Ru
         "probes": probes_used,
         "wall_seconds": {k: round(v, 3) for k, v in wall.items()},
     }
-    return RunReport(criteria=criteria, tables=tables, wall=wall,
-                     warnings=warnings, environment=env)
+    return RunReport(criteria=criteria, tables=tables, warnings=warnings, environment=env)
 
 
 _CSV_NAME = {"dims": "dims.csv", "density": "density.csv", "offdiag": "offdiag.csv",

@@ -8,20 +8,24 @@ is checked, the theta table one characteristic at a time, against which
 the stacked evaluation is checked, the normal-frame first jets straight
 from the theta table, against which the factor_tables route of
 derivative_sums is checked, the lift of one point as a projective point,
-the product form field spread from its factor blocks, against which the
+the product form field spread from its factor fields, against which the
 Segre route is checked on the full product basis, the kernel, density
 and ratio profile summed over the full product basis, against which their
 factor-by-factor routes are checked, a remixed basis that is not a tensor
 product, against which the pointwise routes' invariances are checked, the
 global weight, injectivity scale, curvature signature and geodesic distance
-of a model, against which charts and separations are checked, and the
-17-digit float text against which CSV cells are checked."""
+of a model, against which charts and separations are checked, the
+17-digit float text against which CSV cells are checked, and the pullback
+form by the general product-table route (second-order jets of the full
+product basis), against which the Segre composite of the factor fields is
+checked."""
 
 import numpy as np
 
 from torusbergman.basis import HarmonicBasis, default_resolution
-from torusbergman.embedding import ProjectivePoint
+from torusbergman.embedding import ProjectivePoint, _real_partials_many
 from torusbergman.geometry import VOLUME_NORMALIZATION, ProductModel, curvature_matrix, factor_volume
+from torusbergman.geometry import omega as omega_form
 from torusbergman.kernel import _segment_points
 from torusbergman.theta import _exponent, _windows, weighted_table
 
@@ -147,14 +151,109 @@ def phi(basis: HarmonicBasis, z) -> ProjectivePoint:
     return ProjectivePoint(homogeneous=basis.values(np.asarray(z, dtype=float))[:, 0])
 
 
-def expand_form_blocks(blocks: list[np.ndarray], index: np.ndarray) -> np.ndarray:
-    """The (P, 2n, 2n) product form field of per-factor (U_t, 2, 2) blocks:
-    point p's block t is blocks[t][index[p, t]], the cross-factor cells 0."""
-    n = len(blocks)
+def expand_form_fields(fields: list[np.ndarray], index: np.ndarray) -> np.ndarray:
+    """The (P, 2n, 2n) product form field of per-factor (U_t,) fields f_t:
+    point p's block t is [[0, f], [-f, 0]] with f = fields[t][index[p, t]],
+    the cross-factor cells 0."""
+    n = len(fields)
     out = np.zeros((len(index), 2 * n, 2 * n))
-    for t, block in enumerate(blocks):
-        out[:, 2 * t:2 * t + 2, 2 * t:2 * t + 2] = block[index[:, t]]
+    for t, f in enumerate(fields):
+        out[:, 2 * t, 2 * t + 1] = f[index[:, t]]
+        out[:, 2 * t + 1, 2 * t] = -f[index[:, t]]
     return out
+
+
+def product_jets(self, points, second: bool = False) -> dict[str, np.ndarray]:
+    """Values and chart-coordinate derivatives of the weighted coefficients.
+
+    Returns val (dim, P), dz and dzb (n, dim, P) and, when second=True,
+    the block dzdzb (n, n, dim, P) of d/dz_a d/dzbar_b.
+    """
+    pts = np.atleast_2d(self.model.check_point(points))
+    zs = self.model.chart_z(pts)
+    n = self.model.n
+    order = "d2" if second else "d1"
+    tabs = [self.factor_tables(t, zs[:, t], order) for t in range(n)]
+    val = self._combine([tabs[t]["v"] for t in range(n)])
+    P = val.shape[1]
+    dz = np.empty((n, self.dim, P), dtype=complex)
+    dzb = np.empty((n, self.dim, P), dtype=complex)
+    for a in range(n):
+        dz[a] = self._combine([tabs[t]["z" if t == a else "v"] for t in range(n)])
+        dzb[a] = self._combine([tabs[t]["zb" if t == a else "v"] for t in range(n)])
+    out = {"val": val, "dz": dz, "dzb": dzb}
+    if second:
+        dzdzb = np.empty((n, n, self.dim, P), dtype=complex)
+        for a in range(n):
+            for b in range(n):
+                keys = []
+                for t in range(n):
+                    if t == a == b:
+                        keys.append("zzb")
+                    elif t == a:
+                        keys.append("z")
+                    elif t == b:
+                        keys.append("zb")
+                    else:
+                        keys.append("v")
+                dzdzb[a, b] = self._combine([tabs[t][keys[t]] for t in range(n)])
+        out["dzdzb"] = dzdzb
+    return out
+
+
+def pullback_jacobian_many(basis: HarmonicBasis, pts) -> np.ndarray:
+    """(1/k) Phi* omega_FS at many points: array (P, 2n, 2n)."""
+    jets = basis.jets(np.atleast_2d(np.asarray(pts, dtype=float)))
+    w = jets["val"]                                   # (dim, P)
+    V = _real_partials_many(jets)                     # (2n, dim, P)
+    nrm2 = np.sum(np.abs(w) ** 2, axis=0)             # (P,)
+    vw = np.einsum("ajp,jp->ap", V, w.conj())         # <V_a, w>
+    vv = np.einsum("ajp,bjp->abp", V, V.conj())       # <V_a, V_b>
+    num = vw[:, None, :] * vw.conj()[None, :, :] - vv * nrm2[None, None, :]
+    F = np.imag(num) / (np.pi * nrm2[None, None, :] ** 2) / basis.k
+    F = 0.5 * (F - np.transpose(F, (1, 0, 2)))
+    return np.moveaxis(F, -1, 0)
+
+
+def hermitian_to_real_form(H: np.ndarray) -> np.ndarray:
+    """Real components of the 2-form i sum H_ab dz_a wedge dzbar_b.
+
+    Input H is the matrix of second derivatives d/dz_a d/dzbar_b (Hermitian
+    for a real potential), or a stack of them, shape (..., n, n); output is
+    the antisymmetric (..., 2n, 2n) matrix on the chart real coordinate frame
+    (x_1, y_1, ..., x_n, y_n).
+    """
+    H = np.asarray(H)
+    n = H.shape[-1]
+    u = np.array([1.0, 1j])                    # dz on (d/dx, d/dy); dzbar is its conjugate
+    M = H[..., :, None, :, None] * u[:, None, None] * u.conj()
+    M = M.reshape(H.shape[:-2] + (2 * n, 2 * n))
+    return (1j * (M - np.swapaxes(M, -1, -2))).real
+
+
+def pullback_ddbar_many(basis: HarmonicBasis, pts) -> np.ndarray:
+    """(1/k) Phi* omega_FS via the del-delbar route at many points: (P, 2n, 2n).
+
+    The complex Hessian of log Q for the non-holomorphic weighted coefficients
+    uses the full Wirtinger product rule; for holomorphic lifts it reduces to
+    the familiar rank-one formula.
+    """
+    model = basis.model
+    jets = product_jets(basis, np.atleast_2d(np.asarray(pts, dtype=float)), second=True)
+    g = jets["val"]                                        # (dim, P)
+    dz = jets["dz"]                                        # (n, dim, P)
+    dzb = jets["dzb"]
+    dzdzb = jets["dzdzb"]                                  # (n, n, dim, P)
+    Q = np.sum(np.abs(g) ** 2, axis=0)                     # (P,)
+    dbQ = (np.einsum("bjp,jp->bp", dzb, g.conj())
+           + np.einsum("bjp,jp->bp", dz, g.conj()).conj())
+    dQ = np.conj(dbQ)
+    t1 = np.einsum("abjp,jp->abp", dzdzb, g.conj())
+    t2 = np.einsum("bjp,ajp->abp", dzb, dzb.conj())
+    t3 = np.einsum("ajp,bjp->abp", dz, dz.conj())
+    t4 = np.einsum("jp,bajp->abp", g, dzdzb.conj())
+    H = (t1 + t2 + t3 + t4) / Q - dQ[:, None, :] * dbQ[None, :, :] / Q**2
+    return omega_form(model) + hermitian_to_real_form(np.moveaxis(H, -1, 0)) / (2.0 * np.pi * basis.k)
 
 
 def product_density(basis: HarmonicBasis, points) -> np.ndarray:
@@ -189,9 +288,9 @@ class RemixedBasis:
     def values(self, points) -> np.ndarray:
         return self._U @ self._basis.values(points)
 
-    def jets(self, points, second: bool = False) -> dict[str, np.ndarray]:
+    def jets(self, points) -> dict[str, np.ndarray]:
         # U acts on the section axis, second to last in every jet array
-        return {key: np.matmul(self._U, v) for key, v in self._basis.jets(points, second).items()}
+        return {key: np.matmul(self._U, v) for key, v in self._basis.jets(points).items()}
 
 
 def global_weight(model: ProductModel, z) -> np.ndarray:

@@ -3,8 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from _oracles import (RemixedBasis, evaluate_combination, expand_form_blocks, normal_frame_first_jets, phi,
-                      project_coefficients)
+import _oracles
+from _oracles import (RemixedBasis, evaluate_combination, expand_form_fields, hermitian_to_real_form,
+                      normal_frame_first_jets, phi, project_coefficients)
 from torusbergman.basis import HarmonicBasis, build_basis
 from torusbergman.embedding import (
     ProjectivePoint,
@@ -16,7 +17,6 @@ from torusbergman.embedding import (
     injectivity_scan,
     pullback_ddbar_many,
     pullback_jacobian_many,
-    hermitian_to_real_form,
     well_defined_check,
 )
 from torusbergman.experiment import parse_config, run
@@ -180,15 +180,21 @@ class TestFactorRoutesMatchProductGrid:
         want = float(np.sum(density(b, pts))) * dv
         assert trace_density(b, self.N) == pytest.approx(want, rel=1e-12, abs=0)
 
-    def test_remixed_basis_refused(self, product_grid):
+    def test_remixed_basis_refused(self, product_grid, monkeypatch):
         # a remixed basis is no tensor product: the factor routes cannot read it
+        from torusbergman import basis as basis_mod
+
         b = product_grid[0]
         fake = RemixedBasis(b, haar_unitary(b.dim, np.random.default_rng(4)))
         for route in (well_defined_check, injectivity_scan, trace_density):
             with pytest.raises(AttributeError):
                 route(fake, self.N)
+        for route in (pullback_jacobian_many, pullback_ddbar_many):
+            with pytest.raises(AttributeError):
+                route(fake, np.array([0.3, 0.1, 0.7, 0.2]))
+        monkeypatch.setattr(basis_mod, "build_basis", lambda model, k, eps=1e-12: fake)
         with pytest.raises(AttributeError):
-            convergence_report(b.model, [3, 4, 5, 6], grid_n=2, basis_builder=lambda k: fake)
+            convergence_report(b.model, [3, 4, 5, 6], grid_n=2)
 
 
 class TestDifferential:
@@ -289,7 +295,7 @@ class TestPullback:
         U = haar_unitary(b.dim, rng)
         z = np.array([0.21, 0.67])
         F0 = pullback_jacobian_many(b, z)[0]
-        F1 = pullback_jacobian_many(RemixedBasis(b, U), z)[0]
+        F1 = _oracles.pullback_jacobian_many(RemixedBasis(b, U), z)[0]   # the product route reads any basis
         assert np.max(np.abs(F0 - F1)) < 1e-12
 
     def test_projective_gauge_invariance(self):
@@ -443,24 +449,27 @@ class TestConvergence:
         (((1j, -2), (0.25 + 1.5j, 1)), (4, 8, 12, 16), 4),
     ])
     def test_factor_fields_match_product_route(self, factors, ks, grid_n):
-        # the Segre identity: the kept factor blocks, and blocks made at a
-        # cloud, spread to product fields against pullback_*_many on the full
-        # product basis
-        from torusbergman.embedding import _factor_points, _form_blocks
+        # the Segre identity: the kept factor fields, fields made at a cloud,
+        # and the public pullback_*_many at the cloud, against the product
+        # route on the full product basis (tests/_oracles.py)
+        from torusbergman.embedding import _factor_form, _factor_points
 
         m = ProductModel.from_factors([TorusFactor(tau, d) for tau, d in factors])
         n2 = 2 * m.n
         cross = np.arange(n2)[:, None] // 2 != np.arange(n2)[None, :] // 2
-        rep = convergence_report(m, ks, grid_n=grid_n, keep_fields=True)
+        rep = convergence_report(m, ks, grid_n=grid_n)
         cloud = np.random.default_rng(3).random((40, n2))
         uniq, index = _factor_points(cloud, m.n)
-        product = {"jacobian": pullback_jacobian_many, "ddbar_log": pullback_ddbar_many}
+        routes = {"jacobian": (pullback_jacobian_many, _oracles.pullback_jacobian_many),
+                  "ddbar_log": (pullback_ddbar_many, _oracles.pullback_ddbar_many)}
         for k in ks:
             b = build_basis(m, k)
-            for method, fn in product.items():
-                for pts, field in ((rep.grid, expand_form_blocks(rep.fields[(method, k)], rep.grid_index)),
-                                   (cloud, expand_form_blocks(_form_blocks(b, method, uniq), index))):
-                    want = np.concatenate([fn(b, pts[i:i + 128]) for i in range(0, len(pts), 128)])
+            for method, (public, product) in routes.items():
+                made = [_factor_form(b, t, u, method) for t, u in enumerate(uniq)]
+                for pts, field in ((rep.grid, expand_form_fields(rep.fields[(method, k)], rep.grid_index)),
+                                   (cloud, expand_form_fields(made, index)),
+                                   (cloud, public(b, cloud))):
+                    want = np.concatenate([product(b, pts[i:i + 128]) for i in range(0, len(pts), 128)])
                     assert np.max(np.abs(field - want)) <= 1e-12, (method, k)
                     assert np.all(field[:, cross] == 0.0)
 
@@ -472,13 +481,13 @@ class TestConvergence:
         convergence_report(m, ks[:4], grid_n=2)       # warm the imports and caches
         tracemalloc.start()
         try:
-            rep = convergence_report(m, ks, grid_n=8, keep_fields=True)
+            rep = convergence_report(m, ks, grid_n=8)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2e6, peak
         assert rep.grid_index.shape == (8**4, 2)
-        assert all(b.shape == (64 + 128, 2, 2) for b in rep.fields[("ddbar_log", 16)])
+        assert all(f.shape == (64 + 128,) for f in rep.fields[("ddbar_log", 16)])
 
     def test_factor_points_sorted_once_per_factor(self, monkeypatch):
         # one np.unique per factor for the whole report, not one per
@@ -496,13 +505,15 @@ class TestConvergence:
         convergence_report(model(-1, 1), [4, 6, 8, 10], grid_n=3)
         assert calls == [0, 0]
 
-    def test_nonmonotone_errors_detected(self):
-        # builder that scrambles the ladder produces increasing E(k)
+    def test_nonmonotone_errors_detected(self, monkeypatch):
+        # a build_basis that scrambles the ladder produces increasing E(k)
+        from torusbergman import basis as basis_mod
+
         m = model(-1)
         scramble = {4: 12, 6: 4, 8: 8, 10: 6}
+        monkeypatch.setattr(basis_mod, "build_basis", lambda model, k, eps=1e-12: build_basis(model, scramble[k]))
         with pytest.raises(RuntimeError):
-            convergence_report(m, [4, 6, 8, 10], grid_n=5,
-                               basis_builder=lambda k: build_basis(m, scramble[k]))
+            convergence_report(m, [4, 6, 8, 10], grid_n=5)
 
 
 class TestDerivativeSums:

@@ -134,6 +134,24 @@ class TestParseConfig:
             assert {v[:2] for v in err.value.violations} == {(4, "seed"), (6, "embed_grid_n")}
         assert parse_config(MINIMAL.replace("seed = 7", "seed = 0") + "embed_grid_n = 2\n").seed == 0
 
+    @pytest.mark.parametrize("line, problem", [
+        ("probe_far = 0.1 0.2 0.3 ; 0.4 0.5 0.6", "got [3, 3]"),
+        ("probe_derivs = 0.1", "got [1]"),
+        ("probe_density = 0.1 0.2 ; 0.3", "got [2, 1]"),
+        ("probe_offdaig = 0.1 0.2 ; 0.3 0.4", "unknown probe 'offdaig'"),
+    ])
+    def test_bad_probe_rejected_with_line(self, line, problem, tmp_path, capsys):
+        # each of these used to pass the validator: the first three then failed
+        # their experiment with a ValueError, and the misspelt name was ignored
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL + line + "\n")
+        ((ln, key, msg),) = err.value.violations
+        assert (ln, key) == (6, line.split()[0]) and problem in msg
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(MINIMAL + line + "\n")
+        assert cli_main(["all", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert f"line 6: [{key}]" in capsys.readouterr().err
+
     def test_bad_scalar_value_reported(self):
         with pytest.raises(ConfigError) as err:
             parse_config(MINIMAL.replace("seed = 7", "seed = seven"))
@@ -297,7 +315,7 @@ class TestRun:
         # first row's types, so it reuses a cached template
         rows = [[v] + values for v in values] + [[0.25] + values]
         header = [f"c{i}" for i in range(len(rows[0]))]
-        rep = RunReport(criteria=[], tables={"dims": (header, rows)}, wall={}, warnings=[],
+        rep = RunReport(criteria=[], tables={"dims": (header, rows)}, warnings=[],
                         environment={})
         emit_report(rep, tmp_path)
         want = "".join(",".join(line) + "\n" for line in [header] + [map(_cell, r) for r in rows])
@@ -312,7 +330,7 @@ class TestRun:
 
         block = np.random.default_rng(0).random((64, 13)).tolist()
         rep = RunReport(criteria=[], tables={"pullback": ([f"c{i}" for i in range(13)], block * 896)},
-                        wall={}, warnings=[], environment={})
+                        warnings=[], environment={})
         tracemalloc.start()
         try:
             emit_report(rep, tmp_path)
@@ -337,7 +355,7 @@ class TestRun:
                 [rng.choice(edge, (5, 4)), rng.choice(edge, 5)],
                 [np.empty((0, 2)), "empty block"]]
         header = [f"c{i}" for i in range(12)]
-        rep = RunReport(criteria=[], tables={"pullback": (header, rows)}, wall={}, warnings=[],
+        rep = RunReport(criteria=[], tables={"pullback": (header, rows)}, warnings=[],
                         environment={})
         emit_report(rep, tmp_path)
         assert (tmp_path / "pullback.csv").read_bytes() == _cell_oracle(header, rows)
@@ -347,7 +365,7 @@ class TestRun:
 
         block = [np.zeros(3), 4, np.zeros((4, 2))]
         rep = RunReport(criteria=[], tables={"pullback": (["a", "k", "b0", "b1"], [block])},
-                        wall={}, warnings=[], environment={})
+                        warnings=[], environment={})
         with pytest.raises(ValueError, match="unequal lengths"):
             emit_report(rep, tmp_path)
 
@@ -372,7 +390,7 @@ class TestRun:
                          np.stack([f[0][i], zero, zero, zero, zero, f[1][j]], axis=1),
                          np.maximum(e[0][i], e[1][j])])
         rep = RunReport(criteria=[], tables={"pullback": ([f"c{i}" for i in range(13)], rows)},
-                        wall={}, warnings=[], environment={})
+                        warnings=[], environment={})
         tracemalloc.start()
         try:
             emit_report(rep, tmp_path)
@@ -388,6 +406,20 @@ class TestRun:
         emit_report(rep, tmp_path)
         header, rows = rep.tables["pullback"]
         assert (tmp_path / "pullback.csv").read_bytes() == _cell_oracle(header, rows)
+
+    def test_smoke_pullback_bytes_and_a8_pinned(self, tmp_path):
+        # pullback.csv and A8's rate on the smoke config, as written when A8
+        # evaluated each factor's form on a one-factor HarmonicBasis through the
+        # product-table route; the factor fields reproduce them bit for bit
+        import hashlib
+
+        cfg = parse_config((Path(__file__).parent.parent / "configs" / "sig11_smoke.cfg").read_text())
+        rep = run(cfg, experiments=("pullback",))
+        emit_report(rep, tmp_path)
+        assert hashlib.sha256((tmp_path / "pullback.csv").read_bytes()).hexdigest() == (
+            "c33a143b77baa27c43aef23d86fea43e5b4562a46a41bd2b53c6394b6b87bd7a")
+        (a8,) = rep.criteria
+        assert a8["pass"] and a8["measured"] == 9.155627425575709
 
     def test_pullback_blocks_are_block_diagonal(self):
         cfg = parse_config(SMOKE.replace("dims density offdiag", "pullback") + "embed_grid_n = 3\n")
@@ -406,6 +438,33 @@ class TestRun:
                     assert cell.values.dtype == np.float64
                 else:             # cross-factor cells
                     assert type(cell) is float and cell == 0.0
+
+    @pytest.mark.parametrize("special, generic, passed", [
+        (None, 2.5, True),      # special sums exactly zero: the gap is inf
+        (None, None, False),    # generic fit missing too: the gap is nan, and generic_ok fails
+        (1.0, None, False),     # a missing generic fit counts as slope -inf
+        (1.3, 1.7, False),      # both slope bounds hold, but 1.7 - 1.3 rounds below 0.4
+        (1.0, 1.8, True),
+    ])
+    def test_a9_verdict_with_exact_zeros_and_missing_fits(self, monkeypatch, special, generic, passed):
+        # A9's gap is min(generic slopes) - max(special slopes); the verdict is
+        # the one of the smallest pairwise gap, which skipped a nan pair
+        from torusbergman import embedding as emb
+        from torusbergman.util import SlopeFit
+
+        slopes = {(0, "L"): special, (0, "Lbar"): generic}
+
+        def fake(bases, p):
+            ks = np.array([b.k for b in bases], dtype=float)
+            return emb.DerivativeReport(
+                ks=ks, sums={d: np.zeros(len(ks)) for d in slopes},
+                families={(0, "L"): "special", (0, "Lbar"): "generic"},
+                slopes={d: None if v is None else SlopeFit(v, 0.0, 0.0) for d, v in slopes.items()},
+                exact_zero={d for d, v in slopes.items() if v is None}, extremal_dev=0.0)
+
+        monkeypatch.setattr(emb, "derivative_sums", fake)
+        (a9,) = run(parse_config(MINIMAL.replace("experiments = dims", "experiments = derivs"))).criteria
+        assert a9["criterion_id"] == "A9" and a9["pass"] is passed
 
     def test_frontier_ladder_memory(self):
         # signature (1,2) to k = 36 (dim 46,656): A6 and A7's rank check go factor
@@ -463,7 +522,10 @@ class TestRun:
         assert not run(smoke, experiments=("dims",)).warnings
 
     def test_failed_experiment_recorded_not_raised(self):
-        cfg = parse_config(SMOKE + "probe_offdiag = 0.1 0.2 ; 0.3\n")  # wrong length
+        # the validator refuses a wrong-length probe, so it is set past parse_config
+        from dataclasses import replace
+
+        cfg = replace(parse_config(SMOKE), probes={"offdiag": [(0.1, 0.2), (0.3,)]})  # wrong length
         rep = run(cfg, experiments=("offdiag", "dims"))
         assert not rep.passed
         assert any("offdiag" in w for w in rep.warnings)
@@ -513,8 +575,9 @@ class TestCli:
                          "--out", str(tmp_path / "out")]) == 2
 
     def test_exit_one_on_failed_criterion(self, tmp_path):
+        # a valid probe pair 0.3 apart, too far for A4's quadratic separation law
         cfg = tmp_path / "fail.cfg"
-        cfg.write_text(SMOKE + "probe_offdiag = 0.1 0.2 ; 0.3\n")
+        cfg.write_text(SMOKE + "probe_offdiag = 0.1 0.1 0.1 0.1 ; 0.4 0.1 0.1 0.1\n")
         assert cli_main(["offdiag", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
 
     def test_all_runs_config_experiments(self, tmp_path):
