@@ -8,8 +8,8 @@ so this is the same point as the frame-coefficient lift and stays bounded.
 The basis is a tensor product, so the lift is the Segre composite of the
 factor lifts and (1/k) Phi_k* omega_FS is the sum of the factor forms: block
 t is [[0, f_t], [-f_t, 0]] with f_t a scalar field of z_t alone, and every
-cross-factor cell is exactly 0.  _factor_form evaluates f_t from the factor
-tables by one of two routes.  The jacobian route pushes real tangent vectors
+cross-factor cell is exactly 0.  _factor_forms evaluates f_t by two routes
+from one factor table.  The jacobian route pushes real tangent vectors
 through the differential of the factor lift and evaluates the Fubini-Study
 form there; it is valid for arbitrary smooth maps and is treated as ground
 truth.  The ddbar route applies i/(2 pi k) del delbar to the log of the lift
@@ -236,10 +236,11 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("jp,jp->p", a, b.conj())
 
 
-def _factor_form(basis: HarmonicBasis, t: int, u: np.ndarray, method: str) -> np.ndarray:
+def _factor_forms(basis: HarmonicBasis, t: int, u: np.ndarray, methods) -> dict[str, np.ndarray]:
     """Factor t's one-factor form (1/k) Phi_{k,t}* omega_FS at its lattice
-    coordinates u (U, 2): it is [[0, f], [-f, 0]] on (x_t, y_t), and this is f,
-    shape (U,), evaluated 512 points at a time.
+    coordinates u (U, 2): it is [[0, f], [-f, 0]] on (x_t, y_t), and this maps
+    each route in methods to its f, shape (U,), both read from one factor
+    table per 512 points ("d1" and "d2" share v, z and zb bit for bit).
 
     method "jacobian": the Fubini-Study form on the real partials V of the
     lift g, antisymmetrised.  "ddbar_log": omega_t + 2 Re(H) / (2 pi k), H the
@@ -248,23 +249,23 @@ def _factor_form(basis: HarmonicBasis, t: int, u: np.ndarray, method: str) -> np
     """
     tau = basis.factor_sets[t].factor.tau
     c = omega_form(basis.model)[2 * t, 2 * t + 1]
-    out = np.empty(len(u))
+    out = {m: np.empty(len(u)) for m in methods}
     for i0 in range(0, len(u), 512):
         z = u[i0:i0 + 512, 0] + tau * u[i0:i0 + 512, 1]
-        tab = basis.factor_tables(t, z, "d1" if method == "jacobian" else "d2")
+        tab = basis.factor_tables(t, z, "d2" if "ddbar_log" in out else "d1")
         g, dz, dzb = tab["v"], tab["z"], tab["zb"]                         # (m, U)
         Q = np.sum(np.abs(g) ** 2, axis=0)
-        if method == "jacobian":
+        if "jacobian" in out:
             V = np.stack([dz + dzb, 1j * (dz - dzb)])                       # (2, m, U)
             vw = np.einsum("ajp,jp->ap", V, g.conj())                       # <V_a, g>
             num = vw[:, None, :] * vw.conj()[None, :, :] - np.einsum("ajp,bjp->abp", V, V.conj()) * Q
             F = np.imag(num) / (np.pi * Q ** 2) / basis.k
-            out[i0:i0 + 512] = 0.5 * (F[0, 1] - F[1, 0])
-        else:
+            out["jacobian"][i0:i0 + 512] = 0.5 * (F[0, 1] - F[1, 0])
+        if "ddbar_log" in out:
             dbQ = _dots(dzb, g) + _dots(dz, g).conj()
             H = ((_dots(tab["zzb"], g) + _dots(dzb, dzb) + _dots(dz, dz) + _dots(g, tab["zzb"])) / Q
                  - np.conj(dbQ) * dbQ / Q**2)
-            out[i0:i0 + 512] = c + 2.0 * H.real / (2.0 * np.pi * basis.k)
+            out["ddbar_log"][i0:i0 + 512] = c + 2.0 * H.real / (2.0 * np.pi * basis.k)
     return out
 
 
@@ -275,7 +276,7 @@ def _segre_form(basis: HarmonicBasis, pts, method: str) -> np.ndarray:
     n = basis.model.n
     F = np.zeros((len(pts), 2 * n, 2 * n))
     for t in range(n):
-        f = _factor_form(basis, t, pts[:, 2 * t:2 * t + 2], method)
+        f = _factor_forms(basis, t, pts[:, 2 * t:2 * t + 2], (method,))[method]
         F[:, 2 * t, 2 * t + 1] = f
         F[:, 2 * t + 1, 2 * t] = -f
     return F
@@ -319,8 +320,14 @@ def _grid_points(model: ProductModel, grid_n: int) -> np.ndarray:
 def _factor_points(pts: np.ndarray, n: int) -> tuple[list[np.ndarray], np.ndarray]:
     """Per factor t, the distinct coordinates z_t among pts; and each point's
     row in them, shape (len(pts), n)."""
-    found = [np.unique(pts[:, 2 * t:2 * t + 2], axis=0, return_inverse=True) for t in range(n)]
-    return [u for u, _ in found], np.stack([inv.reshape(-1) for _, inv in found], axis=1)
+    uniq, index = [], np.empty((len(pts), n), dtype=np.intp)
+    for t in range(n):
+        order = np.lexsort((pts[:, 2 * t + 1], pts[:, 2 * t]))    # by x_t, then y_t: np.unique's row order
+        s = pts[order, 2 * t:2 * t + 2]
+        new = np.r_[True, np.any(s[1:] != s[:-1], axis=1)]        # a row differing from the one before
+        uniq.append(s[new])
+        index[order, t] = np.cumsum(new) - 1
+    return uniq, index
 
 
 def convergence_report(model: ProductModel, ks, grid_n: int = 8, eps: float = 1e-12) -> ConvergenceReport:
@@ -336,9 +343,9 @@ def convergence_report(model: ProductModel, ks, grid_n: int = 8, eps: float = 1e
     fitted on the top half of the rungs whose E(k) is above the floor, and
     is None when fewer than 4 are.
 
-    The fields are built factor by factor: _factor_form evaluates f_t at the
-    distinct factor coordinates only, and E(k) is the max over t of
-    max |f_t - omega_t|, since the cross-factor cells of the form and of
+    The fields are built factor by factor: _factor_forms evaluates f_t by both
+    routes at the distinct factor coordinates only, and E(k) is the max over t
+    of max |f_t - omega_t|, since the cross-factor cells of the form and of
     omega are both exactly 0; no product-size field is formed.
     pullback_jacobian_many / pullback_ddbar_many are the same fields written
     into (P, 2n, 2n) forms.
@@ -356,8 +363,9 @@ def convergence_report(model: ProductModel, ks, grid_n: int = 8, eps: float = 1e
     fields = {}
     for k in ks:
         b = build_basis(model, int(k), eps=eps)
+        forms = [_factor_forms(b, t, u, tuple(errors)) for t, u in enumerate(uniq)]
         for m in errors:
-            fs = fields[(m, int(k))] = [_factor_form(b, t, u, m) for t, u in enumerate(uniq)]
+            fs = fields[(m, int(k))] = [f[m] for f in forms]
             errors[m].append(max(float(np.max(np.abs(f - w0[2 * t, 2 * t + 1]))) for t, f in enumerate(fs)))
     slopes = {}
     floor = 1e-12 * max(1.0, float(np.max(np.abs(w0))))

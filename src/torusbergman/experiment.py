@@ -51,6 +51,7 @@ _KNOWN_KEYS = {"factor", "k_ladder", "theta_eps", "seed", "experiments", "embed_
 _RETIRED_KEYS = {"grid_n", "gram_tol", "workers", "slope_margin"}   # accepted, ignored and warned about
 _INT_MIN = {"seed": 0, "embed_grid_n": 2}            # integer keys and their least value
 _PROBES = ("density", "offdiag", "far", "ratio", "derivs")    # the probe_<name> lists experiments read
+_PAIR_PROBES = ("offdiag", "far", "ratio")                     # read as a pair (x, y): 2 points at least
 _CRITERIA_DESC = {
     "A1": "dimension law: k^n * prod|d_j| sections, full-rank Gram within 1e-9 of closed form",
     "A2": ("harmonicity: discrete Kodaira-Laplacian residual <= 1e-6 at grid {grid} "
@@ -182,6 +183,9 @@ def parse_config(text: str) -> ExperimentConfig:
         if factors and any(c != 2 * len(factors) for c in counts):
             violations.append((probe_lines[name], f"probe_{name}",
                                f"each point needs {2 * len(factors)} coordinates (2 per factor), got {counts}"))
+        if name in _PAIR_PROBES and len(pts) < 2:
+            violations.append((probe_lines[name], f"probe_{name}",
+                               f"a pair probe needs at least 2 points, got {len(pts)}"))
     ladder = kw.get("k_ladder", ())
     if not ladder:
         violations.append((0, "k_ladder", "k_ladder is required"))
@@ -224,7 +228,7 @@ def _bases(cfg: ExperimentConfig, model, ks=None):
 def _probe_pair(probes, model, rng, shift):
     """(x, y): a probe list's first two points, else a random y and x = y + shift
     reduced to the torus (drawn only then)."""
-    if probes and len(probes) >= 2:
+    if probes:
         return np.array(probes[0], dtype=float), np.array(probes[1], dtype=float)
     y = model.reduce(rng.random(2 * model.n))
     return model.reduce(y + shift), y
@@ -344,7 +348,6 @@ def _exp_far(cfg, model, rng):
 
 
 def _exp_ratio(cfg, model, rng):
-    # a present but short probe_ratio falls back to the default pair, not to probe_offdiag
     x, y = _probe_pair(cfg.probes.get("ratio") or cfg.probes.get("offdiag"), model, rng,
                        0.1 * np.eye(2 * model.n)[0])
     k20 = 20 if 20 in cfg.k_ladder else max(cfg.k_ladder)
@@ -390,17 +393,21 @@ def _exp_pullback(cfg, model, rng):
     w0 = omega_form(model)
     n2 = 2 * model.n
     ia, ib = np.triu_indices(n2, 1)
-    idx = rep.grid_index.T
+    # the grid is the product of the factor grids: line p holds pair p // s % q of factor t (q = grid_n^2,
+    # s = q^(n-1-t)), and that factor's pair r sits on line r s, whose grid_index row holds its field entry
+    q, line = grid_n ** 2, np.arange(len(rep.grid))
+    strides = list(enumerate(q ** np.arange(model.n - 1, -1, -1)))
+    grid = [IndexedColumn(rep.grid[:q * s:s, 2 * t:2 * t + 2], line // s % q) for t, s in strides]
+    entry = [rep.grid_index[:q * s:s, t] for t, s in strides]
     rows = []          # one block per (method, k): the grid runs down its lines
     for m in rep.errors:
         for k in rep.ks:
-            fields = rep.fields[(m, int(k))]
+            fields = [f[e] for f, e in zip(rep.fields[(m, int(k))], entry)]      # at the grid pairs
             # cell f_{2t,2t+1} is factor t's field at the grid point; the cross-factor cells are exactly 0
-            cells = [IndexedColumn(fields[a // 2], idx[a // 2]) if a % 2 == 0 and b == a + 1
+            cells = [IndexedColumn(fields[a // 2], grid[a // 2].index) if a % 2 == 0 and b == a + 1
                      else 0.0 for a, b in zip(ia, ib)]
-            err = np.max([np.abs(f - w0[2 * t, 2 * t + 1])[i] for t, (f, i) in enumerate(zip(fields, idx))],
-                         axis=0)
-            rows.append([rep.grid, int(k), m, *cells, err])
+            err = np.max([np.abs(f - w)[g.index] for f, w, g in zip(fields, np.diag(w0, 1)[::2], grid)], axis=0)
+            rows.append([*grid, int(k), m, *cells, err])
     # E(k) reaching the float floor by the last rung passes the rate check;
     # with < 4 rungs above the floor beta reads inf
     e_dd = rep.errors["ddbar_log"]
@@ -517,18 +524,14 @@ _CSV_NAME = {"dims": "dims.csv", "density": "density.csv", "offdiag": "offdiag.c
 
 @dataclass(frozen=True)
 class IndexedColumn:
-    """A block column kept as values and an index, line p reading values[index[p]];
-    it slices like a (P,) array, so _write_block gathers it chunk by chunk."""
+    """A block column kept as values, (U,) or (U, c), and an index, line p
+    reading values[index[p]]; _write_block formats its values once per block."""
 
     values: np.ndarray
     index: np.ndarray
-    ndim = 1
 
     def __len__(self) -> int:
         return len(self.index)
-
-    def __getitem__(self, lines):
-        return self.values[self.index[lines]]
 
 
 _COLUMN = (np.ndarray, IndexedColumn)      # the float columns of a block
@@ -546,29 +549,43 @@ def _cell(v) -> str:
 _CHUNK = 1024     # block lines formatted together
 
 
+def _texts(X: np.ndarray) -> np.ndarray:
+    """The '%.17g' text of each entry of X (U,), or of each row of X (U, c) with
+    its cells joined by commas: an object array of U strings."""
+    return np.array([",".join(["%.17g" % x for x in r]) if isinstance(r, list) else "%.17g" % r
+                     for r in X.astype(np.float64, copy=False).tolist()], dtype=object)
+
+
 def _write_block(fh, row) -> None:
     """Write a block: its float columns, of shape (P,) or (P, c), run down P lines
-    and its scalar cells repeat on each.  Per chunk each distinct float is
-    formatted once; a pullback cell depends on one factor coordinate, so few are."""
-    arrays, where, scalars = [], [], []
-    width = 0
+    and its scalar cells repeat on each.  Each column gives a line one piece of
+    text, read through an index from a text table: an IndexedColumn's table is
+    formatted once per block; a plain (P,) column's (a (P, c) array is c such
+    columns) once per chunk, from its distinct bit patterns.  The scalar cells
+    are folded into the table of the column before them, or of the first one."""
+    cols, lead = [], ""             # cols: [column, prefix, suffix]; a piece ends in the separator after it
     for v in row:
         if isinstance(v, _COLUMN):
-            arrays.append(v)
-            width += 1 if v.ndim == 1 else v.shape[1]
+            cols += [[x, "", ","] for x in (v.T if isinstance(v, np.ndarray) and v.ndim == 2 else [v])]
+        elif cols:
+            cols[-1][2] += _cell(v) + ","
         else:
-            where.append(width)
-            scalars.append(_cell(v))
-    lengths = {len(a) for a in arrays}
+            lead += _cell(v) + ","
+    lengths = {len(c) for c, _, _ in cols}
     if len(lengths) != 1:
         raise ValueError(f"block arrays have unequal lengths {sorted(lengths)}")
-    for lo in range(0, lengths.pop(), _CHUNK):
-        X = np.column_stack([a[lo:lo + _CHUNK] for a in arrays]).astype(np.float64, copy=False)
-        # unique bit patterns keep -0.0 apart from 0.0 and every NaN payload apart
-        bits, inv = np.unique(X.view(np.uint64), return_inverse=True)
-        texts = np.array(["%.17g" % x for x in bits.view(np.float64).tolist()], dtype=object)
-        lines = np.insert(texts[inv.reshape(X.shape)], where, scalars, axis=1)
-        fh.write("\n".join(map(",".join, lines.tolist())) + "\n")
+    cols[0][1], cols[-1][2] = lead, cols[-1][2][:-1] + "\n"
+    tables = [pre + _texts(c.values) + suf if isinstance(c, IndexedColumn) else None for c, pre, suf in cols]
+    P, w = lengths.pop(), len(cols)
+    for lo in range(0, P, _CHUNK):
+        text = [None] * (w * min(_CHUNK, P - lo))      # the chunk's pieces, line by line
+        for j, ((c, pre, suf), table) in enumerate(zip(cols, tables)):
+            if table is None:       # unique bit patterns keep -0.0 apart from 0.0 and every NaN payload apart
+                bits, i = np.unique(c[lo:lo + _CHUNK].astype(np.float64).view(np.uint64), return_inverse=True)
+                text[j::w] = (pre + _texts(bits.view(np.float64)) + suf)[i].tolist()
+            else:
+                text[j::w] = table[c.index[lo:lo + _CHUNK]].tolist()
+        fh.write("".join(text))
 
 
 def _write_rows(fh, rows) -> None:

@@ -452,7 +452,7 @@ class TestConvergence:
         # the Segre identity: the kept factor fields, fields made at a cloud,
         # and the public pullback_*_many at the cloud, against the product
         # route on the full product basis (tests/_oracles.py)
-        from torusbergman.embedding import _factor_form, _factor_points
+        from torusbergman.embedding import _factor_forms, _factor_points
 
         m = ProductModel.from_factors([TorusFactor(tau, d) for tau, d in factors])
         n2 = 2 * m.n
@@ -465,7 +465,7 @@ class TestConvergence:
         for k in ks:
             b = build_basis(m, k)
             for method, (public, product) in routes.items():
-                made = [_factor_form(b, t, u, method) for t, u in enumerate(uniq)]
+                made = [_factor_forms(b, t, u, (method,))[method] for t, u in enumerate(uniq)]
                 for pts, field in ((rep.grid, expand_form_fields(rep.fields[(method, k)], rep.grid_index)),
                                    (cloud, expand_form_fields(made, index)),
                                    (cloud, public(b, cloud))):
@@ -490,20 +490,75 @@ class TestConvergence:
         assert all(f.shape == (64 + 128,) for f in rep.fields[("ddbar_log", 16)])
 
     def test_factor_points_sorted_once_per_factor(self, monkeypatch):
-        # one np.unique per factor for the whole report, not one per
+        # one sort per factor for the whole report, not one per
         # (method, rung, factor): here 2 instead of 2 * 4 * 2
         from torusbergman import embedding
 
         calls = []
-        unique = np.unique
+        lexsort = np.lexsort
 
         def counting(*args, **kwargs):
-            calls.append(kwargs.get("axis"))
-            return unique(*args, **kwargs)
+            calls.append(len(args[0]))
+            return lexsort(*args, **kwargs)
 
-        monkeypatch.setattr(embedding.np, "unique", counting)
+        monkeypatch.setattr(embedding.np, "lexsort", counting)
         convergence_report(model(-1, 1), [4, 6, 8, 10], grid_n=3)
-        assert calls == [0, 0]
+        assert calls == [2, 2]
+
+    @pytest.mark.parametrize("n, grid_n", [(1, 9), (2, 3), (2, 8)])
+    def test_factor_points_match_unique_rows(self, n, grid_n):
+        # the lexsort path against the np.unique(axis=0) it replaced: the grid
+        # repeats each factor point, and the cloud adds repeats of its own
+        from torusbergman.embedding import _factor_points, _grid_points
+
+        rng = np.random.default_rng(n)
+        grid = _grid_points(model(*[1] * n), grid_n)
+        cloud = rng.random((64, 2 * n))
+        pts = np.concatenate([grid, cloud, cloud[::3], grid[::7]])
+        uniq, index = _factor_points(pts, n)
+        assert index.shape == (len(pts), n)
+        for t in range(n):
+            want, inv = np.unique(pts[:, 2 * t:2 * t + 2], axis=0, return_inverse=True)
+            assert uniq[t].tobytes() == want.tobytes()
+            assert np.array_equal(index[:, t], inv.reshape(-1))
+
+    @pytest.mark.parametrize("factors, k, U", [
+        (((0.3 + 1.1j, -1),), 6, 40),                         # n = 1, d < 0, Re tau != 0
+        (((1j, -1), (0.25 + 1.5j, 2)), 5, 40),                # n = 2, d < 0 and d > 0
+        (((-0.2 + 0.9j, 1), (1j, -2)), 4, 1100),              # U > 512: three chunks
+    ])
+    def test_shared_table_fields_match_single_method(self, factors, k, U):
+        # both routes from one "d2" table per chunk, against each route on its
+        # own (the jacobian one reading a "d1" table), bit for bit
+        from torusbergman.embedding import _factor_forms
+
+        m = ProductModel.from_factors([TorusFactor(tau, d) for tau, d in factors])
+        b = build_basis(m, k)
+        u = np.random.default_rng(U).random((U, 2))
+        for t in range(m.n):
+            both = _factor_forms(b, t, u, ("jacobian", "ddbar_log"))
+            assert list(both) == ["jacobian", "ddbar_log"]
+            for method, f in both.items():
+                alone = _factor_forms(b, t, u, (method,))[method]
+                assert f.shape == (U,) and f.tobytes() == alone.tobytes()
+
+    def test_one_table_per_rung_factor_and_chunk(self, monkeypatch):
+        # convergence_report asks for each factor's table once per rung and
+        # 512-point chunk, with both routes reading it: grid 20 gives each
+        # factor 400 grid and 128 cloud points, a chunk of 512 and one of 16
+        from torusbergman import basis as basis_mod
+
+        calls = []
+        table = basis_mod.weighted_table
+
+        def counting(m, tau, z, orders=0, eps=1e-12):
+            calls.append((m, len(z), orders))
+            return table(m, tau, z, orders=orders, eps=eps)
+
+        monkeypatch.setattr(basis_mod, "weighted_table", counting)
+        ks = [4, 6, 8, 10]
+        convergence_report(model(-1, 1), ks, grid_n=20)
+        assert calls == [(k, size, 1) for k in ks for _ in range(2) for size in (512, 16)]
 
     def test_nonmonotone_errors_detected(self, monkeypatch):
         # a build_basis that scrambles the ladder produces increasing E(k)

@@ -139,10 +139,14 @@ class TestParseConfig:
         ("probe_derivs = 0.1", "got [1]"),
         ("probe_density = 0.1 0.2 ; 0.3", "got [2, 1]"),
         ("probe_offdaig = 0.1 0.2 ; 0.3 0.4", "unknown probe 'offdaig'"),
+        ("probe_offdiag = 0.1 0.2", "at least 2 points, got 1"),
+        ("probe_far = 0.1 0.2", "at least 2 points, got 1"),
+        ("probe_ratio = 0.1 0.2 ;", "at least 2 points, got 1"),
     ])
     def test_bad_probe_rejected_with_line(self, line, problem, tmp_path, capsys):
         # each of these used to pass the validator: the first three then failed
-        # their experiment with a ValueError, and the misspelt name was ignored
+        # their experiment with a ValueError, the misspelt name was ignored,
+        # and a one-point pair probe was replaced by a random pair
         with pytest.raises(ConfigError) as err:
             parse_config(MINIMAL + line + "\n")
         ((ln, key, msg),) = err.value.violations
@@ -348,12 +352,22 @@ class TestRun:
                                np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)])
         rng = np.random.default_rng(5)
         P = 2 * _CHUNK + 5       # two full chunks and a short one
+        shared = rng.integers(0, 6, P)
         rows = [[1, "x", 0.25, True],
                 [rng.choice(edge, (P, 3)), 7, "m", True, 1 + 2j, np.complex128(0.5 - 1j),
                  rng.choice(edge, P), np.float32(0.1), rng.choice(edge, (P, 1))],
                 [np.float64(-0.0), np.int64(3), "y", 2j],
                 [rng.choice(edge, (5, 4)), rng.choice(edge, 5)],
-                [np.empty((0, 2)), "empty block"]]
+                [np.empty((0, 2)), "empty block"],
+                # a 2-D IndexedColumn, and scalars before the first column
+                [2, "lead", np.float64(0.5), IndexedColumn(rng.choice(edge, (7, 3)), rng.integers(0, 7, P)),
+                 rng.choice(edge, P)],
+                # scalars between two columns and after the last one
+                [rng.choice(edge, P), 4, "mid", IndexedColumn(rng.choice(edge, 9), rng.integers(0, 9, P)),
+                 0.0, 0.0, rng.choice(edge, (P, 2)), -0.0, "tail", 3j],
+                # two IndexedColumns sharing an index, with and without scalars between them
+                [IndexedColumn(rng.choice(edge, (6, 2)), shared), IndexedColumn(rng.choice(edge, 6), shared),
+                 "k", IndexedColumn(rng.choice(edge, 6), shared), rng.choice(edge, (P, 5))]]
         header = [f"c{i}" for i in range(12)]
         rep = RunReport(criteria=[], tables={"pullback": (header, rows)}, warnings=[],
                         environment={})
@@ -421,21 +435,43 @@ class TestRun:
         (a8,) = rep.criteria
         assert a8["pass"] and a8["measured"] == 9.155627425575709
 
+    def test_sig11_embed_pullback_bytes_pinned(self, tmp_path):
+        # configs/sig11_embed.cfg's pullback.csv (6,250 lines on grid 5 and
+        # ladder 4..12) as written before the per-block text tables
+        import hashlib
+
+        cfg = parse_config((Path(__file__).parent.parent / "configs" / "sig11_embed.cfg").read_text())
+        emit_report(run(cfg, experiments=("pullback",)), tmp_path)
+        text = (tmp_path / "pullback.csv").read_bytes()
+        assert text.count(b"\n") == 6251
+        assert hashlib.sha256(text).hexdigest() == (
+            "bb899fcb20bd88f1f47ad923f0bb23bb15fb1fdaecd31391bb4d378e8d965e23")
+
     def test_pullback_blocks_are_block_diagonal(self):
+        from torusbergman.embedding import convergence_report
+
         cfg = parse_config(SMOKE.replace("dims density offdiag", "pullback") + "embed_grid_n = 3\n")
         rep = run(cfg)
         assert rep.passed, rep.criteria
+        conv = convergence_report(cfg.model, cfg.k_ladder, grid_n=3)
         header, blocks = rep.tables["pullback"]
-        assert sum(len(b[0]) for b in blocks) == 2 * 4 * 3 ** 4
+        assert len(blocks) == 2 * 4 and header[:6] == ["z0", "z1", "z2", "z3", "k", "method"]
         own = [header.index(h) - header.index("f01") for h in ("f01", "f23")]
-        for grid, k, method, *comps, err in blocks:
+        for g0, g1, k, method, *comps, err in blocks:
             assert type(k) is int and type(method) is str
-            assert grid.dtype == err.dtype == np.float64
-            assert grid.shape[1] + 2 + len(comps) + 1 == len(header)
+            assert err.dtype == np.float64 and err.shape == (3 ** 4,)
+            assert 2 * 2 + 2 + len(comps) + 1 == len(header)
+            # factor t's grid coordinates: its 3^2 pairs, gathered through each line's row
+            for t, g in enumerate((g0, g1)):
+                assert isinstance(g, IndexedColumn) and g.values.shape == (3 ** 2, 2)
+                assert g.values[g.index].tobytes() == conv.grid[:, 2 * t:2 * t + 2].tobytes()
             for c, cell in enumerate(comps):
                 if c in own:      # factor t's form values, gathered through its grid index
-                    assert isinstance(cell, IndexedColumn) and len(cell) == len(grid) == len(err)
+                    t = own.index(c)
+                    assert isinstance(cell, IndexedColumn) and len(cell) == len(err)
                     assert cell.values.dtype == np.float64
+                    want = conv.fields[(method, k)][t][conv.grid_index[:, t]]
+                    assert cell.values[cell.index].tobytes() == want.tobytes()
                 else:             # cross-factor cells
                     assert type(cell) is float and cell == 0.0
 
