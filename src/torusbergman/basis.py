@@ -25,10 +25,10 @@ half-offset lattice grid, summed over a by discrete orthogonality
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as iproduct
 from math import prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,8 +54,7 @@ class GramError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class FactorSectionSet:
+class FactorSectionSet(NamedTuple):
     """Raw basis of the harmonic space on one factor at power k."""
 
     factor: TorusFactor
@@ -76,14 +75,12 @@ def theta_gram_diagonal(level: int, im_tau: float) -> float:
     return float(np.sqrt(2.0 * im_tau / level))
 
 
-@dataclass(frozen=True)
 class GramMatrix:
-    entries: np.ndarray
-    quadrature_resolution: int
-    estimated_quadrature_error: float | None = None
+    """A quadrature Gram, checked Hermitian and positive definite on construction."""
 
-    def __post_init__(self):
-        G = self.entries
+    def __init__(self, entries: np.ndarray, quadrature_resolution: int,
+                 estimated_quadrature_error: float | None = None):
+        G = entries
         herm = np.max(np.abs(G - G.conj().T))
         if herm > 1e-12 * max(1.0, np.max(np.abs(G))):
             raise GramError(f"Gram not Hermitian: deviation {herm:.3e}")
@@ -93,6 +90,8 @@ class GramMatrix:
                 f"Gram not positive definite (min eig {w.min():.3e}); "
                 "quadrature too coarse or dependent sections"
             )
+        self.entries, self.quadrature_resolution = entries, quadrature_resolution
+        self.estimated_quadrature_error = estimated_quadrature_error
 
 
 def default_resolution(level: int, im_tau: float = 1.0) -> int:
@@ -134,7 +133,6 @@ def gram(basis: HarmonicBasis, resolution: int | None = None) -> GramMatrix:
                       estimated_quadrature_error=est)
 
 
-@dataclass(frozen=True)
 class HarmonicBasis:
     """Orthonormal basis of the harmonic space at power k, kept in factored form.
 
@@ -148,13 +146,10 @@ class HarmonicBasis:
     the 24-point near-diagonal FS profile and the tests' oracles.
     """
 
-    model: ProductModel
-    k: int
-    eps: float = 1e-12
-
-    def __post_init__(self):
-        if self.k <= 0:
+    def __init__(self, model: ProductModel, k: int, eps: float = 1e-12):
+        if k <= 0:
             raise ValueError("tensor power k must be positive")
+        self.model, self.k, self.eps = model, k, eps
 
     @cached_property
     def factor_sets(self) -> tuple[FactorSectionSet, ...]:
@@ -361,9 +356,9 @@ def harmonicity_residual(model: ProductModel, k: int, index: tuple[int, ...],
 
     The Kodaira Laplacian of the product metric splits across factors, so a
     tensor-product section is harmonic exactly when each factor member is.
+    A member's residual depends only on (tau, |degree|, member), since
+    _padded_member evaluates the level k|d|, so each distinct one is
+    evaluated once.
     """
-    res = 0.0
-    for t, f in enumerate(model.factors):
-        r = factor_harmonicity_residual(f, k, index[t], grid_n=grid_n)
-        res = max(res, r["laplacian"])
-    return res
+    distinct = {(f.tau, abs(f.degree), j): (f, j) for f, j in zip(model.factors, index)}
+    return max(factor_harmonicity_residual(f, k, j, grid_n=grid_n)["laplacian"] for f, j in distinct.values())

@@ -4,7 +4,7 @@
 
 where <experiment> is one of dims, density, offdiag, far, ratio, embed,
 pullback, derivs, or all.  `all` runs the config's enabled experiment list;
-a named subcommand runs exactly that experiment.  Exit code is 0 iff every
+a named experiment runs exactly that experiment.  Exit code is 0 iff every
 criterion evaluated in the run passed.
 """
 
@@ -21,11 +21,9 @@ from .experiment import EXPERIMENTS, ConfigError, emit_report, parse_config, run
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="torus-bergman",
                                      description="flat-torus Bergman kernel experiment suites")
-    sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in EXPERIMENTS + ("all",):
-        p = sub.add_parser(name, help=f"run the {name} suite")
-        p.add_argument("--config", required=True, help="experiment config file")
-        p.add_argument("--out", required=True, help="output directory for CSV/JSON reports")
+    parser.add_argument("experiment", choices=EXPERIMENTS + ("all",), help="the suite to run")
+    parser.add_argument("--config", required=True, help="experiment config file")
+    parser.add_argument("--out", required=True, help="output directory for CSV/JSON reports")
     args = parser.parse_args(argv)
 
     try:

@@ -24,7 +24,7 @@ identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,14 +47,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class ProjectivePoint:
-    homogeneous: np.ndarray
-
-    def __post_init__(self):
-        n = np.linalg.norm(self.homogeneous)
+    def __init__(self, homogeneous: np.ndarray):
+        n = np.linalg.norm(homogeneous)
         if not np.isfinite(n) or n < 1e-300:
             raise ValueError("projective point needs a nonzero homogeneous vector")
+        self.homogeneous = homogeneous
 
 
 def fs_distance(a: ProjectivePoint, b: ProjectivePoint) -> float:
@@ -70,8 +68,7 @@ def fs_distance(a: ProjectivePoint, b: ProjectivePoint) -> float:
     return float(np.arctan2(np.linalg.norm(perp), abs(c)))
 
 
-@dataclass(frozen=True)
-class WellDefinedReport:
+class WellDefinedReport(NamedTuple):
     min_ratio: float
     passed: bool
 
@@ -90,8 +87,7 @@ def well_defined_check(basis: HarmonicBasis, grid_n: int = 32) -> WellDefinedRep
     return WellDefinedReport(min_ratio=ratio, passed=bool(ratio >= 0.5))
 
 
-@dataclass(frozen=True)
-class InjectivityReport:
+class InjectivityReport(NamedTuple):
     min_fs_distance: float
     near_diagonal_alpha: float
     near_diagonal: list[tuple[float, float]]     # (sqrt(k)*delta_g, fs distance)
@@ -176,8 +172,7 @@ def injectivity_scan(basis: HarmonicBasis, grid_n: int = 64, rng=None) -> Inject
                              near_diagonal=near, offending_pair=offender)
 
 
-@dataclass(frozen=True)
-class Differential:
+class Differential(NamedTuple):
     partials: np.ndarray      # (2n, dim): chart real-coordinate partials
     rank: int
 
@@ -292,8 +287,7 @@ def pullback_ddbar_many(basis: HarmonicBasis, pts) -> np.ndarray:
     return _segre_form(basis, pts, "ddbar_log")
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     """E(k) per method, its fitted rates and the form fields.
 
     (1/k) Phi_k* omega_FS is block diagonal, block t being [[0, f_t], [-f_t, 0]]
@@ -384,8 +378,7 @@ def convergence_report(model: ProductModel, ks, grid_n: int = 8, eps: float = 1e
 # -- directional derivative sums ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class DerivativeReport:
+class DerivativeReport(NamedTuple):
     ks: np.ndarray
     sums: dict[tuple[int, str], np.ndarray]     # (t, "L"|"Lbar") -> values over k
     families: dict[tuple[int, str], str]        # "special" | "generic"

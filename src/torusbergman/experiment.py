@@ -209,12 +209,11 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError([(0, "-", str(exc))])
 
 
-@dataclass
 class RunReport:
-    criteria: list[dict]
-    tables: dict[str, tuple[list[str], list[list]]]   # exp -> (header, rows); see _write_rows
-    warnings: list[str]
-    environment: dict
+    def __init__(self, criteria: list[dict], tables: dict[str, tuple[list[str], list[list]]],
+                 warnings: list[str], environment: dict):
+        self.criteria, self.warnings, self.environment = criteria, warnings, environment
+        self.tables = tables        # exp -> (header, rows); see _write_rows
 
     @property
     def passed(self) -> bool:
@@ -522,13 +521,12 @@ _CSV_NAME = {"dims": "dims.csv", "density": "density.csv", "offdiag": "offdiag.c
              "pullback": "pullback.csv", "derivs": "derivatives.csv"}
 
 
-@dataclass(frozen=True)
 class IndexedColumn:
     """A block column kept as values, (U,) or (U, c), and an index, line p
     reading values[index[p]]; _write_block formats its values once per block."""
 
-    values: np.ndarray
-    index: np.ndarray
+    def __init__(self, values: np.ndarray, index: np.ndarray):
+        self.values, self.index = values, index
 
     def __len__(self) -> int:
         return len(self.index)

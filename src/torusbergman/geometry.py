@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -161,8 +162,7 @@ def omega(model: ProductModel, p=None) -> np.ndarray:
     return w
 
 
-@dataclass(frozen=True)
-class NormalChart:
+class NormalChart(NamedTuple):
     """Chart and gauge centered at a point p.
 
     In the frame 1_p = exp(g_p) * 1_global the power-k weight is exactly

@@ -5,14 +5,16 @@ finite sum P(x,y) = sum_j g_j(x) conj(g_j(y)) over the orthonormal basis of
 weighted coefficients g_j; its diagonal is the local density of states.  The
 basis is a tensor product, so kernel, density and ratio profile are products
 of their factor values, read one factor table at a time through
-HarmonicBasis.factor_values (cost grows with sum_t m_t, not dim).  The
+HarmonicBasis.factor_values (cost grows with sum_t m_t, not dim); the decay
+checks read P(x,y), P(x,x) and P(y,y) from one table per factor.  The
 comparison model is the quadratic-phase Gaussian e^{ik Psi} b0 k^n, which on
 flat models is the exact local behavior up to lattice-periodization terms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +39,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class KernelSample:
+class KernelSample(NamedTuple):
     """One localized kernel value between the rank-one J0 form fibers."""
 
     value: complex
@@ -50,11 +51,30 @@ class KernelSample:
         return self.value * self.gauge_x * np.conj(self.gauge_y)
 
 
+def _kernel_pair(basis: HarmonicBasis, x, y) -> tuple[complex, float, float]:
+    """P(x,y), P(x,x) and P(y,y), all from one basis.factor_values table per
+    factor: the products over factors of sum_j g_tj(x_t) conj(g_tj(y_t)) and
+    of the factor densities."""
+    tabs = basis.factor_values(np.stack([np.asarray(x, dtype=float), np.asarray(y, dtype=float)]))
+    pxx, pyy = np.prod([np.sum(np.abs(v) ** 2, axis=0) for v in tabs], axis=0)
+    return complex(np.prod([np.sum(v[:, 0] * np.conj(v[:, 1])) for v in tabs])), float(pxx), float(pyy)
+
+
 def kernel(basis: HarmonicBasis, x, y) -> KernelSample:
     """P_{k,J0,J0}(x,y) in the global trivialization: the product over
     factors of sum_j g_tj(x_t) conj(g_tj(y_t)), from basis.factor_values."""
-    tabs = basis.factor_values(np.stack([np.asarray(x, dtype=float), np.asarray(y, dtype=float)]))
-    return KernelSample(value=complex(np.prod([np.sum(v[:, 0] * np.conj(v[:, 1])) for v in tabs])))
+    return KernelSample(value=_kernel_pair(basis, x, y)[0])
+
+
+def _in_chart(basis: HarmonicBasis, chart: NormalChart, x, y, value: complex) -> KernelSample:
+    """The kernel value P(x,y) with the gauges exp(-i k Im g_p(u)) of `chart`
+    at x and y, covering-space lattice coordinates on the same chart branch."""
+    model = basis.model
+    ux = model.chart_z(np.asarray(x, float)) - chart.z0
+    uy = model.chart_z(np.asarray(y, float)) - chart.z0
+    gx = np.exp(-1j * np.imag(chart.gauge(ux, basis.k)))
+    gy = np.exp(-1j * np.imag(chart.gauge(uy, basis.k)))
+    return KernelSample(value=value, gauge_x=complex(gx), gauge_y=complex(gy))
 
 
 def kernel_in_chart(basis: HarmonicBasis, chart: NormalChart, x, y) -> KernelSample:
@@ -63,12 +83,7 @@ def kernel_in_chart(basis: HarmonicBasis, chart: NormalChart, x, y) -> KernelSam
     x and y are covering-space lattice coordinates on the same chart branch;
     the transport multiplies by exp(-i k Im g_p(u)) at each argument.
     """
-    model = basis.model
-    ux = model.chart_z(np.asarray(x, float)) - chart.z0
-    uy = model.chart_z(np.asarray(y, float)) - chart.z0
-    gx = np.exp(-1j * np.imag(chart.gauge(ux, basis.k)))
-    gy = np.exp(-1j * np.imag(chart.gauge(uy, basis.k)))
-    return KernelSample(value=kernel(basis, x, y).value, gauge_x=complex(gx), gauge_y=complex(gy))
+    return _in_chart(basis, chart, x, y, kernel(basis, x, y).value)
 
 
 def density(basis: HarmonicBasis, points) -> np.ndarray:
@@ -103,8 +118,7 @@ def leading_coefficient(model: ProductModel) -> float:
     return float(np.abs(np.linalg.det(R)) / (2.0 * np.pi) ** model.n)
 
 
-@dataclass(frozen=True)
-class ExpansionModel:
+class ExpansionModel(NamedTuple):
     """Quadratic phase model e^{ik Psi} b0 k^n at a basepoint (b0: leading_coefficient)."""
 
     lam: np.ndarray
@@ -130,8 +144,7 @@ def expansion_model(model: ProductModel, p) -> ExpansionModel:
     return ExpansionModel(lam=lam, c_lower=float(np.min(np.abs(lam))) / 2.0)
 
 
-@dataclass(frozen=True)
-class OffdiagonalFit:
+class OffdiagonalFit(NamedTuple):
     log_ratio: np.ndarray           # log f_k = log |P(x,y)|^2/(P(x)P(y))
     c_fit: float                    # fitted decay constant: -d(log f)/dk
     c_model: float                  # 2 Im Psi(x,y)
@@ -165,10 +178,8 @@ def offdiagonal_fit(bases: list[HarmonicBasis], x, y) -> OffdiagonalFit:
     psi = complex(em.psi(ux, uy))
     ks, logf, phs = [], [], []
     for b in bases:
-        s = kernel_in_chart(b, chart, xcov, ybase)
-        pxx = density(b, xcov)
-        pyy = density(b, ybase)
-        val = s.chart_value
+        val, pxx, pyy = _kernel_pair(b, xcov, ybase)
+        val = _in_chart(b, chart, xcov, ybase, val).chart_value
         if abs(val) <= _noise_floor(pxx, pyy):
             raise FloatingPointError(f"kernel underflow at k={b.k}")
         ks.append(b.k)
@@ -193,8 +204,7 @@ def _noise_floor(pxx: float, pyy: float) -> float:
     return 1e-15 * np.sqrt(pxx * pyy)
 
 
-@dataclass(frozen=True)
-class FarFieldReport:
+class FarFieldReport(NamedTuple):
     ks: np.ndarray
     abs_p: np.ndarray
     gamma: float
@@ -221,13 +231,12 @@ def far_separation_check(bases: list[HarmonicBasis], x, y) -> FarFieldReport:
     """
     ks, vals, under = [], [], []
     for b in bases:
-        s = kernel(b, x, y)
-        floor = _noise_floor(density(b, x), density(b, y))
-        if abs(s.value) <= floor:
+        val, pxx, pyy = _kernel_pair(b, x, y)
+        if abs(val) <= _noise_floor(pxx, pyy):
             under.append(b.k)
             continue
         ks.append(b.k)
-        vals.append(abs(s.value))
+        vals.append(abs(val))
     ks = np.array(ks, dtype=float)
     vals = np.array(vals)
     gamma = -fit_line(ks, np.log(vals)).slope if len(ks) >= 2 else np.inf
@@ -260,7 +269,6 @@ def ratio_profile(basis: HarmonicBasis, x, y, t_grid) -> np.ndarray:
     return np.prod(ratios, axis=0)
 
 
-_DISC_NR = 200      # Gauss-Legendre radial nodes of the disc oracle
 _DISC_AT = 0.25     # the disc oracle's evaluation radius, as a fraction of the disc's
 
 
@@ -271,22 +279,22 @@ def disc_model_density(lam: float, k: int) -> float:
     2 dx dy on a disc of radius R = 6 / sqrt(a), a = 2 k lam, then evaluates
     the Bergman density at z0 = _DISC_AT * R from the first ceil(a z0^2) + 12
     monomials.  The continuum value is k*lam/pi, which pins the
-    curvature-eigenvalue and volume conventions jointly.  Summed over
-    equispaced angles, z^p conj(z^q) vanishes for 0 < |p - q| below their
-    count, so the Gram is diagonal, G_pp = 2 pi VOL sum_r r^(2p) w_r with
-    w_r the Gauss-Legendre radial weight times r exp(-a r^2), and the
-    density is sum_p z0^(2p) / G_pp * exp(-a z0^2).
+    curvature-eigenvalue and volume conventions jointly.  z^p conj(z^q)
+    integrates to 0 over the angle for p != q, so the Gram is diagonal with
+    G_pp = 2 pi VOL int_0^R r^(2p+1) e^(-a r^2) dr = pi VOL gamma(p+1, x) / a^(p+1),
+    x = a R^2 = 36 and gamma the lower incomplete gamma function, and the
+    density is sum_p z0^(2p) / G_pp * exp(-a z0^2).  gamma(p+1, x) comes from
+    the upward recurrence gamma(p+1, x) = p gamma(p, x) - x^p e^(-x) from
+    gamma(1, x) = 1 - e^(-x), which is stable since every p used is below x.
     """
     if lam <= 0:
         raise ValueError("lam must be positive (use |lambda|)")
     a = 2.0 * k * lam
-    R = 6.0 / np.sqrt(a)
-    z0 = _DISC_AT * R
-    n_modes = int(np.ceil(a * z0 ** 2)) + 12
-    x_gl, w_gl = np.polynomial.legendre.leggauss(_DISC_NR)
-    r = 0.5 * R * (x_gl + 1.0)
-    wr = 0.5 * R * w_gl
-    weight = np.exp(-a * r**2) * r * wr
-    p2 = 2 * np.arange(n_modes)[:, None]
-    G = 2.0 * np.pi * VOLUME_NORMALIZATION * ((r[None, :] ** p2) @ weight)
-    return float(np.sum(z0 ** p2[:, 0] / G) * np.exp(-a * z0**2))
+    R = 6.0 / math.sqrt(a)
+    x, u = a * R * R, a * (_DISC_AT * R) ** 2      # u = a z0^2
+    gamma, total = -math.expm1(-x), 0.0
+    for p in range(math.ceil(u) + 12):
+        if p:
+            gamma = p * gamma - x ** p * math.exp(-x)
+        total += u ** p / gamma
+    return a / (math.pi * VOLUME_NORMALIZATION) * total * math.exp(-u)

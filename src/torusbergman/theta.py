@@ -22,11 +22,13 @@ explicit Gaussian tail bound, so W is within eps of the exact value (theta
 within eps * exp(phi_plus(z))).  Both evaluators use it: weighted_table for
 scattered points and derivative sums, and weighted_grid for the half-offset
 lattice grid z = a + tau b (a, b in (arange(N) + 0.5) / N), where the a-phase
-exp(2 pi i (m n + j) a) (r = n + j/m) splits off, so each characteristic is
-one (N x R_j) @ (R_j x N) matrix product with O(N R) complex exponentials
-instead of O(N^2 R).  weighted_grid yields one characteristic at a time, so a
-caller that reduces as it goes (the density sum_j |W_j|^2) holds one N x N
-array, not the whole m x N^2 table.  weighted_grid_gram sums the trapezoid
+exp(2 pi i (m n + j) a) (r = n + j/m) splits off: the b-only factors of all
+characteristics' terms are formed in one pass (_grid_factors), and each
+characteristic is one (N x R_j) @ (R_j x N) matrix product with O(N R)
+complex exponentials instead of O(N^2 R).  weighted_grid yields one
+characteristic at a time, so a caller that reduces as it goes (the density
+sum_j |W_j|^2) holds one N x N array and the O(N R m) b-only factors, not
+the whole m x N^2 table.  weighted_grid_gram sums the trapezoid
 Gram of those grid values over a by discrete orthogonality (the a-phases of
 two terms are orthogonal on the grid unless their frequencies m n + j differ
 by a multiple of N), so it holds only the b-only factors, O(N R m) numbers.
@@ -149,16 +151,20 @@ def _members(m: int, tau: complex, z, members, orders: int, eps: float) -> np.nd
     return out
 
 
-def _grid_factors(m: int, tau: complex, N: int, eps: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Per characteristic j on the half-offset N-point grid t = (arange(N) + 0.5) / N:
-    the integer a-frequencies f = m n + j of its window and the b-only factor
-    G[n, b] = exp(_exponent(m, tau, r, t)), so that W_j[a, b] is
-    sum_n exp(2 pi i f_n t_a) G[n, b]."""
+def _grid_factors(m: int, tau: complex, N: int, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every term of the half-offset N-point grid t = (arange(N) + 0.5) / N,
+    ordered by characteristic j, then by n: the integer a-frequencies f = m n + j,
+    the b-only factors G[term, b] = exp(_exponent(m, tau, r, t)), and the m + 1
+    row offsets of the characteristics, so that W_j[a, b] is the sum over
+    j's rows of exp(2 pi i f t_a) G[row, b].  One pass over all terms."""
     t = (np.arange(N) + 0.5) / N
     # the windows see Im z = Im(tau) b, as weighted_table would at these points
-    for j, (lo, hi) in enumerate(zip(*_windows(m, tau, tau.imag * t, eps, 0))):
-        n = np.arange(lo, hi + 1)
-        yield m * n + j, np.exp(_exponent(m, tau, (n + j / m)[:, None], t))
+    lo, hi = _windows(m, tau, tau.imag * t, eps, 0)
+    counts = hi - lo + 1
+    starts = np.concatenate(([0], np.cumsum(counts)))
+    j = np.repeat(np.arange(m), counts)
+    n = np.arange(starts[-1]) - np.repeat(starts[:-1] - lo, counts)
+    return m * n + j, np.exp(_exponent(m, tau, (n + j / m)[:, None], t)), starts
 
 
 def weighted_grid(m: int, tau: complex, N: int, eps: float = 1e-12) -> Iterator[np.ndarray]:
@@ -168,11 +174,12 @@ def weighted_grid(m: int, tau: complex, N: int, eps: float = 1e-12) -> Iterator[
     Yields m arrays of shape (N, N) indexed [a, b] for z = a + tau b with
     a, b in (arange(N) + 0.5) / N, so that raveling gives the a-major point
     order.  Characteristic j is E_j @ G_j with E_j[a, n] = exp(2 pi i (m n + j) a)
-    and G_j the b-only factor of _grid_factors.
+    and G_j its rows of the b-only factor of _grid_factors.
     """
     t = (np.arange(N) + 0.5) / N
-    for f, G in _grid_factors(m, tau, N, eps):
-        yield np.exp(2j * np.pi * np.outer(t, f)) @ G
+    f, G, starts = _grid_factors(m, tau, N, eps)
+    for a, b in zip(starts[:-1], starts[1:]):
+        yield np.exp(2j * np.pi * np.outer(t, f[a:b])) @ G[a:b]
 
 
 _PAIR_CHUNK = 256
@@ -189,11 +196,8 @@ def weighted_grid_gram(m: int, tau: complex, N: int, eps: float = 1e-12) -> np.n
     O(N sum_j R_j); when m divides N only j = j' pairs alias and the Gram is
     exactly diagonal.
     """
-    terms = list(_grid_factors(m, tau, N, eps))
-    f = np.concatenate([x for x, _ in terms])   # distinct integers, one per term
+    f, G, _ = _grid_factors(m, tau, N, eps)     # f: distinct integers, one per term
     char = f % m
-    G = np.concatenate([g for _, g in terms])
-    del terms
     row = np.full(f.max() - f.min() + 1, -1)    # term index of each frequency
     row[f - f.min()] = np.arange(len(f))
     gram = np.zeros((m, m), dtype=complex)
@@ -205,6 +209,8 @@ def weighted_grid_gram(m: int, tau: complex, N: int, eps: float = 1e-12) -> np.n
         i2 = row[partner[i]]
         for c in range(0, len(i), _PAIR_CHUNK):     # bounds the gathered copies of G
             a, b = i[c:c + _PAIR_CHUNK], i2[c:c + _PAIR_CHUNK]
-            b_sums = np.einsum("ib,ib->i", G[a], G[b].conj())
+            # q = 0 pairs every term with itself (i2 is i, all terms), so its rows are read in place
+            ga, gb = (G[c:c + _PAIR_CHUNK],) * 2 if q == 0 else (G[a], G[b])
+            b_sums = np.einsum("ib,ib->i", ga, gb.conj())
             np.add.at(gram, (char[a], char[b]), (-1.0) ** q * N * b_sums)
     return gram

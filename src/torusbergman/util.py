@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,8 +27,7 @@ class Draws:
         return np.resize(np.stack([r * np.cos(a), r * np.sin(a)], axis=1), size)
 
 
-@dataclass(frozen=True)
-class SlopeFit:
+class SlopeFit(NamedTuple):
     slope: float
     intercept: float
     residual: float     # max absolute deviation of y from the fitted line

@@ -1,24 +1,24 @@
 """Independent oracles shared by the tests: the Bergman projector evaluated by
 quadrature on the product grid, against which the kernel's closed forms and
 the embedding's truncation checks are compared, the quadrature Gram of an
-orthonormalized basis, summed row by row over the grid table, against
-which the discrete-orthogonality Gram is checked, the disc oracle by
-Cholesky of its full monomial Gram, against which the diagonal radial rule
-is checked, the theta table one characteristic at a time, against which
-the stacked evaluation is checked, the normal-frame first jets straight
-from the theta table, against which the factor_tables route of
-derivative_sums is checked, the lift of one point as a projective point,
-the product form field spread from its factor fields, against which the
-Segre route is checked on the full product basis, the kernel, density
-and ratio profile summed over the full product basis, against which their
-factor-by-factor routes are checked, a remixed basis that is not a tensor
-product, against which the pointwise routes' invariances are checked, the
-global weight, injectivity scale, curvature signature and geodesic distance
-of a model, against which charts and separations are checked, the
-17-digit float text against which CSV cells are checked, and the pullback
-form by the general product-table route (second-order jets of the full
-product basis), against which the Segre composite of the factor fields is
-checked."""
+orthonormalized basis, summed row by row over the grid table, against which
+the discrete-orthogonality Gram is checked, the disc oracle by Cholesky of
+its full monomial Gram on a Gauss-Legendre polar rule, against which the
+closed-form radial integrals are checked, the theta table and the grid
+evaluator and grid Gram one characteristic at a time, against which the
+stacked evaluations are checked, the normal-frame first jets straight from
+the theta table, against which the factor_tables route of derivative_sums is
+checked, the lift of one point as a projective point, the product form field
+spread from its factor fields, against which the Segre route is checked on
+the full product basis, the kernel, density and ratio profile summed over
+the full product basis, against which their factor-by-factor routes are
+checked, a remixed basis that is not a tensor product, against which the
+pointwise routes' invariances are checked, the global weight, injectivity
+scale, curvature signature and geodesic distance of a model, against which
+charts and separations are checked, the 17-digit float text against which
+CSV cells are checked, and the pullback form by the general product-table
+route (second-order jets of the full product basis), against which the Segre
+composite of the factor fields is checked."""
 
 import numpy as np
 
@@ -77,21 +77,32 @@ def recompute_gram(basis: HarmonicBasis) -> np.ndarray:
     return G
 
 
-def cholesky_disc_density(lam: float, k: int, n_modes: int | None = None,
-                          n_r: int = 200, n_th: int = 256, at: float = 0.25) -> float:
-    """kernel.disc_model_density by the full monomial Gram on the n_r x n_th
-    polar product rule, orthonormalized by Cholesky."""
+def disc_radial_rule(lam: float, k: int, n_r: int):
+    """The disc oracle's a = 2 k lam, radius R = 6 / sqrt(a), and the n_r-node
+    Gauss-Legendre rule on [0, R] for dr with the weight r exp(-a r^2):
+    (a, R, nodes, weights).
+
+    numpy's leggauss weights carry a rounding bias that grows with the node
+    count: the rule's monomial integrals int_0^R r^(2p+1) e^(-a r^2) dr are
+    ~6e-15 off the exact ones at 200 nodes and ~3e-14 at 400, against
+    ~7e-16 at 100, which already resolves these integrands."""
     a = 2.0 * k * lam
     R = 6.0 / np.sqrt(a)
-    if n_modes is None:
-        n_modes = int(np.ceil(a * (at * R) ** 2)) + 12
     x_gl, w_gl = np.polynomial.legendre.leggauss(n_r)
     r = 0.5 * R * (x_gl + 1.0)
-    wr = 0.5 * R * w_gl
+    return a, R, r, np.exp(-a * r**2) * r * (0.5 * R * w_gl)
+
+
+def cholesky_disc_density(lam: float, k: int, n_modes: int | None = None,
+                          n_r: int = 100, n_th: int = 256, at: float = 0.25) -> float:
+    """kernel.disc_model_density by the full monomial Gram on the n_r x n_th
+    polar product rule (disc_radial_rule in r), orthonormalized by Cholesky."""
+    a, R, r, weight = disc_radial_rule(lam, k, n_r)
+    if n_modes is None:
+        n_modes = int(np.ceil(a * (at * R) ** 2)) + 12
     th = 2.0 * np.pi * np.arange(n_th) / n_th
     wth = 2.0 * np.pi / n_th
     z = r[:, None] * np.exp(1j * th[None, :])
-    weight = np.exp(-a * r**2) * r * wr
     mono = z.ravel()[None, :] ** np.arange(n_modes)[:, None]
     wfull = np.repeat(weight, n_th) * wth * VOLUME_NORMALIZATION
     G = (mono * wfull[None, :]) @ mono.conj().T
@@ -118,6 +129,45 @@ def looped_weighted_table(m: int, tau: complex, z, orders: int = 0, eps: float =
             term *= 2j * np.pi * m * r
             out[nu, j] = term.sum(axis=0)
     return out
+
+
+def looped_grid_factors(m: int, tau: complex, N: int, eps: float = 1e-12):
+    """theta._grid_factors one characteristic at a time: per j, the a-frequencies
+    m n + j of its n window and its b-only factor exp(_exponent(m, tau, r, t))."""
+    t = (np.arange(N) + 0.5) / N
+    for j, (lo, hi) in enumerate(zip(*_windows(m, tau, tau.imag * t, eps, 0))):
+        n = np.arange(lo, hi + 1)
+        yield m * n + j, np.exp(_exponent(m, tau, (n + j / m)[:, None], t))
+
+
+def looped_weighted_grid(m: int, tau: complex, N: int, eps: float = 1e-12) -> list[np.ndarray]:
+    """theta.weighted_grid from looped_grid_factors: characteristic j is
+    exp(2 pi i outer(t, f_j)) @ G_j."""
+    t = (np.arange(N) + 0.5) / N
+    return [np.exp(2j * np.pi * np.outer(t, f)) @ G for f, G in looped_grid_factors(m, tau, N, eps)]
+
+
+def looped_weighted_grid_gram(m: int, tau: complex, N: int, eps: float = 1e-12) -> np.ndarray:
+    """theta.weighted_grid_gram from looped_grid_factors, every aliased term
+    pair gathered by fancy indexing, 256 pairs at a time."""
+    terms = list(looped_grid_factors(m, tau, N, eps))
+    f = np.concatenate([x for x, _ in terms])
+    char = f % m
+    G = np.concatenate([g for _, g in terms])
+    row = np.full(f.max() - f.min() + 1, -1)
+    row[f - f.min()] = np.arange(len(f))
+    gram = np.zeros((m, m), dtype=complex)
+    span = (f.max() - f.min()) // N
+    for q in range(-span, span + 1):
+        partner = f - q * N - f.min()
+        i = np.flatnonzero((partner >= 0) & (partner < len(row)))
+        i = i[row[partner[i]] >= 0]
+        i2 = row[partner[i]]
+        for c in range(0, len(i), 256):
+            a, b = i[c:c + 256], i2[c:c + 256]
+            b_sums = np.einsum("ib,ib->i", G[a], G[b].conj())
+            np.add.at(gram, (char[a], char[b]), (-1.0) ** q * N * b_sums)
+    return gram
 
 
 def normal_frame_first_jets(basis: HarmonicBasis, p):

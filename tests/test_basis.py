@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from _oracles import RemixedBasis, dense_grid_gram, product_density, recompute_gram
+from torusbergman import basis as basis_mod
 from torusbergman.basis import (
     _HALF,
     GramError,
@@ -321,3 +322,18 @@ class TestHarmonicity:
         m = model(-1, 1)
         res = harmonicity_residual(m, 1, (0, 0), grid_n=64)
         assert res <= 1e-6
+
+    def test_product_residual_evaluates_each_distinct_member_once(self, monkeypatch):
+        # mixed signs and taus: (i, -1) and (i, 1) share (tau, |d|, member), the
+        # other factors differ in tau or member; the result is the per-factor maximum
+        factors = (TorusFactor(TAU, -1), TorusFactor(0.3 + 1.2j, -1), TorusFactor(TAU, 1),
+                   TorusFactor(0.3 + 1.2j, 2))
+        m, index = ProductModel(factors), (1, 0, 1, 1)
+        want = max(factor_harmonicity_residual(f, 2, j, grid_n=16)["laplacian"]
+                   for f, j in zip(factors, index))
+        calls = []
+        real = basis_mod.factor_harmonicity_residual
+        monkeypatch.setattr(basis_mod, "factor_harmonicity_residual",
+                            lambda f, k, j, **kw: calls.append((f.tau, abs(f.degree), j)) or real(f, k, j, **kw))
+        assert harmonicity_residual(m, 2, index, grid_n=16) == want
+        assert sorted(calls, key=str) == sorted({(TAU, 1, 1), (0.3 + 1.2j, 1, 0), (0.3 + 1.2j, 2, 1)}, key=str)

@@ -520,13 +520,14 @@ class TestRun:
     def test_generator_made_on_first_draw(self, tmp_path):
         # a CLI run of every experiment draws from the stdlib generator, so it
         # never imports numpy.random and the secrets / hmac / libcrypto modules
-        # behind it, nor subprocess (platform.platform() forks `uname -p`)
+        # behind it, nor subprocess (platform.platform() forks `uname -p`), nor
+        # numpy.polynomial (the disc oracle's radial integrals are closed forms)
         src = str(Path(__file__).resolve().parents[1] / "src")
         cfg_path = Path(__file__).resolve().parents[1] / "configs" / "sig11_smoke.cfg"
         assert parse_config(cfg_path.read_text()).experiments == EXPERIMENTS
         code = (f"import sys\nfrom torusbergman.cli import main\n"
                 f"assert main(['all', '--config', {str(cfg_path)!r}, '--out', {str(tmp_path)!r}]) == 0\n"
-                "print([m for m in ('numpy.random', 'secrets', 'hmac', '_hashlib', 'subprocess')"
+                "print([m for m in ('numpy.random', 'numpy.polynomial', 'secrets', 'hmac', '_hashlib', 'subprocess')"
                 " if m in sys.modules])\n")
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -544,6 +545,25 @@ class TestRun:
         r = random.Random(seed + 1000 * EXPERIMENTS.index("embed"))
         want = [[r.random() for _ in range(4)] for _ in range(3)]
         assert Draws(seed + 1000 * EXPERIMENTS.index("embed")).random((3, 4)).tolist() == want
+
+    def test_remaining_dataclasses_need_generated_methods(self):
+        # each @dataclass costs a CLI run several exec'd functions at import, so a
+        # plain record is a NamedTuple or a plain class; these read what is generated
+        import dataclasses
+        import importlib
+        import inspect
+
+        need = {
+            "geometry.TorusFactor": "value __eq__/__hash__: _exp_dims keys a dict on factors",
+            "geometry.ProductModel": "value __eq__/__hash__, and repr(model) names a basis build in bench traces",
+            "experiment.ExperimentConfig": "dataclasses.replace sets fields the validator refuses",
+        }
+        found = set()
+        for name in ("util", "geometry", "theta", "basis", "kernel", "embedding", "experiment", "cli"):
+            mod = importlib.import_module(f"torusbergman.{name}")
+            found |= {f"{name}.{c}" for c, obj in vars(mod).items()
+                      if inspect.isclass(obj) and obj.__module__ == mod.__name__ and dataclasses.is_dataclass(obj)}
+        assert found == set(need)
 
     def test_budget_warning_not_failure(self, smoke):
         cfg = parse_config(SMOKE + "budget_dims = 0.000001\n")

@@ -225,19 +225,19 @@ class TestCalibrationOracles:
                                                                rel=1e-14, abs=0)
 
     def test_disc_oracle_matches_40_digit_radial_rule(self):
+        # the reference is the exact radial integral at 40 digits:
+        # int_0^R r^(2p+1) e^(-a r^2) dr = gamma(p+1, a R^2) / (2 a^(p+1))
         mp = pytest.importorskip("mpmath")
-        for lam, k in [(np.pi / 2, 8), (np.pi, 6)]:
+        for lam, k in [(np.pi / 2, 8), (np.pi, 6), (np.pi / 2, 40), (0.7, 3), (10 * np.pi, 8)]:
             a = 2.0 * k * lam
             R = 6.0 / np.sqrt(a)
-            x, w = np.polynomial.legendre.leggauss(200)
             with mp.workdps(40):
-                r = [mp.mpf(float(v)) for v in 0.5 * R * (x + 1.0)]
-                wr = [mp.exp(-a * ri**2) * ri * mp.mpf(float(v)) for ri, v in zip(r, 0.5 * R * w)]
-                z0 = mp.mpf(0.25 * R)
-                # G_pp = 2 pi VOL sum_r r^(2p) w_r, VOL = 2
-                ref = mp.fsum(z0 ** (2 * p) / (4 * mp.pi * mp.fsum(ri ** (2 * p) * v for ri, v in zip(r, wr)))
+                am, z0 = mp.mpf(a), mp.mpf(0.25 * R)
+                # G_pp = 2 pi VOL times the radial integral, VOL = 2
+                ref = mp.fsum(z0 ** (2 * p) / (4 * mp.pi * mp.gammainc(p + 1, 0, am * mp.mpf(R) ** 2)
+                                               / (2 * am ** (p + 1)))
                               for p in range(int(np.ceil(a * (0.25 * R) ** 2)) + 12))
-                ref = float(ref * mp.exp(-a * z0**2))
+                ref = float(ref * mp.exp(-am * z0**2))
             assert disc_model_density(lam, k) == pytest.approx(ref, rel=1e-15, abs=0)
 
     def test_disc_oracle_holds_no_monomial_table(self):

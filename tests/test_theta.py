@@ -3,8 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from _oracles import looped_weighted_table
-from torusbergman.theta import _members, phi_plus, weighted_grid, weighted_table
+from _oracles import looped_weighted_grid, looped_weighted_grid_gram, looped_weighted_table
+from torusbergman.theta import _members, phi_plus, weighted_grid, weighted_grid_gram, weighted_table
 
 TAU = 1j
 
@@ -249,3 +249,16 @@ class TestWeightedGrid:
         assert len(grids) == m and all(G.shape == (N, N) for G in grids)
         got = np.stack([G.ravel() for G in grids])
         assert np.max(np.abs(got - W)) <= 1e-12 * np.max(np.abs(W))
+
+    @pytest.mark.parametrize("tau", [1j, 0.3 + 1.2j, 0.1 + 0.05j, -0.4 + 0.7j])
+    @pytest.mark.parametrize("m, N", [(1, 16), (3, 12), (5, 23), (8, 48), (12, 50), (40, 163)])
+    def test_stacked_characteristics_match_per_characteristic_loop(self, tau, m, N):
+        # the b-only factors of every characteristic formed in one pass, and the
+        # q = 0 pairs read as row slices, against the per-characteristic loop
+        # with gathered pairs that they replace: bit for bit, thin tori and
+        # sides that the level does not divide included
+        got = list(weighted_grid(m, tau, N))
+        want = looped_weighted_grid(m, tau, N)
+        assert len(got) == len(want) == m
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert np.array_equal(weighted_grid_gram(m, tau, N), looped_weighted_grid_gram(m, tau, N))
