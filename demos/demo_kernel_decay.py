@@ -38,7 +38,7 @@ def main():
     basis = build_basis(model, 20)
     ts = np.linspace(0, 1, 9)
     fk = ratio_profile(basis, x, y, ts)
-    em = expansion_model(model, (x + y) / 2)
+    em = expansion_model(model)
     dz = model.chart_dz(x, y)
     print("\n t     f_20(t)        exp(-2k Im Psi)")
     for t, v in zip(ts, fk):

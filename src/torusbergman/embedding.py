@@ -141,13 +141,9 @@ def injectivity_scan(basis: HarmonicBasis, grid_n: int = 64, rng=None) -> Inject
         dist, (p1, p2) = _factor_min_fs(basis, t, grid_n)
         if dist < min_fs:
             min_fs = float(dist)
-            x1 = np.zeros(2 * model.n)
-            x2 = np.zeros(2 * model.n)
-            x1[2 * t:2 * t + 2] = p1
-            x2[2 * t:2 * t + 2] = p2
-            base = model.reduce(rng.random(2 * model.n))
-            x1 = np.where(np.arange(2 * model.n) // 2 == t, x1, base)
-            x2 = np.where(np.arange(2 * model.n) // 2 == t, x2, base)
+            x1 = model.reduce(rng.random(2 * model.n))      # both points start from the drawn base
+            x2 = x1.copy()
+            x1[2 * t:2 * t + 2], x2[2 * t:2 * t + 2] = p1, p2
             worst_pair = (x1, x2)
     offender = worst_pair if min_fs < 1e-10 else None
 
@@ -292,36 +288,17 @@ class ConvergenceReport(NamedTuple):
 
     (1/k) Phi_k* omega_FS is block diagonal, block t being [[0, f_t], [-f_t, 0]]
     with f_t depending on z_t alone, so a field is kept as its factor scalars:
-    fields[(method, k)][t] is f_t at the distinct z_t of the samples, shape
-    (U_t,), grid point p's value is entry grid_index[p, t] of it, and the
-    cross-factor cells are exactly 0.
+    fields[(method, k)][t] is f_t at factor t's samples, the grid_n^2 pairs of
+    grid and then the cloud's 128 z_t, shape (grid_n^2 + 128,); the sample
+    grid is the product of the factor grids, and the cross-factor cells are
+    exactly 0.
     """
     ks: np.ndarray
     errors: dict[str, np.ndarray]          # method -> E(k) sup errors
     slopes: dict[str, SlopeFit | None]    # top-half fit over the rungs above floor; None if < 4
     floor: float                           # float floor of E(k): 1e-12 * max(1, max|omega|)
-    grid: np.ndarray                       # structured sample points, (P, 2n)
-    grid_index: np.ndarray                 # (P, n): each grid point's entry in its factor fields
-    fields: dict                           # (method, k) -> per-factor (U_t,) fields f_t
-
-
-def _grid_points(model: ProductModel, grid_n: int) -> np.ndarray:
-    g = (np.arange(grid_n) + 0.5) / grid_n
-    axes = np.meshgrid(*([g] * (2 * model.n)), indexing="ij")
-    return np.stack([a.ravel() for a in axes], axis=1)
-
-
-def _factor_points(pts: np.ndarray, n: int) -> tuple[list[np.ndarray], np.ndarray]:
-    """Per factor t, the distinct coordinates z_t among pts; and each point's
-    row in them, shape (len(pts), n)."""
-    uniq, index = [], np.empty((len(pts), n), dtype=np.intp)
-    for t in range(n):
-        order = np.lexsort((pts[:, 2 * t + 1], pts[:, 2 * t]))    # by x_t, then y_t: np.unique's row order
-        s = pts[order, 2 * t:2 * t + 2]
-        new = np.r_[True, np.any(s[1:] != s[:-1], axis=1)]        # a row differing from the one before
-        uniq.append(s[new])
-        index[order, t] = np.cumsum(new) - 1
-    return uniq, index
+    grid: np.ndarray                       # one factor's grid pairs, (grid_n^2, 2), first coordinate slowest
+    fields: dict                           # (method, k) -> per-factor (grid_n^2 + 128,) fields f_t
 
 
 def convergence_report(model: ProductModel, ks, grid_n: int = 8, eps: float = 1e-12) -> ConvergenceReport:
@@ -329,18 +306,19 @@ def convergence_report(model: ProductModel, ks, grid_n: int = 8, eps: float = 1e
     for both pullback routes ("jacobian" and "ddbar_log"), on the bases
     basis.build_basis(model, k, eps=eps).
 
-    The sup is taken over the structured grid plus a cloud of 128 points from
-    a generator seeded with 7; the grid alone can alias the lattice-frequency
-    ripples of the form field to its own sample zeros for resonant k.  Raises
-    if E(k) rises by more than 20% from one rung to the next; a step whose
-    later value sits at the report's float `floor` is not a rise.  The rate is
+    The sup is taken over the structured grid (the product of the factor
+    grids of half-offset pairs) plus a cloud of 128 points from a generator
+    seeded with 7; the grid alone can alias the lattice-frequency ripples of
+    the form field to its own sample zeros for resonant k.  Raises if E(k)
+    rises by more than 20% from one rung to the next; a step whose later
+    value sits at the report's float `floor` is not a rise.  The rate is
     fitted on the top half of the rungs whose E(k) is above the floor, and
     is None when fewer than 4 are.
 
     The fields are built factor by factor: _factor_forms evaluates f_t by both
-    routes at the distinct factor coordinates only, and E(k) is the max over t
-    of max |f_t - omega_t|, since the cross-factor cells of the form and of
-    omega are both exactly 0; no product-size field is formed.
+    routes at factor t's grid pairs and cloud coordinates, and E(k) is the max
+    over t of max |f_t - omega_t|, since the cross-factor cells of the form
+    and of omega are both exactly 0; no product-size field or grid is formed.
     pullback_jacobian_many / pullback_ddbar_many are the same fields written
     into (P, 2n, 2n) forms.
     """
@@ -349,15 +327,16 @@ def convergence_report(model: ProductModel, ks, grid_n: int = 8, eps: float = 1e
     ks = np.asarray(list(ks), dtype=int)
     if len(ks) < 4:
         raise ValueError("need at least 4 ladder values")
-    pts = _grid_points(model, grid_n)
-    samples = np.concatenate([pts, Draws(7).random((128, 2 * model.n))])
-    uniq, index = _factor_points(samples, model.n)
+    g = (np.arange(grid_n) + 0.5) / grid_n
+    grid = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
+    cloud = Draws(7).random((128, 2 * model.n))
+    samples = [np.concatenate([grid, cloud[:, 2 * t:2 * t + 2]]) for t in range(model.n)]
     w0 = omega_form(model)
     errors = {m: [] for m in ("jacobian", "ddbar_log")}
     fields = {}
     for k in ks:
         b = build_basis(model, int(k), eps=eps)
-        forms = [_factor_forms(b, t, u, tuple(errors)) for t, u in enumerate(uniq)]
+        forms = [_factor_forms(b, t, u, tuple(errors)) for t, u in enumerate(samples)]
         for m in errors:
             fs = fields[(m, int(k))] = [f[m] for f in forms]
             errors[m].append(max(float(np.max(np.abs(f - w0[2 * t, 2 * t + 1]))) for t, f in enumerate(fs)))
@@ -371,8 +350,7 @@ def convergence_report(model: ProductModel, ks, grid_n: int = 8, eps: float = 1e
         i0 = asymptotic_window(int(live.sum()))
         slopes[m] = fit_slope(ks[live][i0:], e[live][i0:]) if live.sum() >= 4 else None
     return ConvergenceReport(ks=ks, errors={m: np.array(v) for m, v in errors.items()},
-                             slopes=slopes, floor=floor, grid=pts, grid_index=index[:len(pts)],
-                             fields=fields)
+                             slopes=slopes, floor=floor, grid=grid, fields=fields)
 
 
 # -- directional derivative sums ---------------------------------------------

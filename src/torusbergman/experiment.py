@@ -353,7 +353,7 @@ def _exp_ratio(cfg, model, rng):
     bas = basis_mod.build_basis(model, k20, eps=cfg.theta_eps)
     ts = np.linspace(0.0, 1.0, 65)
     fk = ker.ratio_profile(bas, x, y, ts)
-    em = ker.expansion_model(model, (model.reduce(x) + model.reduce(y)) / 2.0)
+    em = ker.expansion_model(model)
     dz = model.chart_dz(x, y)
     model_mid = float(np.exp(-2.0 * k20 * em.im_psi(0.5 * dz)))
     mid_rel = abs(fk[32] / model_mid - 1.0)
@@ -392,20 +392,21 @@ def _exp_pullback(cfg, model, rng):
     w0 = omega_form(model)
     n2 = 2 * model.n
     ia, ib = np.triu_indices(n2, 1)
-    # the grid is the product of the factor grids: line p holds pair p // s % q of factor t (q = grid_n^2,
-    # s = q^(n-1-t)), and that factor's pair r sits on line r s, whose grid_index row holds its field entry
-    q, line = grid_n ** 2, np.arange(len(rep.grid))
-    strides = list(enumerate(q ** np.arange(model.n - 1, -1, -1)))
-    grid = [IndexedColumn(rep.grid[:q * s:s, 2 * t:2 * t + 2], line // s % q) for t, s in strides]
-    entry = [rep.grid_index[:q * s:s, t] for t, s in strides]
+    # the grid is the product of the factor grids: line p holds pair p // q^(n-1-t) % q of factor t (q = grid_n^2)
+    q, line = grid_n ** 2, np.arange(grid_n ** n2)
+    index = [line // q ** (model.n - 1 - t) % q for t in range(model.n)]
+    grid = [IndexedColumn(rep.grid, i) for i in index]
+    # err reads the n q factor deviations |f_t - omega_t| through the worse factor's entry t q + index[t]
+    entry = np.array(index) + q * np.arange(model.n)[:, None]
     rows = []          # one block per (method, k): the grid runs down its lines
     for m in rep.errors:
         for k in rep.ks:
-            fields = [f[e] for f, e in zip(rep.fields[(m, int(k))], entry)]      # at the grid pairs
+            fields = [f[:q] for f in rep.fields[(m, int(k))]]      # at the grid pairs
             # cell f_{2t,2t+1} is factor t's field at the grid point; the cross-factor cells are exactly 0
-            cells = [IndexedColumn(fields[a // 2], grid[a // 2].index) if a % 2 == 0 and b == a + 1
+            cells = [IndexedColumn(fields[a // 2], index[a // 2]) if a % 2 == 0 and b == a + 1
                      else 0.0 for a, b in zip(ia, ib)]
-            err = np.max([np.abs(f - w)[g.index] for f, w, g in zip(fields, np.diag(w0, 1)[::2], grid)], axis=0)
+            dev = np.abs(np.concatenate(fields) - np.repeat(np.diag(w0, 1)[::2], q))
+            err = IndexedColumn(dev, entry[np.argmax(dev[entry], axis=0), line])
             rows.append([*grid, int(k), m, *cells, err])
     # E(k) reaching the float floor by the last rung passes the rate check;
     # with < 4 rungs above the floor beta reads inf
@@ -532,9 +533,6 @@ class IndexedColumn:
         return len(self.index)
 
 
-_COLUMN = (np.ndarray, IndexedColumn)      # the float columns of a block
-
-
 def _cell(v) -> str:
     """The text of one CSV cell; _write_block writes a block's floats with the same bytes."""
     if isinstance(v, (float, np.floating)):
@@ -544,7 +542,7 @@ def _cell(v) -> str:
     return str(v)
 
 
-_CHUNK = 1024     # block lines formatted together
+_CHUNK = 1024     # block lines joined together
 
 
 def _texts(X: np.ndarray) -> np.ndarray:
@@ -555,41 +553,36 @@ def _texts(X: np.ndarray) -> np.ndarray:
 
 
 def _write_block(fh, row) -> None:
-    """Write a block: its float columns, of shape (P,) or (P, c), run down P lines
-    and its scalar cells repeat on each.  Each column gives a line one piece of
-    text, read through an index from a text table: an IndexedColumn's table is
-    formatted once per block; a plain (P,) column's (a (P, c) array is c such
-    columns) once per chunk, from its distinct bit patterns.  The scalar cells
-    are folded into the table of the column before them, or of the first one."""
+    """Write a block: its IndexedColumns run down P lines and its scalar cells
+    repeat on each.  Each column's values are formatted once per block into a
+    text table, and line p takes the column's piece from entry index[p] of it.
+    The scalar cells are folded into the table of the column before them, or
+    of the first one."""
     cols, lead = [], ""             # cols: [column, prefix, suffix]; a piece ends in the separator after it
     for v in row:
-        if isinstance(v, _COLUMN):
-            cols += [[x, "", ","] for x in (v.T if isinstance(v, np.ndarray) and v.ndim == 2 else [v])]
+        if isinstance(v, IndexedColumn):
+            cols.append([v, "", ","])
         elif cols:
             cols[-1][2] += _cell(v) + ","
         else:
             lead += _cell(v) + ","
     lengths = {len(c) for c, _, _ in cols}
     if len(lengths) != 1:
-        raise ValueError(f"block arrays have unequal lengths {sorted(lengths)}")
+        raise ValueError(f"block columns have unequal lengths {sorted(lengths)}")
     cols[0][1], cols[-1][2] = lead, cols[-1][2][:-1] + "\n"
-    tables = [pre + _texts(c.values) + suf if isinstance(c, IndexedColumn) else None for c, pre, suf in cols]
+    tables = [(c.index, pre + _texts(c.values) + suf) for c, pre, suf in cols]
     P, w = lengths.pop(), len(cols)
     for lo in range(0, P, _CHUNK):
         text = [None] * (w * min(_CHUNK, P - lo))      # the chunk's pieces, line by line
-        for j, ((c, pre, suf), table) in enumerate(zip(cols, tables)):
-            if table is None:       # unique bit patterns keep -0.0 apart from 0.0 and every NaN payload apart
-                bits, i = np.unique(c[lo:lo + _CHUNK].astype(np.float64).view(np.uint64), return_inverse=True)
-                text[j::w] = (pre + _texts(bits.view(np.float64)) + suf)[i].tolist()
-            else:
-                text[j::w] = table[c.index[lo:lo + _CHUNK]].tolist()
+        for j, (index, table) in enumerate(tables):
+            text[j::w] = table[index[lo:lo + _CHUNK]].tolist()
         fh.write("".join(text))
 
 
 def _write_rows(fh, rows) -> None:
-    """Write rows as they come: a row holding a column is a block, any other one line."""
+    """Write rows as they come: a row holding an IndexedColumn is a block, any other one line."""
     for row in rows:
-        if any(isinstance(v, _COLUMN) for v in row):
+        if any(isinstance(v, IndexedColumn) for v in row):
             _write_block(fh, row)
         else:
             fh.write(",".join(map(_cell, row)) + "\n")

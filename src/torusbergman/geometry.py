@@ -146,7 +146,7 @@ def curvature_matrix(model: ProductModel, k: int = 1) -> np.ndarray:
     return np.diag(2.0 * k * model.lambdas)
 
 
-def omega(model: ProductModel, p=None) -> np.ndarray:
+def omega(model: ProductModel) -> np.ndarray:
     """The constant 2-form (i/2pi)*R^L in chart real coordinates.
 
     Returned as the real antisymmetric (2n x 2n) component matrix; block t is

@@ -119,7 +119,8 @@ def leading_coefficient(model: ProductModel) -> float:
 
 
 class ExpansionModel(NamedTuple):
-    """Quadratic phase model e^{ik Psi} b0 k^n at a basepoint (b0: leading_coefficient)."""
+    """Quadratic phase model e^{ik Psi} b0 k^n in normal-chart offsets, the same at every
+    basepoint of the flat model (b0: leading_coefficient)."""
 
     lam: np.ndarray
     c_lower: float
@@ -137,7 +138,7 @@ class ExpansionModel(NamedTuple):
         return np.sum(np.abs(self.lam) * np.abs(dz) ** 2, axis=-1)
 
 
-def expansion_model(model: ProductModel, p) -> ExpansionModel:
+def expansion_model(model: ProductModel) -> ExpansionModel:
     lam = model.lambdas
     # best constant in Im Psi >= c |x-y|_g^2 with |.|_g^2 = 2 sum |dz|^2: Im Psi
     # = sum |lambda_t| |dz_t|^2, so c = min|lambda| / 2, attained along an axis
@@ -172,7 +173,7 @@ def offdiagonal_fit(bases: list[HarmonicBasis], x, y) -> OffdiagonalFit:
     pts, d = _segment_points(model, x, y, [0.0, 0.5, 1.0])
     ybase, mid, xcov = pts[0], pts[1], pts[2]
     chart = normal_chart(model, mid)
-    em = expansion_model(model, mid)
+    em = expansion_model(model)
     ux = model.chart_z(xcov) - chart.z0
     uy = model.chart_z(ybase) - chart.z0
     psi = complex(em.psi(ux, uy))

@@ -36,6 +36,7 @@ by a multiple of N), so it holds only the b-only factors, O(N R m) numbers.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 
 import numpy as np
@@ -57,14 +58,14 @@ def _tail_radius(m: int, im_tau: float, eps: float, y_over_t: float, order: int)
     2 exp(-a R^2 / 2) * sup_{|s|>=R} exp(-a s^2 / 2) (2 pi m (|s|+c))^order
     with c = |y|/Im(tau).
     """
-    a = np.pi * m * im_tau
+    a = math.pi * m * im_tau
     c = abs(y_over_t)
     R = 1.0
     for _ in range(4):
-        poly = max(1.0, (2.0 * np.pi * m * (R + c + 1.0)) ** order)
-        geo = max(1.0 - np.exp(-a * max(R, 0.5)), 0.25)
+        poly = max(1.0, (2.0 * math.pi * m * (R + c + 1.0)) ** order)
+        geo = max(1.0 - math.exp(-a * max(R, 0.5)), 0.25)
         target = eps * geo / (4.0 * poly)
-        R = max(np.sqrt(2.0 * max(np.log(1.0 / target), 1.0) / a), np.sqrt(2.0 * order / a) + 0.5)
+        R = max(math.sqrt(2.0 * max(math.log(1.0 / target), 1.0) / a), math.sqrt(2.0 * order / a) + 0.5)
     return R
 
 

@@ -201,15 +201,28 @@ def phi(basis: HarmonicBasis, z) -> ProjectivePoint:
     return ProjectivePoint(homogeneous=basis.values(np.asarray(z, dtype=float))[:, 0])
 
 
-def expand_form_fields(fields: list[np.ndarray], index: np.ndarray) -> np.ndarray:
-    """The (P, 2n, 2n) product form field of per-factor (U_t,) fields f_t:
-    point p's block t is [[0, f], [-f, 0]] with f = fields[t][index[p, t]],
-    the cross-factor cells 0."""
+def _grid_pairs(q: int, n: int) -> tuple[np.ndarray, ...]:
+    """Per factor, the pair each point of the product of n factor grids of q
+    pairs holds, the points in C order (factor 0 slowest)."""
+    return np.unravel_index(np.arange(q ** n), (q,) * n)
+
+
+def product_grid(grid: np.ndarray, n: int) -> np.ndarray:
+    """The (q^n, 2n) points of the product of n copies of a factor grid (q, 2)."""
+    return np.hstack([grid[i] for i in _grid_pairs(len(grid), n)])
+
+
+def expand_form_fields(fields: list[np.ndarray], q: int | None = None) -> np.ndarray:
+    """The (P, 2n, 2n) product form field of per-factor fields f_t: point p's
+    block t is [[0, f], [-f, 0]], the cross-factor cells 0.  f is fields[t][p];
+    given q, the points are product_grid's, and f is fields[t] at the pair of
+    factor t's grid that point p holds."""
     n = len(fields)
-    out = np.zeros((len(index), 2 * n, 2 * n))
-    for t, f in enumerate(fields):
-        out[:, 2 * t, 2 * t + 1] = f[index[:, t]]
-        out[:, 2 * t + 1, 2 * t] = -f[index[:, t]]
+    index = _grid_pairs(q, n) if q else [np.arange(len(f)) for f in fields]
+    out = np.zeros((len(index[0]), 2 * n, 2 * n))
+    for t, (f, i) in enumerate(zip(fields, index)):
+        out[:, 2 * t, 2 * t + 1] = f[i]
+        out[:, 2 * t + 1, 2 * t] = -f[i]
     return out
 
 

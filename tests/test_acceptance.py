@@ -146,7 +146,7 @@ def test_a6_ratio_profile():
     x, y = np.array([0.45, 0.30]), np.array([0.35, 0.30])
     ts = np.linspace(0.0, 1.0, 64)
     fk = ratio_profile(b, x, y, ts)
-    em = expansion_model(m, (x + y) / 2)
+    em = expansion_model(m)
     dz = m.chart_dz(x, y)
     interior_dev = abs(fk[32] / np.exp(-2 * 20 * em.im_psi(ts[32] * dz)) - 1.0)
     ok = (abs(fk[0] - 1.0) <= 1e-12 and np.all(fk >= -1e-15)

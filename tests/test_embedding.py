@@ -5,7 +5,7 @@ import pytest
 
 import _oracles
 from _oracles import (RemixedBasis, evaluate_combination, expand_form_fields, hermitian_to_real_form,
-                      normal_frame_first_jets, phi, project_coefficients)
+                      normal_frame_first_jets, phi, product_grid, project_coefficients)
 from torusbergman.basis import HarmonicBasis, build_basis
 from torusbergman.embedding import (
     ProjectivePoint,
@@ -449,25 +449,28 @@ class TestConvergence:
         (((1j, -2), (0.25 + 1.5j, 1)), (4, 8, 12, 16), 4),
     ])
     def test_factor_fields_match_product_route(self, factors, ks, grid_n):
-        # the Segre identity: the kept factor fields, fields made at a cloud,
-        # and the public pullback_*_many at the cloud, against the product
-        # route on the full product basis (tests/_oracles.py)
-        from torusbergman.embedding import _factor_forms, _factor_points
+        # the Segre identity: the kept factor fields on the product of the
+        # factor grids, fields made at a cloud, and the public
+        # pullback_*_many at the cloud, against the product route on the full
+        # product basis (tests/_oracles.py)
+        from torusbergman.embedding import _factor_forms
 
         m = ProductModel.from_factors([TorusFactor(tau, d) for tau, d in factors])
         n2 = 2 * m.n
         cross = np.arange(n2)[:, None] // 2 != np.arange(n2)[None, :] // 2
         rep = convergence_report(m, ks, grid_n=grid_n)
+        q = grid_n ** 2
+        assert rep.grid.shape == (q, 2)
+        grid = product_grid(rep.grid, m.n)
         cloud = np.random.default_rng(3).random((40, n2))
-        uniq, index = _factor_points(cloud, m.n)
         routes = {"jacobian": (pullback_jacobian_many, _oracles.pullback_jacobian_many),
                   "ddbar_log": (pullback_ddbar_many, _oracles.pullback_ddbar_many)}
         for k in ks:
             b = build_basis(m, k)
             for method, (public, product) in routes.items():
-                made = [_factor_forms(b, t, u, (method,))[method] for t, u in enumerate(uniq)]
-                for pts, field in ((rep.grid, expand_form_fields(rep.fields[(method, k)], rep.grid_index)),
-                                   (cloud, expand_form_fields(made, index)),
+                made = [_factor_forms(b, t, cloud[:, 2 * t:2 * t + 2], (method,))[method] for t in range(m.n)]
+                for pts, field in ((grid, expand_form_fields([f[:q] for f in rep.fields[(method, k)]], q)),
+                                   (cloud, expand_form_fields(made)),
                                    (cloud, public(b, cloud))):
                     want = np.concatenate([product(b, pts[i:i + 128]) for i in range(0, len(pts), 128)])
                     assert np.max(np.abs(field - want)) <= 1e-12, (method, k)
@@ -475,7 +478,10 @@ class TestConvergence:
 
     def test_report_holds_no_product_size_field(self):
         # embed_sig11's model, ladder and scan, whose 14 product fields of shape
-        # (4096, 4, 4) would hold 7.3 MB
+        # (4096, 4, 4) would hold 7.3 MB; nor does a pullback block hold a
+        # P-length array of values
+        from torusbergman.experiment import IndexedColumn
+
         m = model(-1, 1)
         ks = [4, 6, 8, 10, 12, 14, 16]
         convergence_report(m, ks[:4], grid_n=2)       # warm the imports and caches
@@ -486,41 +492,18 @@ class TestConvergence:
         finally:
             tracemalloc.stop()
         assert peak < 2e6, peak
-        assert rep.grid_index.shape == (8**4, 2)
+        assert rep.grid.shape == (64, 2)
         assert all(f.shape == (64 + 128,) for f in rep.fields[("ddbar_log", 16)])
-
-    def test_factor_points_sorted_once_per_factor(self, monkeypatch):
-        # one sort per factor for the whole report, not one per
-        # (method, rung, factor): here 2 instead of 2 * 4 * 2
-        from torusbergman import embedding
-
-        calls = []
-        lexsort = np.lexsort
-
-        def counting(*args, **kwargs):
-            calls.append(len(args[0]))
-            return lexsort(*args, **kwargs)
-
-        monkeypatch.setattr(embedding.np, "lexsort", counting)
-        convergence_report(model(-1, 1), [4, 6, 8, 10], grid_n=3)
-        assert calls == [2, 2]
-
-    @pytest.mark.parametrize("n, grid_n", [(1, 9), (2, 3), (2, 8)])
-    def test_factor_points_match_unique_rows(self, n, grid_n):
-        # the lexsort path against the np.unique(axis=0) it replaced: the grid
-        # repeats each factor point, and the cloud adds repeats of its own
-        from torusbergman.embedding import _factor_points, _grid_points
-
-        rng = np.random.default_rng(n)
-        grid = _grid_points(model(*[1] * n), grid_n)
-        cloud = rng.random((64, 2 * n))
-        pts = np.concatenate([grid, cloud, cloud[::3], grid[::7]])
-        uniq, index = _factor_points(pts, n)
-        assert index.shape == (len(pts), n)
-        for t in range(n):
-            want, inv = np.unique(pts[:, 2 * t:2 * t + 2], axis=0, return_inverse=True)
-            assert uniq[t].tobytes() == want.tobytes()
-            assert np.array_equal(index[:, t], inv.reshape(-1))
+        cfg = parse_config("factor = 0.0 1.0 -1\nfactor = 0.0 1.0 1\nk_ladder = 4 6 8 10 12 14 16\n"
+                           "embed_grid_n = 8\nexperiments = pullback\n")
+        header, blocks = run(cfg).tables["pullback"]
+        assert len(blocks) == 14
+        for block in blocks:
+            assert len(block) == len(header) - 2          # the grid columns hold 2 cells each
+            for v in block:
+                assert isinstance(v, (IndexedColumn, int, str, float)), type(v)
+                if isinstance(v, IndexedColumn):
+                    assert len(v) == 8 ** 4 and len(v.values) <= 2 * 64
 
     @pytest.mark.parametrize("factors, k, U", [
         (((0.3 + 1.1j, -1),), 6, 40),                         # n = 1, d < 0, Re tau != 0

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _oracles import fmt17
+from _oracles import expand_form_fields, fmt17, product_grid
 from torusbergman.cli import main as cli_main
 from torusbergman.experiment import (
     EXPERIMENTS,
@@ -352,22 +352,26 @@ class TestRun:
                                np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)])
         rng = np.random.default_rng(5)
         P = 2 * _CHUNK + 5       # two full chunks and a short one
+        every = np.arange(P) % len(edge)        # each edge bit pattern on some line
         shared = rng.integers(0, 6, P)
+
+        def col(shape, lines=P):     # edge values, each line reading a random one
+            values = rng.choice(edge, shape)
+            return IndexedColumn(values, rng.integers(0, len(values), lines))
+
         rows = [[1, "x", 0.25, True],
-                [rng.choice(edge, (P, 3)), 7, "m", True, 1 + 2j, np.complex128(0.5 - 1j),
-                 rng.choice(edge, P), np.float32(0.1), rng.choice(edge, (P, 1))],
+                [IndexedColumn(np.stack([edge, edge[::-1], np.roll(edge, 3)], axis=1), every), 7, "m", True,
+                 1 + 2j, np.complex128(0.5 - 1j), IndexedColumn(edge, every[::-1]), np.float32(0.1), col((40, 1))],
                 [np.float64(-0.0), np.int64(3), "y", 2j],
-                [rng.choice(edge, (5, 4)), rng.choice(edge, 5)],
-                [np.empty((0, 2)), "empty block"],
+                [col((5, 4), 5), col(5, 5)],
+                [IndexedColumn(np.empty((0, 2)), np.empty(0, dtype=np.intp)), "empty block"],
                 # a 2-D IndexedColumn, and scalars before the first column
-                [2, "lead", np.float64(0.5), IndexedColumn(rng.choice(edge, (7, 3)), rng.integers(0, 7, P)),
-                 rng.choice(edge, P)],
+                [2, "lead", np.float64(0.5), col((7, 3)), col(P)],
                 # scalars between two columns and after the last one
-                [rng.choice(edge, P), 4, "mid", IndexedColumn(rng.choice(edge, 9), rng.integers(0, 9, P)),
-                 0.0, 0.0, rng.choice(edge, (P, 2)), -0.0, "tail", 3j],
-                # two IndexedColumns sharing an index, with and without scalars between them
+                [col(30), 4, "mid", col(9), 0.0, 0.0, col((11, 2)), -0.0, "tail", 3j],
+                # IndexedColumns sharing an index, with and without scalars between them
                 [IndexedColumn(rng.choice(edge, (6, 2)), shared), IndexedColumn(rng.choice(edge, 6), shared),
-                 "k", IndexedColumn(rng.choice(edge, 6), shared), rng.choice(edge, (P, 5))]]
+                 "k", IndexedColumn(rng.choice(edge, 6), shared), col((50, 5))]]
         header = [f"c{i}" for i in range(12)]
         rep = RunReport(criteria=[], tables={"pullback": (header, rows)}, warnings=[],
                         environment={})
@@ -377,7 +381,8 @@ class TestRun:
     def test_block_of_unequal_lengths_rejected(self, tmp_path):
         from torusbergman.experiment import RunReport
 
-        block = [np.zeros(3), 4, np.zeros((4, 2))]
+        block = [IndexedColumn(np.zeros(1), np.zeros(3, dtype=np.intp)), 4,
+                 IndexedColumn(np.zeros((1, 2)), np.zeros(4, dtype=np.intp))]
         rep = RunReport(criteria=[], tables={"pullback": (["a", "k", "b0", "b1"], [block])},
                         warnings=[], environment={})
         with pytest.raises(ValueError, match="unequal lengths"):
@@ -387,8 +392,8 @@ class TestRun:
     def test_emit_report_streams_blocks(self, tmp_path, blocks, lines):
         # embed_sig11's pullback table (14 blocks of 4096 lines), and one block
         # at embed_grid_n = 16: the text is held one chunk at a time.  As in
-        # pullback.csv, a cell depends on one factor's grid point (the error
-        # column on both, through a max)
+        # pullback.csv, a cell reads one factor's grid pair (the error column
+        # reads the worse of the two factors' deviations)
         import tracemalloc
 
         from torusbergman.experiment import RunReport
@@ -398,11 +403,10 @@ class TestRun:
         i, j = np.divmod(np.arange(lines), q)
         rows = []
         for _ in range(blocks):
-            z, f, e = rng.random((2, q, 2)), rng.random((2, q)), rng.random((2, q))
-            zero = np.zeros(lines)
-            rows.append([np.hstack([z[0][i], z[1][j]]), 4, "ddbar_log",
-                         np.stack([f[0][i], zero, zero, zero, zero, f[1][j]], axis=1),
-                         np.maximum(e[0][i], e[1][j])])
+            z, f, e = rng.random((2, q, 2)), rng.random((2, q)), rng.random(2 * q)
+            rows.append([IndexedColumn(z[0], i), IndexedColumn(z[1], j), 4, "ddbar_log",
+                         IndexedColumn(f[0], i), 0.0, 0.0, 0.0, 0.0, IndexedColumn(f[1], j),
+                         IndexedColumn(e, np.where(e[i] >= e[q + j], i, q + j))])
         rep = RunReport(criteria=[], tables={"pullback": ([f"c{i}" for i in range(13)], rows)},
                         warnings=[], environment={})
         tracemalloc.start()
@@ -454,26 +458,54 @@ class TestRun:
         rep = run(cfg)
         assert rep.passed, rep.criteria
         conv = convergence_report(cfg.model, cfg.k_ladder, grid_n=3)
+        grid = product_grid(conv.grid, 2)
         header, blocks = rep.tables["pullback"]
         assert len(blocks) == 2 * 4 and header[:6] == ["z0", "z1", "z2", "z3", "k", "method"]
         own = [header.index(h) - header.index("f01") for h in ("f01", "f23")]
         for g0, g1, k, method, *comps, err in blocks:
             assert type(k) is int and type(method) is str
-            assert err.dtype == np.float64 and err.shape == (3 ** 4,)
+            assert isinstance(err, IndexedColumn) and err.values.dtype == np.float64
+            assert len(err) == 3 ** 4 and err.values.shape == (2 * 3 ** 2,)
             assert 2 * 2 + 2 + len(comps) + 1 == len(header)
-            # factor t's grid coordinates: its 3^2 pairs, gathered through each line's row
+            # factor t's grid coordinates: its 3^2 pairs, gathered through each line's pair
             for t, g in enumerate((g0, g1)):
                 assert isinstance(g, IndexedColumn) and g.values.shape == (3 ** 2, 2)
-                assert g.values[g.index].tobytes() == conv.grid[:, 2 * t:2 * t + 2].tobytes()
+                assert g.values[g.index].tobytes() == grid[:, 2 * t:2 * t + 2].tobytes()
+            form = expand_form_fields([f[:3 ** 2] for f in conv.fields[(method, k)]], 3 ** 2)
             for c, cell in enumerate(comps):
-                if c in own:      # factor t's form values, gathered through its grid index
+                if c in own:      # factor t's form values, gathered through its grid pair
                     t = own.index(c)
                     assert isinstance(cell, IndexedColumn) and len(cell) == len(err)
                     assert cell.values.dtype == np.float64
-                    want = conv.fields[(method, k)][t][conv.grid_index[:, t]]
-                    assert cell.values[cell.index].tobytes() == want.tobytes()
+                    assert cell.values[cell.index].tobytes() == form[:, 2 * t, 2 * t + 1].tobytes()
                 else:             # cross-factor cells
                     assert type(cell) is float and cell == 0.0
+
+    @pytest.mark.parametrize("factors, ladder, grid_n", [
+        ("factor = 0.3 1.1 -1\n", "4 6 8 10", 5),
+        # a factor twice: both deviations tie wherever the two pairs agree
+        ("factor = 0.0 1.0 1\nfactor = 0.0 1.0 1\n", "4 6 8 10", 3),
+        ("factor = 0.0 1.0 -1\nfactor = 0.0 1.0 -1\nfactor = -0.2 0.9 1\n", "2 3 4 5", 2),
+    ], ids=["n1", "n2", "n3"])
+    def test_pullback_err_is_the_max_over_factors(self, factors, ladder, grid_n):
+        from torusbergman.embedding import convergence_report
+        from torusbergman.geometry import omega
+
+        cfg = parse_config(factors + f"k_ladder = {ladder}\nembed_grid_n = {grid_n}\nexperiments = pullback\n")
+        n, q = cfg.model.n, grid_n ** 2
+        conv = convergence_report(cfg.model, cfg.k_ladder, grid_n=grid_n)
+        w = np.diag(omega(cfg.model), 1)[::2]
+        blocks = run(cfg).tables["pullback"][1]
+        assert len(blocks) == 2 * len(cfg.k_ladder)
+        ties = 0
+        for block in blocks:
+            k, method, err = block[n], block[n + 1], block[-1]
+            form = expand_form_fields([f[:q] for f in conv.fields[(method, k)]], q)
+            dev = np.abs(np.stack([form[:, 2 * t, 2 * t + 1] for t in range(n)]) - w[:, None])
+            want = np.max(dev, axis=0)
+            assert err.values[err.index].tobytes() == want.tobytes()
+            ties += int(np.sum(np.sum(dev == want, axis=0) > 1))
+        assert ties > 0 or n == 1
 
     @pytest.mark.parametrize("special, generic, passed", [
         (None, 2.5, True),      # special sums exactly zero: the gap is inf

@@ -257,13 +257,13 @@ class TestCalibrationOracles:
 
 class TestExpansionModel:
     def test_psi_vanishes_on_diagonal(self):
-        em = expansion_model(model(-1, 2), np.array([0.3, 0.4, 0.1, 0.9]))
+        em = expansion_model(model(-1, 2))
         rng = np.random.default_rng(2)
         z = rng.random(2) + 1j * rng.random(2)
         assert abs(em.psi(z, z)) < 1e-14
 
     def test_psi_antisymmetry(self):
-        em = expansion_model(model(-1, 2), np.zeros(4))
+        em = expansion_model(model(-1, 2))
         rng = np.random.default_rng(4)
         for _ in range(100):
             z = rng.random(2) + 1j * rng.random(2)
@@ -271,12 +271,12 @@ class TestExpansionModel:
             assert abs(em.psi(z, w) + np.conj(em.psi(w, z))) < 1e-13
 
     def test_im_psi_negative_line_bundle(self):
-        em = expansion_model(model(-1), np.zeros(2))
+        em = expansion_model(model(-1))
         z = np.array([0.3 + 0.2j])
         assert em.im_psi(z) == pytest.approx((np.pi / 2) * abs(z[0]) ** 2)
 
     def test_im_psi_positive_and_lower_bound(self):
-        em = expansion_model(model(-1, 2), np.zeros(4))
+        em = expansion_model(model(-1, 2))
         rng = np.random.default_rng(6)
         for _ in range(50):
             z = rng.random(2) + 1j * rng.random(2)
@@ -372,7 +372,7 @@ class TestGaussianModelPointwise:
                 d = (rng.random(2 * n) - 0.5) * 0.2
                 x, mid = y + d, y + d / 2
                 ch = normal_chart(m, mid)
-                em = expansion_model(m, mid)
+                em = expansion_model(m)
                 ux = m.chart_z(x) - ch.z0
                 uy = m.chart_z(y) - ch.z0
                 want = em0 * k**n * np.exp(1j * k * em.psi(ux, uy))
@@ -397,7 +397,7 @@ class TestGaussianModelPointwise:
             dd = (rng.random(4) - 0.5) * 0.15
             x, mid = y + dd, y + dd / 2
             ch = normal_chart(m, mid)
-            em = expansion_model(m, mid)
+            em = expansion_model(m)
             ux, uy = m.chart_z(x) - ch.z0, m.chart_z(y) - ch.z0
             want = b0 * k**2 * np.exp(1j * k * em.psi(ux, uy))
             got = kernel_in_chart(b, ch, x, y).chart_value
@@ -429,7 +429,7 @@ class TestRatioProfile:
         b = build_basis(m, 20)
         x, y = np.array([0.45, 0.3]), np.array([0.35, 0.3])
         fk = ratio_profile(b, x, y, np.array([0.5]))
-        em = expansion_model(m, (x + y) / 2)
+        em = expansion_model(m)
         want = np.exp(-2 * 20 * em.im_psi(0.5 * m.chart_dz(x, y)))
         assert fk[0] == pytest.approx(want, rel=0.15)
 
