@@ -505,6 +505,49 @@ class TestConvergence:
                 if isinstance(v, IndexedColumn):
                     assert len(v) == 8 ** 4 and len(v.values) <= 2 * 64
 
+    def test_factor_forms_once_per_factor_and_rung(self, monkeypatch):
+        # one _factor_forms call per (rung, factor), both routes at once, not
+        # one per (method, rung, factor): here 4 * 2 instead of 2 * 4 * 2
+        from torusbergman import embedding
+
+        calls = []
+        forms = embedding._factor_forms
+
+        def counting(basis, t, u, methods):
+            calls.append((basis.k, t, len(u), tuple(methods)))
+            return forms(basis, t, u, methods)
+
+        monkeypatch.setattr(embedding, "_factor_forms", counting)
+        ks = [4, 6, 8, 10]
+        convergence_report(model(-1, 1), ks, grid_n=3)
+        assert calls == [(k, t, 9 + 128, ("jacobian", "ddbar_log")) for k in ks for t in range(2)]
+
+    @pytest.mark.parametrize("n, grid_n", [(1, 9), (2, 3), (2, 8)])
+    def test_report_samples_factor_grid_then_cloud(self, n, grid_n):
+        # factor t's samples are the grid_n^2 half-offset pairs, first
+        # coordinate slowest, then the z_t of a 128-point cloud seeded with 7;
+        # E(k) is the worse factor's max |f_t - omega_t|, bit for bit
+        from torusbergman.embedding import _factor_forms
+        from torusbergman.util import Draws
+
+        m = model(*[(-1) ** t for t in range(n)])
+        ks = [4, 6, 8, 10]
+        rep = convergence_report(m, ks, grid_n=grid_n)
+        want = [((i + 0.5) / grid_n, (j + 0.5) / grid_n) for i in range(grid_n) for j in range(grid_n)]
+        assert rep.grid.tobytes() == np.array(want).tobytes()
+        cloud = Draws(7).random((128, 2 * n))
+        w0 = omega(m)
+        for i, k in enumerate(ks):
+            b = build_basis(m, k)
+            for method in ("jacobian", "ddbar_log"):
+                fs = rep.fields[(method, k)]
+                assert len(fs) == n
+                for t, f in enumerate(fs):
+                    u = np.concatenate([np.array(want), cloud[:, 2 * t:2 * t + 2]])
+                    assert f.tobytes() == _factor_forms(b, t, u, (method,))[method].tobytes()
+                err = max(float(np.max(np.abs(f - w0[2 * t, 2 * t + 1]))) for t, f in enumerate(fs))
+                assert rep.errors[method][i] == err
+
     @pytest.mark.parametrize("factors, k, U", [
         (((0.3 + 1.1j, -1),), 6, 40),                         # n = 1, d < 0, Re tau != 0
         (((1j, -1), (0.25 + 1.5j, 2)), 5, 40),                # n = 2, d < 0 and d > 0
