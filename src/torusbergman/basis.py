@@ -307,24 +307,28 @@ def _covariant(F: np.ndarray, P: np.ndarray, tau: complex, h: float):
             (tau * Da - Db) / (tau - np.conj(tau)) + np.conj(Pi) * Fi)
 
 
-def _padded_member(factor: TorusFactor, k: int, member: int, grid_n: int, perturb=None):
+def _padded_member(factor: TorusFactor, k: int, member: int, grid_n: int, perturb=None, tables=None):
     """Weighted value W = theta exp(-phi_plus) of the level-k|d| member on the
     centered grid_n x grid_n lattice grid, with 2 _HALF evaluated ghost columns
-    on each side of b, and P = dphi_plus/dz per b-column."""
+    on each side of b, and P = dphi_plus/dz per b-column.  tables, if given, is
+    the caller's dict of unperturbed W by (tau, level, member, grid_n)."""
     tau = factor.tau
     m = k * abs(factor.degree)
     N = grid_n
     ta = (np.arange(N) + 0.5) / N - 0.5
     tb = (np.arange(-2 * _HALF, N + 2 * _HALF) + 0.5) / N - 0.5
     A, B = np.meshgrid(ta, tb, indexing="ij")
-    W = _members(m, tau, (A + tau * B).ravel(), [member], 0, 1e-14)[0, 0].reshape(A.shape)
+    tables, key = {} if tables is None else tables, (tau, m, member, N)
+    if key not in tables:
+        tables[key] = _members(m, tau, (A + tau * B).ravel(), [member], 0, 1e-14)[0, 0].reshape(A.shape)
+    W = tables[key]
     if perturb is not None:
         W = W * (1.0 + perturb(A, B))
     return W, -1j * np.pi * m * tb      # Im z = Im(tau) b
 
 
 def factor_harmonicity_residual(factor: TorusFactor, k: int, member: int,
-                                grid_n: int = 64, perturb=None) -> dict[str, float]:
+                                grid_n: int = 64, perturb=None, tables=None) -> dict[str, float]:
     """Discrete Kodaira-Laplacian residual of one raw factor member.
 
     Works in the weighted gauge W = theta exp(-phi_plus), bounded at every
@@ -337,11 +341,11 @@ def factor_harmonicity_residual(factor: TorusFactor, k: int, member: int,
     ("laplacian"), from 6th-order central differences on a centered
     grid_n x grid_n lattice grid.  perturb, if given, maps the grid coordinate
     arrays (A, B) to a multiplicative field applied to W (the sensitivity
-    control).
+    control).  tables, if given, is shared with _padded_member.
     """
     tau = factor.tau
     h = 1.0 / grid_n
-    W, P = _padded_member(factor, k, member, grid_n, perturb)
+    W, P = _padded_member(factor, k, member, grid_n, perturb, tables)
     DW, DbW = _covariant(W, P, tau, h)
     DDbW = _covariant(DbW, P[_HALF:-_HALF], tau, h)[0]
     inner = slice(_HALF, -_HALF)
@@ -351,14 +355,15 @@ def factor_harmonicity_residual(factor: TorusFactor, k: int, member: int,
 
 
 def harmonicity_residual(model: ProductModel, k: int, index: tuple[int, ...],
-                         grid_n: int = 64) -> float:
+                         grid_n: int = 64, tables=None) -> float:
     """Laplacian residual of a product section: worst factor residual.
 
     The Kodaira Laplacian of the product metric splits across factors, so a
     tensor-product section is harmonic exactly when each factor member is.
     A member's residual depends only on (tau, |degree|, member), since
     _padded_member evaluates the level k|d|, so each distinct one is
-    evaluated once.
+    evaluated once; tables, if given, is passed on to _padded_member.
     """
     distinct = {(f.tau, abs(f.degree), j): (f, j) for f, j in zip(model.factors, index)}
-    return max(factor_harmonicity_residual(f, k, j, grid_n=grid_n)["laplacian"] for f, j in distinct.values())
+    return max(factor_harmonicity_residual(f, k, j, grid_n=grid_n, tables=tables)["laplacian"]
+               for f, j in distinct.values())

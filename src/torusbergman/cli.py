@@ -5,17 +5,24 @@
 where <experiment> is one of dims, density, offdiag, far, ratio, embed,
 pullback, derivs, or all.  `all` runs the config's enabled experiment list;
 a named experiment runs exactly that experiment.  Exit code is 0 iff every
-criterion evaluated in the run passed.
+criterion evaluated in the run passed.  Importing this module calls gc.freeze()
+once: the import heap lives until exit, so no collection, exit's included, need
+walk it; objects made later are collected as before.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 import time
 from pathlib import Path
 
 from .experiment import EXPERIMENTS, ConfigError, emit_report, parse_config, run
+
+# The import heap lives until exit: frozen, no later collection walks it, exit's
+# included.  Not in __init__ (library use) nor in main (tests call it in process).
+gc.freeze()
 
 
 def main(argv=None) -> int:

@@ -28,7 +28,6 @@ import json
 import os
 import sys
 import time
-import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -243,9 +242,9 @@ def _criterion(cid, measured, threshold, ok, description=None) -> dict:
 
 
 def _exp_dims(cfg, model, rng):
-    # The product Gram is the Kronecker product of the factor Grams, so its
-    # minimum eigenvalue is the product of the factor minima; a repeated
-    # factor's Gram is formed once per rung and its minimum used per factor.
+    # The product Gram's minimum eigenvalue is the product of the factor minima
+    # (Kronecker product); a conjugate factor's Gram is the conjugate of the
+    # holomorphic one, so one is formed per (tau, |degree|) and rung.
     rows = []
     ok = True
     min_eig = np.inf
@@ -255,12 +254,13 @@ def _exp_dims(cfg, model, rng):
         dev = 0.0
         seen = {}
         for s in b.factor_sets:
-            if s.factor not in seen:
+            key = (s.factor.tau, s.level)
+            if key not in seen:
                 g = basis_mod.factor_gram(s.factor, k, eps=cfg.theta_eps).entries
                 c = basis_mod.theta_gram_diagonal(s.level, s.factor.im_tau)
-                seen[s.factor] = (np.linalg.eigvalsh(g)[0],
-                                  float(np.max(np.abs(g - c * np.eye(s.level)))) / c)
-            e, d = seen[s.factor]
+                seen[key] = (np.linalg.eigvalsh(g)[0],
+                             float(np.max(np.abs(g - c * np.eye(s.level)))) / c)
+            e, d = seen[key]
             eig *= e
             dev = max(dev, d)
         expected = k ** model.n * int(np.prod(np.abs(model.degrees)))
@@ -268,21 +268,19 @@ def _exp_dims(cfg, model, rng):
         ok = ok and (b.dim == expected) and (eig > 1e-12) and (dev <= _GRAM_DEV_TOL)
         min_eig = min(min_eig, eig)
     crit = [_criterion("A1", min_eig, 1e-12, ok)]
-    # harmonicity of the level-1 members: the 6th-order stencil's residual falls
-    # ~64x per grid doubling; grid 64 meets 1e-6 unless Im tau is small (a thin
-    # torus, Im tau = 0.05, needs grid 128), so the grid doubles while above the
-    # bound.  The perturbed control uses the final grid; it does not move with
-    # the grid (0.034 at tau = i, 0.38 at Im tau = 0.05).
-    # Higher levels are certified in the tests.
+    # harmonicity of the level-1 members (member 0 of each factor): the 6th-order
+    # stencil's residual falls ~64x per grid doubling; grid 64 meets 1e-6 unless Im tau
+    # is small (a thin torus, Im tau = 0.05, needs 128), so the grid doubles while above
+    # the bound.  The perturbed control reuses the final grid's table; it does not move
+    # with the grid (0.034 at tau = i, 0.38 at Im tau = 0.05).  Higher levels: the tests.
     if max(abs(f.degree) for f in model.factors) == 1:
-        indices = basis_mod.build_basis(model, 1).indices
+        tables = {}
         for grid in (64, 128, 256, 512):
-            worst = max(basis_mod.harmonicity_residual(model, 1, idx, grid_n=grid)
-                        for idx in indices)
+            worst = basis_mod.harmonicity_residual(model, 1, (0,) * model.n, grid_n=grid, tables=tables)
             if worst <= 1e-6:
                 break
         control = basis_mod.factor_harmonicity_residual(
-            model.factors[0], 1, 0, grid_n=grid,
+            model.factors[0], 1, 0, grid_n=grid, tables=tables,
             perturb=lambda A, B: 0.01 * np.cos(2 * np.pi * A) * np.cos(2 * np.pi * B))["laplacian"]
         crit.append(_criterion("A2", worst, 1e-6, worst <= 1e-6 and control >= 1e-3,
                                _CRITERIA_DESC["A2"].format(grid=grid)))
@@ -461,9 +459,11 @@ _EXP_CRITERION = {"dims": "A1", "density": "A3", "offdiag": "A4", "far": "A5",
 
 def _describe(exc: BaseException) -> str:
     """Exception type, message and innermost traceback frame (file, line, function)."""
-    where = traceback.extract_tb(exc.__traceback__)[-1]
-    return (f"{type(exc).__name__}: {exc} "
-            f"(at {Path(where.filename).name}:{where.lineno} in {where.name})")
+    tb = exc.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    code = tb.tb_frame.f_code
+    return f"{type(exc).__name__}: {exc} (at {Path(code.co_filename).name}:{tb.tb_lineno} in {code.co_name})"
 
 
 def run(cfg: ExperimentConfig, experiments: tuple[str, ...] | None = None) -> RunReport:

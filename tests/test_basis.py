@@ -63,9 +63,14 @@ class TestRawFactorBasis:
 
 class TestGram:
     def test_conjugation_duality(self):
-        gp = factor_gram(TorusFactor(TAU, 1), 3)
-        gn = factor_gram(TorusFactor(TAU, -1), 3)
-        assert np.max(np.abs(gn.entries - gp.entries.conj())) < 1e-10
+        # bit for bit, Re tau != 0 and thin tori included: dims forms one Gram per
+        # (tau, |degree|) and reads its minimum eigenvalue and deviation for both signs
+        for tau, d, k in [(TAU, 1, 3), (0.3 + 1.2j, 1, 4), (0.1 + 0.7j, 2, 3),
+                          (-0.2 + 0.9j, 1, 12), (0.4 + 0.05j, 1, 4)]:
+            gp = factor_gram(TorusFactor(tau, d), k).entries
+            gn = factor_gram(TorusFactor(tau, -d), k).entries
+            assert np.array_equal(gn, gp.conj())
+            assert np.linalg.eigvalsh(gn)[0] == np.linalg.eigvalsh(gp)[0]
 
     def test_doubling_resolution_stable(self):
         f = TorusFactor(TAU, -1)

@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 
 from _oracles import expand_form_fields, fmt17, product_grid
+from torusbergman import basis as basis_mod
 from torusbergman.cli import main as cli_main
 from torusbergman.experiment import (
     EXPERIMENTS,
     ConfigError,
     IndexedColumn,
+    _describe,
     emit_report,
     fit_slope,
     parse_config,
@@ -36,6 +38,16 @@ theta_eps = 1e-12
 seed = 20260810
 experiments = dims density offdiag
 """
+
+
+def _fresh_python(code: str) -> str:
+    """Run code in a new interpreter that imports the package from this checkout; its stdout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout
 
 
 class TestParseConfig:
@@ -553,19 +565,15 @@ class TestRun:
         # a CLI run of every experiment draws from the stdlib generator, so it
         # never imports numpy.random and the secrets / hmac / libcrypto modules
         # behind it, nor subprocess (platform.platform() forks `uname -p`), nor
-        # numpy.polynomial (the disc oracle's radial integrals are closed forms)
-        src = str(Path(__file__).resolve().parents[1] / "src")
+        # numpy.polynomial (the disc oracle's radial integrals are closed forms), nor
+        # traceback (a failed experiment's warning walks the traceback itself)
         cfg_path = Path(__file__).resolve().parents[1] / "configs" / "sig11_smoke.cfg"
         assert parse_config(cfg_path.read_text()).experiments == EXPERIMENTS
         code = (f"import sys\nfrom torusbergman.cli import main\n"
                 f"assert main(['all', '--config', {str(cfg_path)!r}, '--out', {str(tmp_path)!r}]) == 0\n"
-                "print([m for m in ('numpy.random', 'numpy.polynomial', 'secrets', 'hmac', '_hashlib', 'subprocess')"
-                " if m in sys.modules])\n")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": path}, timeout=120)
-        assert proc.returncode == 0, proc.stderr[-2000:]
-        assert proc.stdout.splitlines()[-1] == "[]"
+                "print([m for m in ('numpy.random', 'numpy.polynomial', 'secrets', 'hmac', '_hashlib',"
+                " 'subprocess', 'traceback') if m in sys.modules])\n")
+        assert _fresh_python(code).splitlines()[-1] == "[]"
         # the stream is random.Random's at the experiment's seed: the run's
         # density probes, and the embed generator's first draws
         import random
@@ -586,7 +594,7 @@ class TestRun:
         import inspect
 
         need = {
-            "geometry.TorusFactor": "value __eq__/__hash__: _exp_dims keys a dict on factors",
+            "geometry.TorusFactor": "frozen value validated in __post_init__; ProductModel's __eq__ compares factors",
             "geometry.ProductModel": "value __eq__/__hash__, and repr(model) names a basis build in bench traces",
             "experiment.ExperimentConfig": "dataclasses.replace sets fields the validator refuses",
         }
@@ -624,6 +632,29 @@ class TestRun:
         assert ids["A4"] is False
         assert ids["A1"] is True    # sibling unaffected
 
+    def test_describe_names_the_innermost_frame(self):
+        # the frame traceback.extract_tb names last, read from the traceback
+        # itself: a nested raise, re-raised, from a call spanning two lines
+        import traceback
+
+        def inner():
+            return int(
+                "not a number")
+
+        def outer():
+            try:
+                inner()
+            except ValueError:
+                raise
+
+        try:
+            outer()
+        except ValueError as exc:
+            where = traceback.extract_tb(exc.__traceback__)[-1]
+            assert where.name == "inner"
+            assert _describe(exc) == (f"ValueError: {exc} "
+                                      f"(at {Path(where.filename).name}:{where.lineno} in {where.name})")
+
     def test_retired_workers_key_warned_same_result(self, smoke, tmp_path):
         # experiments run one after another; a workers key is parsed, warned about
         # and ignored
@@ -643,6 +674,82 @@ class TestRun:
         first = (tmp_path / "dims.csv").read_bytes()
         emit_report(rep, tmp_path)
         assert (tmp_path / "dims.csv").read_bytes() == first
+
+
+class TestDims:
+    def test_one_factor_gram_per_tau_level_and_rung(self, monkeypatch):
+        # bench dims_sig12's model: the conjugate factor's Gram is the conjugate of the
+        # holomorphic one's, so one Gram per rung serves all three factors (4 calls, not 8),
+        # and each row is bit for bit the per-factor route's
+        cfg = parse_config("factor = 0 1 -1\nfactor = 0 1 1\nfactor = 0 1 1\n"
+                           "k_ladder = 4 8 10 12\nexperiments = dims\n")
+        calls = []
+        real = basis_mod.factor_gram
+        monkeypatch.setattr(basis_mod, "factor_gram",
+                            lambda f, k, **kw: calls.append(k) or real(f, k, **kw))
+        rep = run(cfg)
+        assert rep.passed and calls == [4, 8, 10, 12]
+        for k, _, _, eig, dev in rep.tables["dims"][1]:
+            want_eig, want_dev = 1.0, 0.0
+            for f in cfg.model.factors:
+                g = real(f, k).entries
+                c = basis_mod.theta_gram_diagonal(len(g), f.im_tau)
+                want_eig *= np.linalg.eigvalsh(g)[0]
+                want_dev = max(want_dev, float(np.max(np.abs(g - c * np.eye(len(g))))) / c)
+            assert (eig, dev) == (want_eig, want_dev)
+
+    def test_a2_evaluates_each_member_table_once(self, monkeypatch):
+        # a thin factor (Im tau = 0.05) takes A2 to grid 128, so both factors' members
+        # are evaluated at grids 64 and 128, once each; the control perturbs factor 0's
+        # table of the final grid, and equals the separate evaluation bit for bit
+        cfg = parse_config("factor = 0 0.05 -1\nfactor = 0 1 1\nk_ladder = 2 3\nexperiments = dims\n")
+        tables, controls = [], []
+        real_members, real_residual = basis_mod._members, basis_mod.factor_harmonicity_residual
+
+        def members(m, tau, z, which, *args):
+            tables.append((tau, m, tuple(which), len(z)))
+            return real_members(m, tau, z, which, *args)
+
+        def residual(f, k, j, **kw):
+            r = real_residual(f, k, j, **kw)
+            if kw.get("perturb") is not None:
+                controls.append((f, k, j, kw["grid_n"], kw["perturb"], r))
+            return r
+
+        monkeypatch.setattr(basis_mod, "_members", members)
+        monkeypatch.setattr(basis_mod, "factor_harmonicity_residual", residual)
+        _, a2 = run(cfg).criteria
+        assert a2["pass"] and "grid 128" in a2["description"]
+        assert len(tables) == len(set(tables)) == 4
+        assert {(tau, m, which) for tau, m, which, _ in tables} == {(0.05j, 1, (0,)), (1j, 1, (0,))}
+        ((f, k, j, grid, perturb, got),) = controls
+        assert (f, k, j, grid) == (cfg.model.factors[0], 1, 0, 128)
+        assert got == real_residual(f, k, j, grid_n=grid, perturb=perturb)
+
+
+class TestCollectorFreeze:
+    # importing torusbergman.cli freezes the import heap once, so no collection
+    # walks it, the interpreter's final ones included; each check in a new interpreter
+    def test_package_import_freezes_nothing(self):
+        _fresh_python("import gc\nimport torusbergman\nassert gc.get_freeze_count() == 0\n")
+
+    def test_cli_import_freezes_the_import_heap(self):
+        _fresh_python("import gc\nthreshold = gc.get_threshold()\nimport torusbergman.cli\n"
+                      "assert gc.get_freeze_count() > 10_000, gc.get_freeze_count()\n"
+                      "assert len(gc.get_objects()) < 1_000, len(gc.get_objects())\n"
+                      "assert gc.isenabled() and gc.get_threshold() == threshold\n")
+
+    def test_cli_run_freezes_nothing_more(self, tmp_path):
+        cfg_path = Path(__file__).resolve().parents[1] / "configs" / "sig11_smoke.cfg"
+        _fresh_python(f"import gc\nfrom torusbergman.cli import main\nfrozen = gc.get_freeze_count()\n"
+                      f"assert main(['all', '--config', {str(cfg_path)!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+                      "assert gc.get_freeze_count() == frozen, (frozen, gc.get_freeze_count())\n")
+
+    def test_cycle_made_after_import_is_collected(self):
+        _fresh_python("import gc\nimport weakref\nimport torusbergman.cli\n"
+                      "class Node:\n    pass\n"
+                      "node = Node()\nnode.self = node\nref = weakref.ref(node)\ndel node\n"
+                      "gc.collect()\nassert ref() is None\n")
 
 
 class TestCli:
