@@ -25,7 +25,7 @@ half-offset lattice grid, summed over a by discrete orthogonality
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import product as iproduct
 from math import prod
 from typing import NamedTuple
@@ -91,6 +91,7 @@ class GramMatrix:
                 "quadrature too coarse or dependent sections"
             )
         self.entries, self.quadrature_resolution = entries, quadrature_resolution
+        self.eigenvalues = w        # ascending spectrum of the Hermitian part
         self.estimated_quadrature_error = estimated_quadrature_error
 
 
@@ -121,16 +122,12 @@ def factor_gram(factor: TorusFactor, k: int, resolution: int | None = None, eps:
                       estimated_quadrature_error=max(est, eps))
 
 
-def gram(basis: HarmonicBasis, resolution: int | None = None) -> GramMatrix:
+def gram(basis: HarmonicBasis) -> GramMatrix:
     """Quadrature Gram of the raw product basis: Kronecker product of factor Grams (test oracle)."""
-    gs = [factor_gram(f, basis.k, resolution, basis.eps) for f in basis.model.factors]
-    G = gs[0].entries
-    est = gs[0].estimated_quadrature_error or 0.0
-    for g2 in gs[1:]:
-        G = np.kron(G, g2.entries)
-        est = est + (g2.estimated_quadrature_error or 0.0)
-    return GramMatrix(entries=G, quadrature_resolution=max(g.quadrature_resolution for g in gs),
-                      estimated_quadrature_error=est)
+    gs = [factor_gram(f, basis.k, eps=basis.eps) for f in basis.model.factors]
+    return GramMatrix(entries=reduce(np.kron, [g.entries for g in gs]),
+                      quadrature_resolution=max(g.quadrature_resolution for g in gs),
+                      estimated_quadrature_error=sum(g.estimated_quadrature_error for g in gs))
 
 
 class HarmonicBasis:
@@ -204,27 +201,17 @@ class HarmonicBasis:
         """Factor t's orthonormalized weighted values (factor_tables(t, z)["v"])
         on the half-offset N x N lattice grid z = a + tau b, a-major: (m, N^2)."""
         s = self.factor_sets[t]
-        V = np.empty((s.level, N * N), dtype=complex)
-        for j, W in enumerate(weighted_grid(s.level, s.factor.tau, N, self.eps)):
-            V[j] = W.ravel()
+        V = weighted_grid(s.level, s.factor.tau, N, self.eps).reshape(s.level, N * N)
         V *= s.scale
         return np.conj(V, out=V) if s.factor.degree < 0 else V
 
     def grid_density(self, t: int, N: int) -> np.ndarray:
-        """Factor t's density sum_j |g_j|^2 on the same grid, shape (N, N).
-
-        Accumulated one member at a time, so the (m, N^2) table is never held;
-        conjugation does not change |g_j|, and the scale is applied once.
-        """
+        """Factor t's density sum_j |g_j|^2 on the same grid, shape (N, N);
+        conjugation does not change |g_j|, and the scale is applied once."""
         s = self.factor_sets[t]
-        out = np.zeros((N, N))
-        sq = np.empty((N, N))
-        for W in weighted_grid(s.level, s.factor.tau, N, self.eps):
-            np.abs(W, out=sq)
-            sq *= sq
-            out += sq
-        out *= s.scale ** 2
-        return out
+        sq = np.abs(weighted_grid(s.level, s.factor.tau, N, self.eps))
+        sq *= sq
+        return sq.sum(axis=0) * s.scale ** 2
 
     def grid_gram(self, t: int, N: int) -> np.ndarray:
         """Trapezoid Gram of factor t's orthonormalized members on the grid

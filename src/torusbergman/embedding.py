@@ -31,6 +31,7 @@ import numpy as np
 from .basis import HarmonicBasis
 from .geometry import ProductModel, omega as omega_form
 from .kernel import leading_coefficient
+from .theta import grid_pairs
 from .util import Draws, SlopeFit, asymptotic_window, fit_slope
 
 __all__ = [
@@ -116,10 +117,8 @@ def _factor_min_fs(basis: HarmonicBasis, t: int, grid_n: int):
             best = float(C[idx])
             pair = (i0 + idx[0], idx[1])
         del C
-    g = (np.arange(grid_n) + 0.5) / grid_n
-    pts = [np.array([g[p // grid_n], g[p % grid_n]]) for p in pair]     # a-major grid order
     dist = fs_distance(ProjectivePoint(V[:, pair[0]]), ProjectivePoint(V[:, pair[1]]))
-    return dist, tuple(pts)
+    return dist, tuple(grid_pairs(grid_n)[list(pair)])
 
 
 def injectivity_scan(basis: HarmonicBasis, grid_n: int = 64, rng=None) -> InjectivityReport:
@@ -327,8 +326,7 @@ def convergence_report(model: ProductModel, ks, grid_n: int = 8, eps: float = 1e
     ks = np.asarray(list(ks), dtype=int)
     if len(ks) < 4:
         raise ValueError("need at least 4 ladder values")
-    g = (np.arange(grid_n) + 0.5) / grid_n
-    grid = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
+    grid = grid_pairs(grid_n)
     cloud = Draws(7).random((128, 2 * model.n))
     samples = [np.concatenate([grid, cloud[:, 2 * t:2 * t + 2]]) for t in range(model.n)]
     w0 = omega_form(model)

@@ -219,8 +219,8 @@ class RunReport:
         return all(c["pass"] for c in self.criteria)
 
 
-def _bases(cfg: ExperimentConfig, model, ks=None):
-    return [basis_mod.build_basis(model, k, eps=cfg.theta_eps) for k in (ks or cfg.k_ladder)]
+def _bases(cfg: ExperimentConfig, model):
+    return [basis_mod.build_basis(model, k, eps=cfg.theta_eps) for k in cfg.k_ladder]
 
 
 def _probe_pair(probes, model, rng, shift):
@@ -256,10 +256,9 @@ def _exp_dims(cfg, model, rng):
         for s in b.factor_sets:
             key = (s.factor.tau, s.level)
             if key not in seen:
-                g = basis_mod.factor_gram(s.factor, k, eps=cfg.theta_eps).entries
+                g = basis_mod.factor_gram(s.factor, k, eps=cfg.theta_eps)
                 c = basis_mod.theta_gram_diagonal(s.level, s.factor.im_tau)
-                seen[key] = (np.linalg.eigvalsh(g)[0],
-                             float(np.max(np.abs(g - c * np.eye(s.level)))) / c)
+                seen[key] = (g.eigenvalues[0], float(np.max(np.abs(g.entries - c * np.eye(s.level)))) / c)
             e, d = seen[key]
             eig *= e
             dev = max(dev, d)
@@ -314,8 +313,9 @@ def _exp_density(cfg, model, rng):
         lam = abs(f.weight_scale)
         got = ker.disc_model_density(lam, 8)
         disc_rel = max(disc_rel, abs(got / (8 * lam / np.pi) - 1.0))
+    # the disc oracle's deviation is 1.78e-8 at every lam and k: it gates, it is not measured
     ok = worst_trace <= 1e-8 and disc_rel <= 0.01 and worst_rel <= 0.02
-    crit = [_criterion("A3", max(worst_trace, disc_rel, worst_rel), 0.02, ok)]
+    crit = [_criterion("A3", max(worst_trace, worst_rel), 0.02, ok)]
     header = [f"z{i}" for i in range(2 * model.n)] + ["k", "density", "b0k_n", "relerr"]
     return rows, header, crit, {"density": pts.tolist()}
 

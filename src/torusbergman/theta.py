@@ -25,10 +25,9 @@ lattice grid z = a + tau b (a, b in (arange(N) + 0.5) / N), where the a-phase
 exp(2 pi i (m n + j) a) (r = n + j/m) splits off: the b-only factors of all
 characteristics' terms are formed in one pass (_grid_factors), and each
 characteristic is one (N x R_j) @ (R_j x N) matrix product with O(N R)
-complex exponentials instead of O(N^2 R).  weighted_grid yields one
-characteristic at a time, so a caller that reduces as it goes (the density
-sum_j |W_j|^2) holds one N x N array and the O(N R m) b-only factors, not
-the whole m x N^2 table.  weighted_grid_gram sums the trapezoid
+complex exponentials instead of O(N^2 R).  weighted_grid returns the
+(m, N, N) table, which the density sum_j |W_j|^2 and the FS scan read;
+half_offset and grid_pairs define the grid.  weighted_grid_gram sums the trapezoid
 Gram of those grid values over a by discrete orthogonality (the a-phases of
 two terms are orthogonal on the grid unless their frequencies m n + j differ
 by a multiple of N), so it holds only the b-only factors, O(N R m) numbers.
@@ -37,11 +36,10 @@ by a multiple of N), so it holds only the b-only factors, O(N R m) numbers.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 
 import numpy as np
 
-__all__ = ["phi_plus", "weighted_grid", "weighted_grid_gram", "weighted_table"]
+__all__ = ["half_offset", "grid_pairs", "phi_plus", "weighted_grid", "weighted_grid_gram", "weighted_table"]
 
 
 def phi_plus(m: int, tau: complex, z) -> np.ndarray:
@@ -152,13 +150,24 @@ def _members(m: int, tau: complex, z, members, orders: int, eps: float) -> np.nd
     return out
 
 
+def half_offset(N: int) -> np.ndarray:
+    """The half-offset lattice grid's coordinates (arange(N) + 0.5) / N, per axis."""
+    return (np.arange(N) + 0.5) / N
+
+
+def grid_pairs(N: int) -> np.ndarray:
+    """Its N^2 points (a, b), a-major (the order of a raveled [a, b] table): (N^2, 2)."""
+    t = half_offset(N)
+    return np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1).reshape(-1, 2)
+
+
 def _grid_factors(m: int, tau: complex, N: int, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every term of the half-offset N-point grid t = (arange(N) + 0.5) / N,
+    """Every term of the half-offset N-point grid t = half_offset(N),
     ordered by characteristic j, then by n: the integer a-frequencies f = m n + j,
     the b-only factors G[term, b] = exp(_exponent(m, tau, r, t)), and the m + 1
     row offsets of the characteristics, so that W_j[a, b] is the sum over
     j's rows of exp(2 pi i f t_a) G[row, b].  One pass over all terms."""
-    t = (np.arange(N) + 0.5) / N
+    t = half_offset(N)
     # the windows see Im z = Im(tau) b, as weighted_table would at these points
     lo, hi = _windows(m, tau, tau.imag * t, eps, 0)
     counts = hi - lo + 1
@@ -168,19 +177,19 @@ def _grid_factors(m: int, tau: complex, N: int, eps: float) -> tuple[np.ndarray,
     return m * n + j, np.exp(_exponent(m, tau, (n + j / m)[:, None], t)), starts
 
 
-def weighted_grid(m: int, tau: complex, N: int, eps: float = 1e-12) -> Iterator[np.ndarray]:
-    """W_0 of weighted_table on the half-offset N x N lattice grid, one
-    characteristic at a time.
-
-    Yields m arrays of shape (N, N) indexed [a, b] for z = a + tau b with
-    a, b in (arange(N) + 0.5) / N, so that raveling gives the a-major point
-    order.  Characteristic j is E_j @ G_j with E_j[a, n] = exp(2 pi i (m n + j) a)
+def weighted_grid(m: int, tau: complex, N: int, eps: float = 1e-12) -> np.ndarray:
+    """W_0 of weighted_table on the half-offset N x N lattice grid: shape
+    (m, N, N), indexed [j, a, b] for z = a + tau b with a, b in half_offset(N),
+    so that raveling a characteristic gives the a-major order of grid_pairs.
+    Characteristic j is E_j @ G_j with E_j[a, n] = exp(2 pi i (m n + j) a)
     and G_j its rows of the b-only factor of _grid_factors.
     """
-    t = (np.arange(N) + 0.5) / N
+    t = half_offset(N)
     f, G, starts = _grid_factors(m, tau, N, eps)
-    for a, b in zip(starts[:-1], starts[1:]):
-        yield np.exp(2j * np.pi * np.outer(t, f[a:b])) @ G[a:b]
+    out = np.empty((m, N, N), dtype=complex)
+    for j, (a, b) in enumerate(zip(starts[:-1], starts[1:])):
+        out[j] = np.exp(2j * np.pi * np.outer(t, f[a:b])) @ G[a:b]
+    return out
 
 
 _PAIR_CHUNK = 256

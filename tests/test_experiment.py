@@ -698,6 +698,36 @@ class TestDims:
                 want_dev = max(want_dev, float(np.max(np.abs(g - c * np.eye(len(g))))) / c)
             assert (eig, dev) == (want_eig, want_dev)
 
+    def test_one_eigensolve_per_gram(self, monkeypatch):
+        # two distinct (tau, level) Grams per rung, (i, k) for both signs and
+        # (0.3 + 1.2i, 2k): each is solved once, by GramMatrix's own check
+        cfg = parse_config("factor = 0 1 -1\nfactor = 0 1 1\nfactor = 0.3 1.2 2\n"
+                           "k_ladder = 2 3 4\nexperiments = dims\n")
+        sizes = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *args, **kw: sizes.append(len(a)) or real(a, *args, **kw))
+        (a1,) = run(cfg).criteria
+        assert a1["pass"] and sorted(sizes) == [2, 3, 4, 4, 6, 8]
+
+    @pytest.mark.parametrize("name, text", [
+        ("a1_d2.cfg", "k,sections,expected,gram_min_eig,gram_dev\n"
+                      "4,8,8,0.5,4.4408920985006262e-16\n"
+                      "8,16,16,0.35355339059327373,1.5700924586837749e-16\n"
+                      "12,24,24,0.28867513459481287,9.6148134319178206e-16\n"
+                      "16,32,32,0.25,2.2204460492503131e-16\n"),
+        ("a1_p12.cfg", "k,sections,expected,gram_min_eig,gram_dev\n"
+                       "4,32,32,0.35355339059327373,4.4408920985006262e-16\n"
+                       "8,128,128,0.17677669529663687,4.4408920985006262e-16\n"
+                       "12,288,288,0.11785113019775789,9.6148134319178206e-16\n"
+                       "16,512,512,0.088388347648318433,2.2204460492503131e-16\n"),
+    ])
+    def test_a1_dims_bytes_pinned(self, name, text, tmp_path):
+        # A1's gram_min_eig and gram_dev bits on two shipped configs, as written
+        # when dims solved each factor Gram a second time for its minimum eigenvalue
+        cfg = parse_config((Path(__file__).parent.parent / "configs" / name).read_text())
+        emit_report(run(cfg, experiments=("dims",)), tmp_path)
+        assert (tmp_path / "dims.csv").read_text() == text
+
     def test_a2_evaluates_each_member_table_once(self, monkeypatch):
         # a thin factor (Im tau = 0.05) takes A2 to grid 128, so both factors' members
         # are evaluated at grids 64 and 128, once each; the control perturbs factor 0's

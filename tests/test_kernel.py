@@ -126,7 +126,7 @@ class TestDensity:
 
     def test_trace_density_streams_the_grid(self):
         # one 360 x 360 complex table of the k = 60 factor is 2 MB, the whole
-        # (60, 360^2) table 124 MB; the density holds one member at a time
+        # (60, 360^2) table 124 MB; the trace sums by discrete orthogonality, without either
         b = build_basis(model(-1), 60)
         tracemalloc.start()
         try:

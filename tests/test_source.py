@@ -1,0 +1,83 @@
+"""Static checks of the package source, by the standard library's ast: no
+unused import, no unreferenced private module-level name, no undefined
+__all__ entry.  They catch what a refactor leaves behind."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "torusbergman"
+MODULES = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
+
+
+def _all_entries(tree: ast.Module) -> list[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return [e.value for e in node.value.elts]
+    return []
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Names read in the module: loaded names, attribute names and __all__ entries."""
+    refs = set(_all_entries(tree))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+    return refs
+
+
+def _imported(tree: ast.Module) -> list[str]:
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names += [a.asname or a.name for a in node.names]
+    return names
+
+
+def _module_level(tree: ast.Module) -> set[str]:
+    """Names bound at the top level: functions, classes, assignments and imports."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {a.asname or a.name.split(".")[0] for a in node.names}
+    return names
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_no_unused_import(name):
+    tree = MODULES[name]
+    assert [n for n in _imported(tree) if n not in _references(tree)] == []
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_private_names_are_referenced(name):
+    used = set().union(*(_references(t) for t in MODULES.values()))
+    used |= {a.name for t in MODULES.values() for n in ast.walk(t)
+             if isinstance(n, ast.ImportFrom) for a in n.names}
+    private = {n for n in _module_level(MODULES[name]) if n.startswith("_") and not n.startswith("__")}
+    assert sorted(private - used) == []
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_all_entries_are_defined(name):
+    tree = MODULES[name]
+    assert [n for n in _all_entries(tree) if n not in _module_level(tree)] == []
+
+
+def test_checks_see_a_leftover():
+    # the checks themselves: an orphaned import, an unread private helper and a
+    # stale __all__ entry are each reported
+    tree = ast.parse("from collections.abc import Iterator\n__all__ = ['gone']\ndef _helper():\n    pass\n")
+    assert [n for n in _imported(tree) if n not in _references(tree)] == ["Iterator"]
+    assert "_helper" in _module_level(tree) and "_helper" not in _references(tree)
+    assert [n for n in _all_entries(tree) if n not in _module_level(tree)] == ["gone"]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from _oracles import looped_weighted_grid, looped_weighted_grid_gram, looped_weighted_table
-from torusbergman.theta import _members, phi_plus, weighted_grid, weighted_grid_gram, weighted_table
+from torusbergman.theta import _members, grid_pairs, phi_plus, weighted_grid, weighted_grid_gram, weighted_table
 
 TAU = 1j
 
@@ -85,7 +85,7 @@ class TestEval:
         with pytest.raises(ValueError):
             weighted_table(1, 1.0 - 0.5j, 0.1)
         with pytest.raises(ValueError):
-            next(weighted_grid(1, 1.0 - 0.5j, 8))
+            weighted_grid(1, 1.0 - 0.5j, 8)
 
 
 class TestGrad:
@@ -153,13 +153,13 @@ class TestHess:
 class TestBasisOfLevel:
     def test_level_one_single_series(self):
         assert weighted_table(1, TAU, 0.3).shape == (1, 1, 1)
-        assert len(list(weighted_grid(1, TAU, 8))) == 1
+        assert weighted_grid(1, TAU, 8).shape == (1, 8, 8)
 
     def test_rejects_nonpositive_level(self):
         with pytest.raises(ValueError):
             weighted_table(0, TAU, 0.1)
         with pytest.raises(ValueError):
-            next(weighted_grid(0, TAU, 8))
+            weighted_grid(0, TAU, 8)
 
     def test_gram_nonsingular_with_small_condition(self):
         m = 3
@@ -245,10 +245,12 @@ class TestWeightedGrid:
         g = (np.arange(N) + 0.5) / N
         A, B = np.meshgrid(g, g, indexing="ij")
         W = weighted_table(m, tau, (A + tau * B).ravel())[0]
-        grids = list(weighted_grid(m, tau, N))
-        assert len(grids) == m and all(G.shape == (N, N) for G in grids)
-        got = np.stack([G.ravel() for G in grids])
+        grids = weighted_grid(m, tau, N)
+        assert grids.shape == (m, N, N)
+        got = grids.reshape(m, N * N)
         assert np.max(np.abs(got - W)) <= 1e-12 * np.max(np.abs(W))
+        # grid_pairs lists the same points in the same (a-major) order
+        assert np.array_equal(grid_pairs(N), np.stack([A.ravel(), B.ravel()], axis=1))
 
     @pytest.mark.parametrize("tau", [1j, 0.3 + 1.2j, 0.1 + 0.05j, -0.4 + 0.7j])
     @pytest.mark.parametrize("m, N", [(1, 16), (3, 12), (5, 23), (8, 48), (12, 50), (40, 163)])
@@ -257,8 +259,8 @@ class TestWeightedGrid:
         # q = 0 pairs read as row slices, against the per-characteristic loop
         # with gathered pairs that they replace: bit for bit, thin tori and
         # sides that the level does not divide included
-        got = list(weighted_grid(m, tau, N))
+        got = weighted_grid(m, tau, N)
         want = looped_weighted_grid(m, tau, N)
-        assert len(got) == len(want) == m
+        assert got.shape == (m, N, N) and len(want) == m
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
         assert np.array_equal(weighted_grid_gram(m, tau, N), looped_weighted_grid_gram(m, tau, N))
