@@ -138,9 +138,9 @@ class HarmonicBasis:
     indexed lexicographically by their per-factor member indices (`indices`).
     Every route a CLI run takes rests on this structure and reads factor
     tables (kernel, density and ratio profile, trace identity, density floor,
-    FS scan, A7's rank check, the pullback form's factor fields); values and
-    jets form the (dim, P) product tables, which on several factors serve only
-    the 24-point near-diagonal FS profile and the tests' oracles.
+    FS scan and near-diagonal profile, A7's rank check, the pullback form's
+    factor fields); values and jets form the (dim, P) product tables, which
+    serve only the tests' oracles, the demo and the one-point differential.
     """
 
     def __init__(self, model: ProductModel, k: int, eps: float = 1e-12):

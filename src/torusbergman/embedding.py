@@ -18,8 +18,9 @@ density); the two agree for holomorphic maps and their gap on
 indefinite-signature models is reported as a measured diagnostic.
 pullback_jacobian_many and pullback_ddbar_many write these fields into the
 (P, 2n, 2n) form, and convergence_report (criterion A8) keeps them as they
-are.  A7's rank check (_rank_many) sums the one-factor ranks by the same
-identity.
+are.  A7's near-diagonal profile combines the factor lifts' FS sines and
+cosines by the Segre identity, and its rank check (_rank_many) sums the
+factor ranks, each from one factor jet table; no run forms a product table.
 """
 
 from __future__ import annotations
@@ -56,17 +57,22 @@ class ProjectivePoint:
         self.homogeneous = homogeneous
 
 
+def _fs_sin_cos(a: np.ndarray, b: np.ndarray):
+    """(sin, cos) of the FS distance of lifts a and b: the norm of normalized
+    a's part orthogonal to normalized b, and |<a, b>| / (|a| |b|)."""
+    va = a / np.linalg.norm(a)
+    vb = b / np.linalg.norm(b)
+    c = np.vdot(vb, va)                      # <va, vb> conjugated appropriately
+    return np.linalg.norm(va - c * vb), abs(c)
+
+
 def fs_distance(a: ProjectivePoint, b: ProjectivePoint) -> float:
     """Fubini-Study distance arccos(|<a,b>| / (|a| |b|)) in [0, pi/2].
 
     Evaluated as atan2(sin, cos) with the orthogonal component supplying the
     sine; arccos alone is ill-conditioned at coincident points.
     """
-    va = a.homogeneous / np.linalg.norm(a.homogeneous)
-    vb = b.homogeneous / np.linalg.norm(b.homogeneous)
-    c = np.vdot(vb, va)                      # <va, vb> conjugated appropriately
-    perp = va - c * vb
-    return float(np.arctan2(np.linalg.norm(perp), abs(c)))
+    return float(np.arctan2(*_fs_sin_cos(a.homogeneous, b.homogeneous)))
 
 
 class WellDefinedReport(NamedTuple):
@@ -130,6 +136,9 @@ def injectivity_scan(basis: HarmonicBasis, grid_n: int = 64, rng=None) -> Inject
     per-factor scan; that is computed exhaustively.  The near-diagonal profile
     measures FS distance at g-distances delta in {0.5, 1, 2}/sqrt(k) along
     rng's directions (default util.Draws(0), or a numpy Generator); alpha = min fs / (sqrt(k) delta).
+    The lift is the Segre composite of the factor lifts, so with s_t, c_t the
+    FS sine and cosine of factor t's lifts, cos d = prod_t c_t and sin^2 d =
+    sum_t s_t^2 prod_{u<t} c_u^2 (terms >= 0, conditioned as fs_distance).
     """
     model = basis.model
     k = basis.k
@@ -146,7 +155,7 @@ def injectivity_scan(basis: HarmonicBasis, grid_n: int = 64, rng=None) -> Inject
             worst_pair = (x1, x2)
     offender = worst_pair if min_fs < 1e-10 else None
 
-    # draw the 12 pairs (p, then its direction) in turn, then lift all 24 points at once
+    # draw the 12 pairs (p, then its direction) in turn, then tabulate all 24 points at once
     pairs = []
     scales = []
     for mult in (0.5, 1.0, 2.0):
@@ -159,9 +168,14 @@ def injectivity_scan(basis: HarmonicBasis, grid_n: int = 64, rng=None) -> Inject
             glen = np.sqrt(2.0 * np.sum(np.abs(vz) ** 2))
             pairs += [p, p + direction * (delta_g / glen)]
             scales.append(float(np.sqrt(k) * delta_g))
-    lifts = basis.values(np.array(pairs))
-    near = [(sc, fs_distance(ProjectivePoint(lifts[:, 2 * i]), ProjectivePoint(lifts[:, 2 * i + 1])))
-            for i, sc in enumerate(scales)]
+    tabs = basis.factor_values(np.array(pairs))
+    near = []
+    for i, sc in enumerate(scales):
+        s, c = 0.0, 1.0
+        for V in tabs:              # the Segre step: s^2 += (c s_t)^2, c *= c_t
+            st, ct = _fs_sin_cos(V[:, 2 * i], V[:, 2 * i + 1])
+            s, c = np.hypot(s, c * st), c * ct
+        near.append((sc, float(np.arctan2(s, c))))
     alpha = min(d / sc for sc, d in near)
     return InjectivityReport(min_fs_distance=min_fs, near_diagonal_alpha=float(alpha),
                              near_diagonal=near, offending_pair=offender)
@@ -175,50 +189,39 @@ class Differential(NamedTuple):
 _RANK_TOL = 1e-7    # a singular value counts toward the rank above this times max(largest, |lift|)
 
 
-def _differential_many(basis: HarmonicBasis, pts) -> Differential:
-    """differential at many points: each field gains a leading point axis P.
+def _real_partials(dz: np.ndarray, dzb: np.ndarray) -> np.ndarray:
+    """Chart real-coordinate partials (d/dz_t + d/dzb_t, i (d/dz_t - d/dzb_t))
+    per t from (n, dim, P) complex partials: (P, 2n, dim)."""
+    V = np.stack([dz + dzb, 1j * (dz - dzb)], axis=1)
+    return np.moveaxis(V.reshape(-1, *dz.shape[1:]), -1, 0)
 
-    One jets call and one batched SVD; the rank tolerance is per point,
-    _RANK_TOL * max(largest singular value, |lift|).
-    """
-    jets = basis.jets(np.atleast_2d(np.asarray(pts, dtype=float)))
-    w = jets["val"].T                                          # (P, dim)
-    V = np.moveaxis(_real_partials_many(jets), -1, 0)          # (P, 2n, dim)
+
+def _rank(V: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Per point, the real rank of partials V (P, r, dim) once the fiber
+    direction, the lift w (P, dim), is projected out: the singular values of
+    the stacked real/imaginary parts above _RANK_TOL * max(largest, |lift|)."""
     nrm2 = np.sum(np.abs(w) ** 2, axis=1)
     proj = V - (V @ w.conj()[:, :, None]) * w[:, None, :] / nrm2[:, None, None]
-    Mreal = np.concatenate([proj.real, proj.imag], axis=2)    # (P, 2n, 2*dim)
-    sv = np.linalg.svd(Mreal, compute_uv=False)                # (P, 2n)
+    sv = np.linalg.svd(np.concatenate([proj.real, proj.imag], axis=2), compute_uv=False)
     tol = _RANK_TOL * np.maximum(sv.max(axis=1, initial=0.0), np.sqrt(nrm2))
-    return Differential(partials=V, rank=np.sum(sv > tol[:, None], axis=1))
+    return np.sum(sv > tol[:, None], axis=1)
 
 
 def _rank_many(basis: HarmonicBasis, pts: np.ndarray) -> np.ndarray:
-    """rank dPhi_k at points (P, 2n), the sum of the one-factor ranks at z_t: the lift
-    is the Segre composite of the factor lifts, and the Segre map is an embedding."""
-    return sum(_differential_many(HarmonicBasis(ProductModel((f,)), basis.k, basis.eps),
-                                  pts[:, 2 * t:2 * t + 2]).rank for t, f in enumerate(basis.model.factors))
+    """rank dPhi_k at points (P, 2n), the sum of the factor ranks at z_t, each
+    from factor t's jet table: the lift is the Segre composite of the factor
+    lifts, and the Segre map is an embedding."""
+    zs = basis.model.chart_z(pts)
+    tabs = (basis.factor_tables(t, zs[:, t], "d1") for t in range(basis.model.n))
+    return sum(_rank(_real_partials(tab["z"][None], tab["zb"][None]), tab["v"].T) for tab in tabs)
 
 
 def differential(basis: HarmonicBasis, z) -> Differential:
-    """Real differential of the lift and the induced rank of the map.
-
-    The fiber direction (the lift itself) is projected out, then the real rank
-    of the remaining 2n directions is computed from singular values of the
-    stacked real/imaginary parts.
-    """
-    d = _differential_many(basis, z)
-    return Differential(partials=d.partials[0], rank=int(d.rank[0]))
-
-
-def _real_partials_many(jets):
-    """Chart real-coordinate partials for all points: (2n, dim, P)."""
-    dz = jets["dz"]
-    dzb = jets["dzb"]
-    n, dim, P = dz.shape
-    V = np.empty((2 * n, dim, P), dtype=complex)
-    V[0::2] = dz + dzb
-    V[1::2] = 1j * (dz - dzb)
-    return V
+    """Real differential of the lift, from the (dim, 1) product jets, and the
+    map's rank by _rank's rule: the one-point product oracle of _rank_many."""
+    jets = basis.jets(np.atleast_2d(np.asarray(z, dtype=float)))
+    V = _real_partials(jets["dz"], jets["dzb"])
+    return Differential(partials=V[0], rank=int(_rank(V, jets["val"].T)[0]))
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:

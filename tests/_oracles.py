@@ -23,7 +23,7 @@ composite of the factor fields is checked."""
 import numpy as np
 
 from torusbergman.basis import HarmonicBasis, default_resolution
-from torusbergman.embedding import ProjectivePoint, _real_partials_many
+from torusbergman.embedding import ProjectivePoint, _real_partials
 from torusbergman.geometry import VOLUME_NORMALIZATION, ProductModel, curvature_matrix, factor_volume
 from torusbergman.geometry import omega as omega_form
 from torusbergman.kernel import _segment_points
@@ -268,7 +268,7 @@ def pullback_jacobian_many(basis: HarmonicBasis, pts) -> np.ndarray:
     """(1/k) Phi* omega_FS at many points: array (P, 2n, 2n)."""
     jets = basis.jets(np.atleast_2d(np.asarray(pts, dtype=float)))
     w = jets["val"]                                   # (dim, P)
-    V = _real_partials_many(jets)                     # (2n, dim, P)
+    V = np.moveaxis(_real_partials(jets["dz"], jets["dzb"]), 0, -1)   # (2n, dim, P)
     nrm2 = np.sum(np.abs(w) ** 2, axis=0)             # (P,)
     vw = np.einsum("ajp,jp->ap", V, w.conj())         # <V_a, w>
     vv = np.einsum("ajp,bjp->abp", V, V.conj())       # <V_a, V_b>

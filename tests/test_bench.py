@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from torusbergman import basis, theta
+from torusbergman import basis, embedding, theta
 from torusbergman.cli import main as cli_main
 from torusbergman.experiment import parse_config
 
@@ -78,3 +78,22 @@ def test_every_workload_passes_the_bench_gate(bench_run, tmp_path):
         for cid in w.expected:
             assert verdicts.get(cid) and all(verdicts[cid]), (name, cid)
         assert not [x for x in summary["warnings"] if x.startswith("experiment ")], name
+
+
+def test_no_embed_run_enters_a_product_route(bench_run, tmp_path, monkeypatch):
+    # every shipped config that runs embed, and the bench's embed workload,
+    # read factor tables only: the (dim, P) product tables, the product Gram
+    # and the one-point differential are the tests' oracles
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run entered a product-basis route")
+
+    for owner, name in [(basis.HarmonicBasis, "values"), (basis.HarmonicBasis, "jets"),
+                        (basis.HarmonicBasis, "_combine"), (basis, "gram"), (embedding, "differential")]:
+        monkeypatch.setattr(owner, name, refuse)
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    runs = {p.stem: p for p in sorted(configs.glob("*.cfg")) if "embed" in parse_config(p.read_text()).experiments}
+    assert sorted(runs) == ["sig10_embed", "sig11_embed", "sig11_smoke"]
+    runs["embed_sig11"] = tmp_path / "embed_sig11.cfg"
+    runs["embed_sig11"].write_text(bench_run.WORKLOADS["embed_sig11"].config.format(seed=1))
+    for name, cfg in runs.items():
+        assert cli_main(["all", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0, name

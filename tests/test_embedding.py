@@ -22,6 +22,7 @@ from torusbergman.embedding import (
 from torusbergman.experiment import parse_config, run
 from torusbergman.geometry import ProductModel, TorusFactor, factor_volume, omega
 from torusbergman.kernel import density, leading_coefficient, trace_density
+from torusbergman.util import Draws
 
 TAU = 1j
 
@@ -144,6 +145,33 @@ class TestInjectivity:
         x1, x2 = rep.offending_pair
         assert np.allclose(np.cos(2 * np.pi * (x1 + x2)), 1.0)     # x2 = -x1 mod the lattice
 
+    @pytest.mark.parametrize("factors, k", [
+        ([(TAU, -1)], 8), ([(0.3 + 1.2j, 2)], 3),
+        ([(TAU, -1), (TAU, 1)], 4), ([(0.3 + 1.2j, -1), (-0.2 + 0.9j, 2)], 5), ([(TAU, -2), (TAU, 1)], 3),
+        ([(TAU, -1), (TAU, 1), (TAU, 1)], 3), ([(0.25 + 1.1j, 1), (TAU, -2), (-0.4 + 0.8j, -1)], 2)])
+    def test_profile_matches_product_lifts(self, factors, k):
+        # the Segre profile from factor tables against fs_distance on the
+        # (dim, 24) product lifts of the same points, at all three delta
+        # scales.  Over 40 seeds of these models and three more (k up to 16)
+        # the worst relative gap was 7.3e-16; one factor is bit for bit.
+        b = build_basis(ProductModel.from_factors([TorusFactor(tau, d) for tau, d in factors]), k)
+        tabulate = b.factor_values
+        for seed in range(3):
+            seen = []
+            b.factor_values = lambda pts: tabulate(seen.append(pts) or pts)
+            rep = injectivity_scan(b, grid_n=4, rng=Draws(seed))
+            assert len(seen) == 1 and seen[0].shape == (24, 2 * b.model.n)
+            lifts = b.values(seen[0])
+            want = [fs_distance(ProjectivePoint(lifts[:, i]), ProjectivePoint(lifts[:, i + 1]))
+                    for i in range(0, 24, 2)]
+            scales, got = np.array(rep.near_diagonal).T
+            assert scales == pytest.approx(np.repeat([0.5, 1.0, 2.0], 4), rel=1e-15)
+            if b.model.n == 1:
+                assert got.tolist() == want
+            else:
+                assert np.max(np.abs(got - want) / want) <= 1e-15
+            assert rep.near_diagonal_alpha == np.min(got / scales)
+
 
 class TestFactorRoutesMatchProductGrid:
     """well_defined_check, injectivity_scan and trace_density work factor by
@@ -238,11 +266,13 @@ class TestDifferential:
     @pytest.mark.parametrize("degs, k, rank", [((-1,), 12, 2), ((-1, 1), 4, 4), ((-1, 1), 16, 4),
                                                ((1,), 1, 0)])
     def test_stacked_ranks_match_single_points(self, degs, k, rank):
-        from torusbergman.embedding import _differential_many
+        # _rank's rule on 50 points' stacked product jets, against one point at a time
+        from torusbergman.embedding import _rank, _real_partials
 
         b = build_basis(model(*degs), k)
         pts = np.random.default_rng(17).random((50, 2 * b.model.n))
-        ranks = _differential_many(b, pts).rank
+        jets = b.jets(pts)
+        ranks = _rank(_real_partials(jets["dz"], jets["dzb"]), jets["val"].T)
         assert ranks.tolist() == [differential(b, p).rank for p in pts] == [rank] * 50
 
     @pytest.mark.parametrize("factors, k, rank", [
@@ -250,26 +280,39 @@ class TestDifferential:
         ([(TAU, -2), (TAU, 1)], 3, 4), ([(0.3 + 1.2j, -1), (-0.2 + 0.9j, 2)], 5, 4),
         ([(TAU, -5), (TAU, 1)], 1, 2)])     # the degree-1 factor at k = 1 maps to a point
     def test_factor_ranks_match_product_route(self, factors, k, rank):
-        from torusbergman.embedding import _differential_many, _rank_many
+        # factor jet tables against the one-point product route
+        from torusbergman.embedding import _rank_many
 
         b = build_basis(ProductModel.from_factors([TorusFactor(tau, d) for tau, d in factors]), k)
         pts = np.random.default_rng(k).random((50, 2 * b.model.n))
-        assert _rank_many(b, pts).tolist() == _differential_many(b, pts).rank.tolist() == [rank] * 50
+        assert _rank_many(b, pts).tolist() == [differential(b, p).rank for p in pts] == [rank] * 50
 
-    def test_embed_scan_bytes_unchanged(self, tmp_path):
-        # embed_scan.csv of configs/sig11_smoke.cfg as the per-point rank loop
-        # wrote it: the 50-point draw keeps the seeded stream that the second
-        # rung's injectivity scan reads next
+    @staticmethod
+    def _embed_scan(cfg_name, out):
         from pathlib import Path
 
         from torusbergman.experiment import emit_report
 
-        cfg_path = Path(__file__).resolve().parents[1] / "configs" / "sig11_smoke.cfg"
-        emit_report(run(parse_config(cfg_path.read_text()), experiments=("embed",)), tmp_path)
-        assert (tmp_path / "embed_scan.csv").read_text() == (
+        cfg_path = Path(__file__).resolve().parents[1] / "configs" / cfg_name
+        emit_report(run(parse_config(cfg_path.read_text()), experiments=("embed",)), out)
+        return (out / "embed_scan.csv").read_text()
+
+    def test_embed_scan_bytes_unchanged(self, tmp_path):
+        # embed_scan.csv of configs/sig11_smoke.cfg as the per-point rank loop
+        # and the product-table profile wrote it: the 50-point draw keeps the
+        # seeded stream that the second rung's injectivity scan reads next
+        assert self._embed_scan("sig11_smoke.cfg", tmp_path) == (
             "k,min_ratio,min_fs,alpha,rank_ok\n"
             "4,0.98626893811761007,0.33420298317881558,0.60935989036592897,1\n"
             "10,0.99999881755223496,0.54595119762724387,0.76282686569756208,1\n")
+
+    def test_one_factor_embed_scan_bytes_unchanged(self, tmp_path):
+        # configs/sig10_embed.cfg has one factor, so the Segre profile is
+        # fs_distance on the same lifts: the product-table bytes, bit for bit
+        assert self._embed_scan("sig10_embed.cfg", tmp_path) == (
+            "k,min_ratio,min_fs,alpha,rank_ok\n"
+            "4,0.9931107380940003,0.37044389282646845,0.48214109104947528,1\n"
+            "16,0.99999999999999967,0.74772005025636179,0.76378209402583264,1\n")
 
 
 class TestPullback:
@@ -300,13 +343,13 @@ class TestPullback:
 
     def test_projective_gauge_invariance(self):
         # multiply the lift by a smooth nonvanishing scalar field: form unchanged
-        from torusbergman.embedding import _real_partials_many
+        from torusbergman.embedding import _real_partials
 
         b = build_basis(model(-1), 6)
         z = np.atleast_2d(np.array([0.3, 0.4]))
         jets = b.jets(z)
         w = jets["val"][:, 0]
-        V = _real_partials_many(jets)[:, :, 0]
+        V = _real_partials(jets["dz"], jets["dzb"])[0]
         rng = np.random.default_rng(3)
         chi = complex(*rng.normal(size=2))
         dchi = rng.normal(size=2) + 1j * rng.normal(size=2)   # d(chi)/dx_a
