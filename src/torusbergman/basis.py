@@ -19,8 +19,10 @@ member is scaled by (m / (2 Im tau))^(1/4) and the orthonormal product basis
 stays in lexicographically ordered product form.  The quadrature Gram
 (factor_gram, and its Kronecker product gram) is kept as the independent
 oracle that certifies this closed form: the periodic trapezoid rule on the
-half-offset lattice grid, summed over a by discrete orthogonality
-(HarmonicBasis.grid_gram), so it never forms the (m, N^2) grid table.
+half-offset lattice grid, whose side default_resolution makes a multiple of
+m, so that the Gram is exactly diagonal (HarmonicBasis.grid_gram) and each
+entry is a sum of one 1-D Gaussian profile over its own characteristic's
+window; neither the (m, N^2) grid table nor an (m, m) matrix is formed.
 """
 
 from __future__ import annotations
@@ -76,56 +78,52 @@ def theta_gram_diagonal(level: int, im_tau: float) -> float:
 
 
 class GramMatrix:
-    """A quadrature Gram, checked Hermitian and positive definite on construction."""
+    """A quadrature Gram, exactly diagonal, kept as its diagonal; checked
+    positive definite on construction (its eigenvalues are the diagonal)."""
 
-    def __init__(self, entries: np.ndarray, quadrature_resolution: int,
+    def __init__(self, diagonal: np.ndarray, quadrature_resolution: int,
                  estimated_quadrature_error: float | None = None):
-        G = entries
-        herm = np.max(np.abs(G - G.conj().T))
-        if herm > 1e-12 * max(1.0, np.max(np.abs(G))):
-            raise GramError(f"Gram not Hermitian: deviation {herm:.3e}")
-        w = np.linalg.eigvalsh(0.5 * (G + G.conj().T))
-        if w.min() <= 1e-12 * max(w.max(), 1.0):
+        low = diagonal.min()
+        if not low > 1e-12 * max(diagonal.max(), 1.0):
             raise GramError(
-                f"Gram not positive definite (min eig {w.min():.3e}); "
+                f"Gram not positive definite (min eig {low:.3e}); "
                 "quadrature too coarse or dependent sections"
             )
-        self.entries, self.quadrature_resolution = entries, quadrature_resolution
-        self.eigenvalues = w        # ascending spectrum of the Hermitian part
+        self.diagonal, self.quadrature_resolution = diagonal, quadrature_resolution
         self.estimated_quadrature_error = estimated_quadrature_error
 
 
 def default_resolution(level: int, im_tau: float = 1.0) -> int:
     """Quadrature size: max(4m, 16), raised on thin tori (Im tau < 1) until the
-    first aliased mode exp(-pi Im(tau) N^2 / (2m)) is below 1e-16."""
-    return max(4 * level, 16, int(np.ceil(np.sqrt(2 * level * np.log(1e16) / (np.pi * im_tau)))))
+    first aliased mode exp(-pi Im(tau) N^2 / (2m)) is below 1e-16, and rounded
+    up to a multiple of m, where the Gram is exactly diagonal."""
+    n = max(4 * level, 16, int(np.ceil(np.sqrt(2 * level * np.log(1e16) / (np.pi * im_tau)))))
+    return -(-n // level) * level
 
 
-def factor_gram(factor: TorusFactor, k: int, resolution: int | None = None, eps: float = 1e-12) -> GramMatrix:
+def factor_gram(factor: TorusFactor, k: int, eps: float = 1e-12) -> GramMatrix:
     """Quadrature Gram of the raw factor members under the weighted L2 product.
 
     It is the independent check of the closed form theta_gram_diagonal, which
     the basis uses in its place.  The periodic trapezoid rule is spectrally
     accurate here: the integrand's Fourier modes decay like
     exp(-pi T nu^2 / (2m)), so the first aliased mode at nu = N sets the
-    recorded quadrature-error estimate.  The rule is summed by
-    HarmonicBasis.grid_gram, without the (m, N^2) grid table.
+    recorded quadrature-error estimate, which also bounds, relative to the
+    diagonal, the aliased term pairs that HarmonicBasis.grid_gram leaves out.
     """
     m = k * abs(factor.degree)
-    N = default_resolution(m, factor.im_tau) if resolution is None else resolution
-    if N < 4 * m:
-        raise GramError(f"resolution {N} below the floor {4 * m} for level {m}")
+    N = default_resolution(m, factor.im_tau)
     basis = HarmonicBasis(ProductModel((factor,)), k, eps)
     G = basis.grid_gram(0, N) * theta_gram_diagonal(m, factor.im_tau)
     est = float(np.exp(-np.pi * factor.im_tau * N**2 / (2.0 * m)))
-    return GramMatrix(entries=G, quadrature_resolution=N,
+    return GramMatrix(diagonal=G, quadrature_resolution=N,
                       estimated_quadrature_error=max(est, eps))
 
 
 def gram(basis: HarmonicBasis) -> GramMatrix:
     """Quadrature Gram of the raw product basis: Kronecker product of factor Grams (test oracle)."""
     gs = [factor_gram(f, basis.k, eps=basis.eps) for f in basis.model.factors]
-    return GramMatrix(entries=reduce(np.kron, [g.entries for g in gs]),
+    return GramMatrix(diagonal=reduce(np.kron, [g.diagonal for g in gs]),
                       quadrature_resolution=max(g.quadrature_resolution for g in gs),
                       estimated_quadrature_error=sum(g.estimated_quadrature_error for g in gs))
 
@@ -215,13 +213,14 @@ class HarmonicBasis:
 
     def grid_gram(self, t: int, N: int) -> np.ndarray:
         """Trapezoid Gram of factor t's orthonormalized members on the grid
-        (should be I): the sum V @ V^H * dv over grid_table's points, formed
-        by discrete orthogonality in a (theta.weighted_grid_gram) without
-        the (m, N^2) table."""
+        (should be I), the sum V @ V^H * dv over grid_table's points, for a
+        side N that the level m divides, where it is exactly diagonal: its
+        (m,) diagonal (theta.weighted_grid_gram), real, so the same for a
+        conjugate factor."""
         s = self.factor_sets[t]
         G = weighted_grid_gram(s.level, s.factor.tau, N, self.eps)
         G *= s.scale ** 2 * factor_volume(s.factor) / N**2
-        return np.conj(G, out=G) if s.factor.degree < 0 else G
+        return G
 
     def _combine(self, per_factor: list[np.ndarray]) -> np.ndarray:
         V = per_factor[0]

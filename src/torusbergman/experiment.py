@@ -242,9 +242,9 @@ def _criterion(cid, measured, threshold, ok, description=None) -> dict:
 
 
 def _exp_dims(cfg, model, rng):
-    # The product Gram's minimum eigenvalue is the product of the factor minima
-    # (Kronecker product); a conjugate factor's Gram is the conjugate of the
-    # holomorphic one, so one is formed per (tau, |degree|) and rung.
+    # The factor Grams are diagonal, so the product Gram's minimum eigenvalue is
+    # the product of the factor minima; a conjugate factor's Gram is the
+    # holomorphic one's, so one is formed per (tau, |degree|) and rung.
     rows = []
     ok = True
     min_eig = np.inf
@@ -258,7 +258,7 @@ def _exp_dims(cfg, model, rng):
             if key not in seen:
                 g = basis_mod.factor_gram(s.factor, k, eps=cfg.theta_eps)
                 c = basis_mod.theta_gram_diagonal(s.level, s.factor.im_tau)
-                seen[key] = (g.eigenvalues[0], float(np.max(np.abs(g.entries - c * np.eye(s.level)))) / c)
+                seen[key] = (g.diagonal.min(), float(np.max(np.abs(g.diagonal - c))) / c)
             e, d = seen[key]
             eig *= e
             dev = max(dev, d)

@@ -93,22 +93,23 @@ def density(basis: HarmonicBasis, points) -> np.ndarray:
     return out if np.asarray(points).ndim > 1 else float(out[0])
 
 
-def trace_density(basis: HarmonicBasis, grid_n: int | None = None) -> float:
+def trace_density(basis: HarmonicBasis) -> float:
     """Trapezoid integral of the density over M (should equal dim).
 
     The density is the product of the factor densities, so the integral is
     the product over factors of sum_j sum_grid |g_j|^2 dv, that is of the
     trace of HarmonicBasis.grid_gram: the same trapezoid sum, summed over a
-    by discrete orthogonality instead of point by point.  The default grid,
+    by discrete orthogonality instead of point by point.  The grid,
     max(6m, 24) points per side, is finer than (and offset from) factor_gram's
     max(4m, 16), so the identity is a genuine quadrature statement rather
     than the tautology of re-tracing the oracle's grid; on thin tori it is
     raised to default_resolution, whose first aliased mode is below 1e-16.
+    Each of the three is a multiple of m (m <= 3 divides 24), as grid_gram needs.
     """
     tot = 1.0
     for t, s in enumerate(basis.factor_sets):
-        N = grid_n or max(6 * s.level, 24, default_resolution(s.level, s.factor.im_tau))
-        tot *= float(np.trace(basis.grid_gram(t, N)).real)
+        N = max(6 * s.level, 24, default_resolution(s.level, s.factor.im_tau))
+        tot *= float(basis.grid_gram(t, N).sum())
     return tot
 
 

@@ -27,10 +27,10 @@ characteristics' terms are formed in one pass (_grid_factors), and each
 characteristic is one (N x R_j) @ (R_j x N) matrix product with O(N R)
 complex exponentials instead of O(N^2 R).  weighted_grid returns the
 (m, N, N) table, which the density sum_j |W_j|^2 and the FS scan read;
-half_offset and grid_pairs define the grid.  weighted_grid_gram sums the trapezoid
-Gram of those grid values over a by discrete orthogonality (the a-phases of
-two terms are orthogonal on the grid unless their frequencies m n + j differ
-by a multiple of N), so it holds only the b-only factors, O(N R m) numbers.
+half_offset and grid_pairs define the grid.  weighted_grid_gram gives the
+trapezoid Gram of those grid values on a side N that m divides: by discrete
+orthogonality in a it is exactly diagonal, and every entry is a window sum
+of one 1-D Gaussian profile, O(N R) exponentials for all m entries.
 """
 
 from __future__ import annotations
@@ -192,35 +192,26 @@ def weighted_grid(m: int, tau: complex, N: int, eps: float = 1e-12) -> np.ndarra
     return out
 
 
-_PAIR_CHUNK = 256
-
-
 def weighted_grid_gram(m: int, tau: complex, N: int, eps: float = 1e-12) -> np.ndarray:
-    """Trapezoid Gram sum_(a,b) W_j conj(W_j') of the weighted_grid values, (m, m),
-    summed over a by discrete orthogonality instead of on the grid.
+    """Diagonal of the trapezoid Gram sum_(a,b) W_j conj(W_j') of the
+    weighted_grid values, shape (m,), for a side N that m divides.
 
-    With f = m n + j and f' = m n' + j', sum_a exp(2 pi i (f - f') a) over the N
-    half-offset points is exactly N (-1)^((f - f') / N) when N divides f - f'
-    and 0 otherwise, so the Gram is a signed sum, over the aliased term pairs
-    only, of the b-sums sum_b G_j[n, b] conj(G_j'[n', b]).  Memory is
-    O(N sum_j R_j); when m divides N only j = j' pairs alias and the Gram is
-    exactly diagonal.
+    With f = m n + j, sum_a exp(2 pi i (f - f') a) over the N half-offset
+    points vanishes unless N divides f - f'; as m divides N, that needs j = j',
+    so the Gram is exactly diagonal.  Entry j keeps the n = n' pairs: it is
+    N sum_n sum_b exp(-2 pi m Im(tau) (n + j/m + t_b)^2), and every
+    n + j/m + t_b is a point x = (i + 0.5) / N of one 1-D grid, so it is N times
+    the sum of the profile exp(-2 pi m Im(tau) x^2) over the run of i that j's
+    n window covers.  The aliased pairs n - n' = q N / m (q != 0) are left out;
+    relative to the entry, each q contributes at most
+    exp(-pi Im(tau) q^2 N^2 / (2m)).
     """
-    f, G, _ = _grid_factors(m, tau, N, eps)     # f: distinct integers, one per term
-    char = f % m
-    row = np.full(f.max() - f.min() + 1, -1)    # term index of each frequency
-    row[f - f.min()] = np.arange(len(f))
-    gram = np.zeros((m, m), dtype=complex)
-    span = (f.max() - f.min()) // N
-    for q in range(-span, span + 1):
-        partner = f - q * N - f.min()
-        i = np.flatnonzero((partner >= 0) & (partner < len(row)))
-        i = i[row[partner[i]] >= 0]
-        i2 = row[partner[i]]
-        for c in range(0, len(i), _PAIR_CHUNK):     # bounds the gathered copies of G
-            a, b = i[c:c + _PAIR_CHUNK], i2[c:c + _PAIR_CHUNK]
-            # q = 0 pairs every term with itself (i2 is i, all terms), so its rows are read in place
-            ga, gb = (G[c:c + _PAIR_CHUNK],) * 2 if q == 0 else (G[a], G[b])
-            b_sums = np.einsum("ib,ib->i", ga, gb.conj())
-            np.add.at(gram, (char[a], char[b]), (-1.0) ** q * N * b_sums)
-    return gram
+    lo, hi = _windows(m, tau, tau.imag * half_offset(N), eps, 0)
+    if N % m:
+        raise ValueError(f"grid side {N} is not a multiple of the level {m}")
+    first = lo * N + np.arange(m) * (N // m)       # i of (n, b) = (lo_j, 0)
+    start = first - first.min()
+    stop = start + (hi - lo + 1) * N
+    x = (first.min() + np.arange(stop.max()) + 0.5) / N
+    profile = np.exp(-2.0 * np.pi * m * tau.imag * x ** 2)
+    return N * np.array([profile[a:b].sum() for a, b in zip(start, stop)])

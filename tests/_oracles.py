@@ -148,8 +148,10 @@ def looped_weighted_grid(m: int, tau: complex, N: int, eps: float = 1e-12) -> li
 
 
 def looped_weighted_grid_gram(m: int, tau: complex, N: int, eps: float = 1e-12) -> np.ndarray:
-    """theta.weighted_grid_gram from looped_grid_factors, every aliased term
-    pair gathered by fancy indexing, 256 pairs at a time."""
+    """The full (m, m) trapezoid Gram of the weighted_grid values, on any side N,
+    from looped_grid_factors: every aliased term pair, gathered by fancy
+    indexing 256 pairs at a time.  theta.weighted_grid_gram is its diagonal
+    where m divides N, less the aliased pairs of one characteristic."""
     terms = list(looped_grid_factors(m, tau, N, eps))
     f = np.concatenate([x for x, _ in terms])
     char = f % m

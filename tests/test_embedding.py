@@ -203,10 +203,15 @@ class TestFactorRoutesMatchProductGrid:
         assert injectivity_scan(b, self.N).min_fs_distance == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_trace_quadrature(self, product_grid):
-        b, pts, _ = product_grid
-        dv = np.prod([factor_volume(f) / self.N**2 for f in b.model.factors])
+        # the trace's product of grid_gram sums, on a side that both levels divide
+        # and fine enough that the aliased pairs it leaves out are below rounding
+        b, N = product_grid[0], 18
+        g = (np.arange(N) + 0.5) / N
+        pts = np.stack(np.meshgrid(g, g, g, g, indexing="ij"), axis=-1).reshape(-1, 4)
+        dv = np.prod([factor_volume(f) / N**2 for f in b.model.factors])
         want = float(np.sum(density(b, pts))) * dv
-        assert trace_density(b, self.N) == pytest.approx(want, rel=1e-12, abs=0)
+        got = np.prod([b.grid_gram(t, N).sum() for t in range(b.model.n)])
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_remixed_basis_refused(self, product_grid, monkeypatch):
         # a remixed basis is no tensor product: the factor routes cannot read it
@@ -214,9 +219,11 @@ class TestFactorRoutesMatchProductGrid:
 
         b = product_grid[0]
         fake = RemixedBasis(b, haar_unitary(b.dim, np.random.default_rng(4)))
-        for route in (well_defined_check, injectivity_scan, trace_density):
+        for route in (well_defined_check, injectivity_scan):
             with pytest.raises(AttributeError):
                 route(fake, self.N)
+        with pytest.raises(AttributeError):
+            trace_density(fake)
         for route in (pullback_jacobian_many, pullback_ddbar_many):
             with pytest.raises(AttributeError):
                 route(fake, np.array([0.3, 0.1, 0.7, 0.2]))

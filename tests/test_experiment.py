@@ -692,38 +692,55 @@ class TestDims:
         for k, _, _, eig, dev in rep.tables["dims"][1]:
             want_eig, want_dev = 1.0, 0.0
             for f in cfg.model.factors:
-                g = real(f, k).entries
+                g = real(f, k).diagonal
                 c = basis_mod.theta_gram_diagonal(len(g), f.im_tau)
-                want_eig *= np.linalg.eigvalsh(g)[0]
-                want_dev = max(want_dev, float(np.max(np.abs(g - c * np.eye(len(g))))) / c)
+                want_eig *= g.min()
+                want_dev = max(want_dev, float(np.max(np.abs(g - c))) / c)
             assert (eig, dev) == (want_eig, want_dev)
 
-    def test_one_eigensolve_per_gram(self, monkeypatch):
+    def test_dims_makes_no_eigensolve(self, monkeypatch):
         # two distinct (tau, level) Grams per rung, (i, k) for both signs and
-        # (0.3 + 1.2i, 2k): each is solved once, by GramMatrix's own check
+        # (0.3 + 1.2i, 2k): each is diagonal, so its eigenvalues are its entries
         cfg = parse_config("factor = 0 1 -1\nfactor = 0 1 1\nfactor = 0.3 1.2 2\n"
                            "k_ladder = 2 3 4\nexperiments = dims\n")
         sizes = []
         real = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *args, **kw: sizes.append(len(a)) or real(a, *args, **kw))
         (a1,) = run(cfg).criteria
-        assert a1["pass"] and sorted(sizes) == [2, 3, 4, 4, 6, 8]
+        assert a1["pass"] and sizes == []
+
+    def test_one_factor_quadrature_past_k_1000(self, monkeypatch):
+        # the Gram and trace at levels 400..1600 hold one 1-D profile per grid:
+        # the alias-pair route formed a (4m, N) term table, ~983 MB at m = 1600
+        cfg = parse_config("factor = 0 1 -1\nk_ladder = 400 800 1200 1600\nexperiments = dims density\n")
+        sizes = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *args, **kw: sizes.append(len(a)) or real(a, *args, **kw))
+        tracemalloc.start()
+        try:
+            rep = run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [c["criterion_id"] for c in rep.criteria if c["pass"]] == ["A1", "A2", "A3"]
+        assert sizes == []
+        assert peak < 5e6, peak      # measured: 2.4 MB
 
     @pytest.mark.parametrize("name, text", [
         ("a1_d2.cfg", "k,sections,expected,gram_min_eig,gram_dev\n"
-                      "4,8,8,0.5,4.4408920985006262e-16\n"
+                      "4,8,8,0.50000000000000011,2.2204460492503131e-16\n"
                       "8,16,16,0.35355339059327373,1.5700924586837749e-16\n"
-                      "12,24,24,0.28867513459481287,9.6148134319178206e-16\n"
-                      "16,32,32,0.25,2.2204460492503131e-16\n"),
+                      "12,24,24,0.28867513459481287,1.9229626863835641e-16\n"
+                      "16,32,32,0.24999999999999997,1.1102230246251565e-16\n"),
         ("a1_p12.cfg", "k,sections,expected,gram_min_eig,gram_dev\n"
-                       "4,32,32,0.35355339059327373,4.4408920985006262e-16\n"
-                       "8,128,128,0.17677669529663687,4.4408920985006262e-16\n"
-                       "12,288,288,0.11785113019775789,9.6148134319178206e-16\n"
-                       "16,512,512,0.088388347648318433,2.2204460492503131e-16\n"),
+                       "4,32,32,0.35355339059327379,2.2204460492503131e-16\n"
+                       "8,128,128,0.17677669529663689,2.2204460492503131e-16\n"
+                       "12,288,288,0.11785113019775789,1.9229626863835641e-16\n"
+                       "16,512,512,0.088388347648318419,1.5700924586837749e-16\n"),
     ])
     def test_a1_dims_bytes_pinned(self, name, text, tmp_path):
         # A1's gram_min_eig and gram_dev bits on two shipped configs, as written
-        # when dims solved each factor Gram a second time for its minimum eigenvalue
+        # when each factor Gram is the profile-sum diagonal
         cfg = parse_config((Path(__file__).parent.parent / "configs" / name).read_text())
         emit_report(run(cfg, experiments=("dims",)), tmp_path)
         assert (tmp_path / "dims.csv").read_text() == text

@@ -138,17 +138,20 @@ class TestDensity:
         assert peak < 10e6
 
     def test_trace_density_matches_summed_grid_density(self):
-        # the orthogonality sum against the point-by-point sum on the same grid
+        # the orthogonality sum against the point-by-point sum on the same grid:
+        # the trace's own grid, and per factor a side 13 m that it does not use
         cases = [(model(-1), 8), (model(-1, tau=0.05j), 6), (model(2, tau=0.3 + 1.2j), 5),
                  (ProductModel.from_factors([TorusFactor(0.3 + 1.1j, -1), TorusFactor(TAU, 2)]), 3)]
         for m, k in cases:
             b = build_basis(m, k)
-            for grid_n in (None, 13):
-                want = 1.0
-                for t, s in enumerate(b.factor_sets):
-                    N = grid_n or max(6 * s.level, 24, default_resolution(s.level, s.factor.im_tau))
-                    want *= float(np.sum(b.grid_density(t, N))) * factor_volume(s.factor) / N**2
-                assert trace_density(b, grid_n) == pytest.approx(want, rel=1e-14, abs=0)
+            want = 1.0
+            for t, s in enumerate(b.factor_sets):
+                N = max(6 * s.level, 24, default_resolution(s.level, s.factor.im_tau))
+                want *= float(np.sum(b.grid_density(t, N))) * factor_volume(s.factor) / N**2
+                N = 13 * s.level
+                dense = float(np.sum(b.grid_density(t, N))) * factor_volume(s.factor) / N**2
+                assert b.grid_gram(t, N).sum() == pytest.approx(dense, rel=1e-14, abs=0)
+            assert trace_density(b) == pytest.approx(want, rel=1e-14, abs=0)
 
     def test_density_matches_40_digit_theta_sums(self):
         # at (0.3, 0.97) the term exponents -pi m r^2 - 2 pi m r y - pi m y^2
