@@ -23,6 +23,9 @@ half-offset lattice grid, whose side default_resolution makes a multiple of
 m, so that the Gram is exactly diagonal (HarmonicBasis.grid_gram) and each
 entry is a sum of one 1-D Gaussian profile over its own characteristic's
 window; neither the (m, N^2) grid table nor an (m, m) matrix is formed.
+
+The harmonicity stencil (criterion A2) reads each member on its centered
+grid, ghost b columns included, through theta's separable grid evaluator.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import ProductModel, TorusFactor, factor_volume
-from .theta import _members, weighted_grid, weighted_grid_gram, weighted_table
+from .theta import _grid_factors, half_offset, weighted_grid, weighted_grid_gram, weighted_table
 
 __all__ = [
     "FactorSectionSet",
@@ -107,9 +110,11 @@ def factor_gram(factor: TorusFactor, k: int, eps: float = 1e-12) -> GramMatrix:
     It is the independent check of the closed form theta_gram_diagonal, which
     the basis uses in its place.  The periodic trapezoid rule is spectrally
     accurate here: the integrand's Fourier modes decay like
-    exp(-pi T nu^2 / (2m)), so the first aliased mode at nu = N sets the
-    recorded quadrature-error estimate, which also bounds, relative to the
-    diagonal, the aliased term pairs that HarmonicBasis.grid_gram leaves out.
+    exp(-pi T nu^2 / (2m)), so the first aliased mode at nu = N is
+    est = exp(-pi T N^2 / (2m)).  The aliased term pairs that
+    HarmonicBasis.grid_gram leaves out are, relative to the diagonal, at most
+    est^(q^2) for each q != 0 and each sign, so together at most
+    2 est / (1 - est^3): that bound is the recorded quadrature-error estimate.
     """
     m = k * abs(factor.degree)
     N = default_resolution(m, factor.im_tau)
@@ -117,7 +122,7 @@ def factor_gram(factor: TorusFactor, k: int, eps: float = 1e-12) -> GramMatrix:
     G = basis.grid_gram(0, N) * theta_gram_diagonal(m, factor.im_tau)
     est = float(np.exp(-np.pi * factor.im_tau * N**2 / (2.0 * m)))
     return GramMatrix(diagonal=G, quadrature_resolution=N,
-                      estimated_quadrature_error=max(est, eps))
+                      estimated_quadrature_error=max(2.0 * est / (1.0 - est**3), eps))
 
 
 def gram(basis: HarmonicBasis) -> GramMatrix:
@@ -198,16 +203,16 @@ class HarmonicBasis:
     def grid_table(self, t: int, N: int) -> np.ndarray:
         """Factor t's orthonormalized weighted values (factor_tables(t, z)["v"])
         on the half-offset N x N lattice grid z = a + tau b, a-major: (m, N^2)."""
-        s = self.factor_sets[t]
-        V = weighted_grid(s.level, s.factor.tau, N, self.eps).reshape(s.level, N * N)
+        s, x = self.factor_sets[t], half_offset(N)
+        V = weighted_grid(s.level, s.factor.tau, x, x, self.eps).reshape(s.level, N * N)
         V *= s.scale
         return np.conj(V, out=V) if s.factor.degree < 0 else V
 
     def grid_density(self, t: int, N: int) -> np.ndarray:
         """Factor t's density sum_j |g_j|^2 on the same grid, shape (N, N);
         conjugation does not change |g_j|, and the scale is applied once."""
-        s = self.factor_sets[t]
-        sq = np.abs(weighted_grid(s.level, s.factor.tau, N, self.eps))
+        s, x = self.factor_sets[t], half_offset(N)
+        sq = np.abs(weighted_grid(s.level, s.factor.tau, x, x, self.eps))
         sq *= sq
         return sq.sum(axis=0) * s.scale ** 2
 
@@ -293,28 +298,26 @@ def _covariant(F: np.ndarray, P: np.ndarray, tau: complex, h: float):
             (tau * Da - Db) / (tau - np.conj(tau)) + np.conj(Pi) * Fi)
 
 
-def _padded_member(factor: TorusFactor, k: int, member: int, grid_n: int, perturb=None, tables=None):
+def _padded_member(factor: TorusFactor, k: int, member: int, grid_n: int, perturb=None):
     """Weighted value W = theta exp(-phi_plus) of the level-k|d| member on the
     centered grid_n x grid_n lattice grid, with 2 _HALF evaluated ghost columns
-    on each side of b, and P = dphi_plus/dz per b-column.  tables, if given, is
-    the caller's dict of unperturbed W by (tau, level, member, grid_n)."""
+    on each side of b, and P = dphi_plus/dz per b-column.  W is row member of
+    theta.weighted_grid on the grid's own axes (eps 1e-14), formed alone."""
     tau = factor.tau
     m = k * abs(factor.degree)
     N = grid_n
-    ta = (np.arange(N) + 0.5) / N - 0.5
+    ta = half_offset(N) - 0.5
     tb = (np.arange(-2 * _HALF, N + 2 * _HALF) + 0.5) / N - 0.5
-    A, B = np.meshgrid(ta, tb, indexing="ij")
-    tables, key = {} if tables is None else tables, (tau, m, member, N)
-    if key not in tables:
-        tables[key] = _members(m, tau, (A + tau * B).ravel(), [member], 0, 1e-14)[0, 0].reshape(A.shape)
-    W = tables[key]
+    f, G, starts = _grid_factors(m, tau, tb, 1e-14)
+    rows = slice(starts[member], starts[member + 1])
+    W = np.exp(2j * np.pi * np.outer(ta, f[rows])) @ G[rows]
     if perturb is not None:
-        W = W * (1.0 + perturb(A, B))
+        W = W * (1.0 + perturb(ta[:, None], tb[None, :]))
     return W, -1j * np.pi * m * tb      # Im z = Im(tau) b
 
 
 def factor_harmonicity_residual(factor: TorusFactor, k: int, member: int,
-                                grid_n: int = 64, perturb=None, tables=None) -> dict[str, float]:
+                                grid_n: int = 64, perturb=None) -> dict[str, float]:
     """Discrete Kodaira-Laplacian residual of one raw factor member.
 
     Works in the weighted gauge W = theta exp(-phi_plus), bounded at every
@@ -325,13 +328,14 @@ def factor_harmonicity_residual(factor: TorusFactor, k: int, member: int,
     complex conjugates of these, so both signs report the same norms.
     Returns ||Dbar W|| / ||D W|| ("first_order") and ||D Dbar W|| / ||Dbar D W||
     ("laplacian"), from 6th-order central differences on a centered
-    grid_n x grid_n lattice grid.  perturb, if given, maps the grid coordinate
-    arrays (A, B) to a multiplicative field applied to W (the sensitivity
-    control).  tables, if given, is shared with _padded_member.
+    grid_n x grid_n lattice grid, whose member values _padded_member reads
+    from theta.weighted_grid.  perturb, if given, maps the grid's a axis (a
+    column) and b axis (a row) to a multiplicative field applied to W, by
+    broadcasting (the sensitivity control).
     """
     tau = factor.tau
     h = 1.0 / grid_n
-    W, P = _padded_member(factor, k, member, grid_n, perturb, tables)
+    W, P = _padded_member(factor, k, member, grid_n, perturb)
     DW, DbW = _covariant(W, P, tau, h)
     DDbW = _covariant(DbW, P[_HALF:-_HALF], tau, h)[0]
     inner = slice(_HALF, -_HALF)
@@ -341,15 +345,15 @@ def factor_harmonicity_residual(factor: TorusFactor, k: int, member: int,
 
 
 def harmonicity_residual(model: ProductModel, k: int, index: tuple[int, ...],
-                         grid_n: int = 64, tables=None) -> float:
+                         grid_n: int = 64) -> float:
     """Laplacian residual of a product section: worst factor residual.
 
     The Kodaira Laplacian of the product metric splits across factors, so a
     tensor-product section is harmonic exactly when each factor member is.
     A member's residual depends only on (tau, |degree|, member), since
     _padded_member evaluates the level k|d|, so each distinct one is
-    evaluated once; tables, if given, is passed on to _padded_member.
+    evaluated once.
     """
     distinct = {(f.tau, abs(f.degree), j): (f, j) for f, j in zip(model.factors, index)}
-    return max(factor_harmonicity_residual(f, k, j, grid_n=grid_n, tables=tables)["laplacian"]
+    return max(factor_harmonicity_residual(f, k, j, grid_n=grid_n)["laplacian"]
                for f, j in distinct.values())

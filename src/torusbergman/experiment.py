@@ -270,16 +270,15 @@ def _exp_dims(cfg, model, rng):
     # harmonicity of the level-1 members (member 0 of each factor): the 6th-order
     # stencil's residual falls ~64x per grid doubling; grid 64 meets 1e-6 unless Im tau
     # is small (a thin torus, Im tau = 0.05, needs 128), so the grid doubles while above
-    # the bound.  The perturbed control reuses the final grid's table; it does not move
+    # the bound.  The perturbed control evaluates the final grid again; it does not move
     # with the grid (0.034 at tau = i, 0.38 at Im tau = 0.05).  Higher levels: the tests.
     if max(abs(f.degree) for f in model.factors) == 1:
-        tables = {}
         for grid in (64, 128, 256, 512):
-            worst = basis_mod.harmonicity_residual(model, 1, (0,) * model.n, grid_n=grid, tables=tables)
+            worst = basis_mod.harmonicity_residual(model, 1, (0,) * model.n, grid_n=grid)
             if worst <= 1e-6:
                 break
         control = basis_mod.factor_harmonicity_residual(
-            model.factors[0], 1, 0, grid_n=grid, tables=tables,
+            model.factors[0], 1, 0, grid_n=grid,
             perturb=lambda A, B: 0.01 * np.cos(2 * np.pi * A) * np.cos(2 * np.pi * B))["laplacian"]
         crit.append(_criterion("A2", worst, 1e-6, worst <= 1e-6 and control >= 1e-3,
                                _CRITERIA_DESC["A2"].format(grid=grid)))
@@ -514,7 +513,7 @@ def run(cfg: ExperimentConfig, experiments: tuple[str, ...] | None = None) -> Ru
         "probes": probes_used,
         "wall_seconds": {k: round(v, 3) for k, v in wall.items()},
     }
-    return RunReport(criteria=criteria, tables=tables, warnings=warnings, environment=env)
+    return RunReport(criteria, tables, warnings, env)
 
 
 _CSV_NAME = {"dims": "dims.csv", "density": "density.csv", "offdiag": "offdiag.csv",

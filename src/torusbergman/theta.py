@@ -20,17 +20,20 @@ the large, cancelling Re(pi i m r^2 tau), -2 pi m r Im z and -phi_plus.
 Certified error: _windows takes each characteristic's r window from the
 explicit Gaussian tail bound, so W is within eps of the exact value (theta
 within eps * exp(phi_plus(z))).  Both evaluators use it: weighted_table for
-scattered points and derivative sums, and weighted_grid for the half-offset
-lattice grid z = a + tau b (a, b in (arange(N) + 0.5) / N), where the a-phase
+scattered points and derivative sums, and weighted_grid for every lattice
+grid z = a + tau b, given by its two axes a and b, where the a-phase
 exp(2 pi i (m n + j) a) (r = n + j/m) splits off: the b-only factors of all
 characteristics' terms are formed in one pass (_grid_factors), and each
-characteristic is one (N x R_j) @ (R_j x N) matrix product with O(N R)
-complex exponentials instead of O(N^2 R).  weighted_grid returns the
-(m, N, N) table, which the density sum_j |W_j|^2 and the FS scan read;
-half_offset and grid_pairs define the grid.  weighted_grid_gram gives the
-trapezoid Gram of those grid values on a side N that m divides: by discrete
-orthogonality in a it is exactly diagonal, and every entry is a window sum
-of one 1-D Gaussian profile, O(N R) exponentials for all m entries.
+characteristic is one (len(a) x R_j) @ (R_j x len(b)) matrix product with
+O(N R) complex exponentials instead of O(N^2 R).  It serves two grids: the
+half-offset grid (a, b in half_offset(N) = (arange(N) + 0.5) / N, listed by
+grid_pairs), whose (m, N, N) table the density sum_j |W_j|^2 and the FS scan
+read, and A2's centered stencil grid with its ghost b columns, of which
+basis._padded_member forms one member's row.  weighted_grid_gram gives the
+trapezoid Gram of the half-offset grid values on a side N that m divides:
+by discrete orthogonality in a it is exactly diagonal, and every entry is a
+window sum of one 1-D Gaussian profile, O(N R) exponentials for all m
+entries.
 """
 
 from __future__ import annotations
@@ -97,6 +100,9 @@ def _exponent(m: int, tau: complex, r: np.ndarray, s: np.ndarray) -> np.ndarray:
     return e
 
 
+_TERMS = 1 << 15    # complex terms one pass of weighted_table holds
+
+
 def weighted_table(m: int, tau: complex, z, orders: int = 0, eps: float = 1e-12) -> np.ndarray:
     """Weighted sums W_nu = sum_r (2 pi i m r)^nu exp(...) * exp(-phi_plus(z))
     for all m characteristics at once.
@@ -106,28 +112,18 @@ def weighted_table(m: int, tau: complex, z, orders: int = 0, eps: float = 1e-12)
 
     W_0 is the weighted theta value theta * exp(-phi_plus); W_1 and W_2 are
     the weighted first and second z-derivative sums of theta.
-    """
-    return _members(m, tau, z, range(m), orders, eps)
 
-
-_TERMS = 1 << 15    # complex terms one pass of _members holds
-
-
-def _members(m: int, tau: complex, z, members, orders: int, eps: float) -> np.ndarray:
-    """weighted_table for the listed characteristics only, in their order:
-    shape (orders+1, len(members), len(z)), bit for bit its rows.
-
-    The members whose n windows have the same length (at most three lengths
-    occur) are evaluated together as one (members, terms, points) array, in
-    passes over the points of about _TERMS terms each.
+    The characteristics whose n windows have the same length (at most three
+    lengths occur) are evaluated together as one (characteristics, terms,
+    points) array, in passes over the points of about _TERMS terms each.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     s = z.imag / tau.imag
     phase = 2.0 * np.pi * m * (z.real - tau.real * s)      # 2 pi m a
-    j = np.asarray(members, dtype=int)
-    lo, hi = (w[j] for w in _windows(m, tau, z.imag, eps, orders))
+    j = np.arange(m)
+    lo, hi = _windows(m, tau, z.imag, eps, orders)
     P = z.shape[0]
-    out = np.empty((orders + 1, len(j), P), dtype=complex)
+    out = np.empty((orders + 1, m, P), dtype=complex)
     counts = hi - lo + 1
     for count in range(counts.min(), counts.max() + 1):    # not np.unique: it imports numpy.ma
         g = counts == count
@@ -161,34 +157,33 @@ def grid_pairs(N: int) -> np.ndarray:
     return np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1).reshape(-1, 2)
 
 
-def _grid_factors(m: int, tau: complex, N: int, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every term of the half-offset N-point grid t = half_offset(N),
-    ordered by characteristic j, then by n: the integer a-frequencies f = m n + j,
-    the b-only factors G[term, b] = exp(_exponent(m, tau, r, t)), and the m + 1
-    row offsets of the characteristics, so that W_j[a, b] is the sum over
-    j's rows of exp(2 pi i f t_a) G[row, b].  One pass over all terms."""
-    t = half_offset(N)
+def _grid_factors(m: int, tau: complex, b: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every term of a lattice grid whose b axis is b, ordered by characteristic
+    j, then by n: the integer a-frequencies f = m n + j, the b-only factors
+    G[term, b] = exp(_exponent(m, tau, r, b)), and the m + 1 row offsets of the
+    characteristics, so that W_j[a, b] is the sum over j's rows of
+    exp(2 pi i f a) G[row, b].  One pass over all terms."""
     # the windows see Im z = Im(tau) b, as weighted_table would at these points
-    lo, hi = _windows(m, tau, tau.imag * t, eps, 0)
+    lo, hi = _windows(m, tau, tau.imag * b, eps, 0)
     counts = hi - lo + 1
     starts = np.concatenate(([0], np.cumsum(counts)))
     j = np.repeat(np.arange(m), counts)
     n = np.arange(starts[-1]) - np.repeat(starts[:-1] - lo, counts)
-    return m * n + j, np.exp(_exponent(m, tau, (n + j / m)[:, None], t)), starts
+    return m * n + j, np.exp(_exponent(m, tau, (n + j / m)[:, None], b)), starts
 
 
-def weighted_grid(m: int, tau: complex, N: int, eps: float = 1e-12) -> np.ndarray:
-    """W_0 of weighted_table on the half-offset N x N lattice grid: shape
-    (m, N, N), indexed [j, a, b] for z = a + tau b with a, b in half_offset(N),
-    so that raveling a characteristic gives the a-major order of grid_pairs.
-    Characteristic j is E_j @ G_j with E_j[a, n] = exp(2 pi i (m n + j) a)
-    and G_j its rows of the b-only factor of _grid_factors.
+def weighted_grid(m: int, tau: complex, a: np.ndarray, b: np.ndarray, eps: float = 1e-12) -> np.ndarray:
+    """W_0 of weighted_table on the lattice grid z = a + tau b spanned by the
+    axes a and b: shape (m, len(a), len(b)), indexed [j, a, b], so that on the
+    half-offset grid (a = b = half_offset(N)) raveling a characteristic gives
+    the a-major order of grid_pairs.  Characteristic j is E_j @ G_j with
+    E_j[a, n] = exp(2 pi i (m n + j) a) and G_j its rows of the b-only factor
+    of _grid_factors.
     """
-    t = half_offset(N)
-    f, G, starts = _grid_factors(m, tau, N, eps)
-    out = np.empty((m, N, N), dtype=complex)
-    for j, (a, b) in enumerate(zip(starts[:-1], starts[1:])):
-        out[j] = np.exp(2j * np.pi * np.outer(t, f[a:b])) @ G[a:b]
+    f, G, starts = _grid_factors(m, tau, b, eps)
+    out = np.empty((m, len(a), len(b)), dtype=complex)
+    for j, (lo, hi) in enumerate(zip(starts[:-1], starts[1:])):
+        out[j] = np.exp(2j * np.pi * np.outer(a, f[lo:hi])) @ G[lo:hi]
     return out
 
 

@@ -21,7 +21,7 @@ from torusbergman.basis import (
 )
 from torusbergman.geometry import ProductModel, TorusFactor, factor_volume
 from torusbergman.kernel import density
-from torusbergman.theta import weighted_table
+from torusbergman.theta import weighted_grid, weighted_table
 
 TAU = 1j
 
@@ -357,17 +357,40 @@ class TestHarmonicity:
         col = np.linalg.norm(DbDW + c * Wi, axis=0)
         assert np.all(col <= 1e-6 * c * np.linalg.norm(Wi, axis=0))
 
+    @pytest.mark.parametrize("N", [16, 64])
     @pytest.mark.parametrize("tau,d,k,member", [(TAU, 1, 1, 0), (TAU, -2, 3, 5),
-                                                (0.3 + 1.2j, 1, 7, 6), (0.1 + 0.7j, -3, 2, 1)])
-    def test_padded_member_is_its_weighted_table_row(self, tau, d, k, member):
-        # the stencil evaluates one characteristic, with the same bits as the full table
-        N = 16
+                                                (0.3 + 1.2j, 1, 7, 6), (0.1 + 0.7j, -3, 2, 1),
+                                                (TAU, 1, 57, 0), (TAU, -1, 57, 28),
+                                                (TAU, -1, 120, 0), (TAU, 1, 120, 99),
+                                                (0.05j, -1, 1, 0), (0.05j, 1, 1, 0)])
+    def test_padded_member_matches_its_weighted_table_row(self, tau, d, k, member, N):
+        # the stencil's member is its row of the separable grid evaluator on the
+        # stencil's own axes, ghost b columns included, bit for bit; against the
+        # pointwise evaluator at every stencil point it is within rounding.  The
+        # a-phases 2 pi (m n + j) a reach order m radians and both evaluators round
+        # them, so above level 10 the bound grows as m eps (measured: 2.8e-14 at
+        # level 57 and 5.7e-14 at level 120, members away from 0)
+        m = k * abs(d)
         W, _ = _padded_member(TorusFactor(tau, d), k, member, N)
         ta = (np.arange(N) + 0.5) / N - 0.5
         tb = (np.arange(-2 * _HALF, N + 2 * _HALF) + 0.5) / N - 0.5
         A, B = np.meshgrid(ta, tb, indexing="ij")
-        want = weighted_table(k * abs(d), tau, (A + tau * B).ravel(), eps=1e-14)[0, member]
-        assert np.array_equal(W.ravel(), want)
+        want = weighted_table(m, tau, (A + tau * B).ravel(), eps=1e-14)[0, member]
+        assert np.array_equal(W, weighted_grid(m, tau, ta, tb, 1e-14)[member])
+        assert np.max(np.abs(W.ravel() - want)) <= max(1e-14, 1e-15 * m) * np.max(np.abs(want))
+
+    def test_residual_holds_no_pointwise_grid(self):
+        # the stencil grid is read through the separable evaluator: the pointwise
+        # route held 2.34 MB of scratch for this call
+        m = model(-1, 1)
+        harmonicity_residual(m, 1, (0, 0), grid_n=16)
+        tracemalloc.start()
+        try:
+            harmonicity_residual(m, 1, (0, 0), grid_n=64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1e6, peak
 
     def test_product_section_residual(self):
         m = model(-1, 1)

@@ -745,17 +745,12 @@ class TestDims:
         emit_report(run(cfg, experiments=("dims",)), tmp_path)
         assert (tmp_path / "dims.csv").read_text() == text
 
-    def test_a2_evaluates_each_member_table_once(self, monkeypatch):
-        # a thin factor (Im tau = 0.05) takes A2 to grid 128, so both factors' members
-        # are evaluated at grids 64 and 128, once each; the control perturbs factor 0's
-        # table of the final grid, and equals the separate evaluation bit for bit
+    def test_a2_control_on_the_final_grid(self, monkeypatch):
+        # a thin factor (Im tau = 0.05) takes A2 to grid 128; the control perturbs
+        # factor 0's member on the final grid, and equals the separate evaluation
         cfg = parse_config("factor = 0 0.05 -1\nfactor = 0 1 1\nk_ladder = 2 3\nexperiments = dims\n")
-        tables, controls = [], []
-        real_members, real_residual = basis_mod._members, basis_mod.factor_harmonicity_residual
-
-        def members(m, tau, z, which, *args):
-            tables.append((tau, m, tuple(which), len(z)))
-            return real_members(m, tau, z, which, *args)
+        controls = []
+        real_residual = basis_mod.factor_harmonicity_residual
 
         def residual(f, k, j, **kw):
             r = real_residual(f, k, j, **kw)
@@ -763,15 +758,20 @@ class TestDims:
                 controls.append((f, k, j, kw["grid_n"], kw["perturb"], r))
             return r
 
-        monkeypatch.setattr(basis_mod, "_members", members)
         monkeypatch.setattr(basis_mod, "factor_harmonicity_residual", residual)
         _, a2 = run(cfg).criteria
         assert a2["pass"] and "grid 128" in a2["description"]
-        assert len(tables) == len(set(tables)) == 4
-        assert {(tau, m, which) for tau, m, which, _ in tables} == {(0.05j, 1, (0,)), (1j, 1, (0,))}
         ((f, k, j, grid, perturb, got),) = controls
         assert (f, k, j, grid) == (cfg.model.factors[0], 1, 0, 128)
         assert got == real_residual(f, k, j, grid_n=grid, perturb=perturb)
+
+    @pytest.mark.parametrize("im_tau, grid", [(0.03, 256), (0.005, 512)])
+    def test_a2_doubles_its_grid_past_128(self, im_tau, grid):
+        # thinner factors take A2's grid to 256 and to its cap, 512
+        cfg = parse_config(f"factor = 0 {im_tau} -1\nfactor = 0 1 1\nk_ladder = 2 3\nexperiments = dims\n")
+        a1, a2 = run(cfg).criteria
+        assert a1["pass"] and a2["pass"], (a1, a2)
+        assert f"grid {grid}" in a2["description"]
 
 
 class TestCollectorFreeze:

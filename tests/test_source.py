@@ -1,6 +1,7 @@
 """Static checks of the package source, by the standard library's ast: no
 unused import, no unreferenced private module-level name, no undefined
-__all__ entry.  They catch what a refactor leaves behind."""
+__all__ entry, and no lattice grid built by np.meshgrid outside
+theta.grid_pairs.  They catch what a refactor leaves behind."""
 
 import ast
 from pathlib import Path
@@ -53,6 +54,23 @@ def _module_level(tree: ast.Module) -> set[str]:
     return names
 
 
+def _meshgrid_callers(tree: ast.Module) -> list[str]:
+    """Dotted names of the functions (or <module>) that call meshgrid, in order."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Call) and getattr(child.func, "attr", getattr(child.func, "id", None)) == "meshgrid":
+                found.append(scope or "<module>")
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
 @pytest.mark.parametrize("name", sorted(MODULES))
 def test_no_unused_import(name):
     tree = MODULES[name]
@@ -74,6 +92,13 @@ def test_all_entries_are_defined(name):
     assert [n for n in _all_entries(tree) if n not in _module_level(tree)] == []
 
 
+def test_lattice_grids_go_through_the_grid_evaluator():
+    # a pointwise lattice grid starts from a meshgrid of its axes; the package's
+    # grids go through theta.weighted_grid, and only grid_pairs lists points
+    callers = [(name, f) for name, tree in MODULES.items() for f in _meshgrid_callers(tree)]
+    assert callers == [("theta.py", "grid_pairs")]
+
+
 def test_checks_see_a_leftover():
     # the checks themselves: an orphaned import, an unread private helper and a
     # stale __all__ entry are each reported
@@ -81,3 +106,8 @@ def test_checks_see_a_leftover():
     assert [n for n in _imported(tree) if n not in _references(tree)] == ["Iterator"]
     assert "_helper" in _module_level(tree) and "_helper" not in _references(tree)
     assert [n for n in _all_entries(tree) if n not in _module_level(tree)] == ["gone"]
+    # and a meshgrid call is found wherever it is: function, method or module level
+    tree = ast.parse("import numpy as np\nfrom numpy import meshgrid\ndef grid_pairs(t):\n"
+                     "    return np.meshgrid(t, t)\nclass Basis:\n    def member(self, t):\n"
+                     "        A, B = meshgrid(t, t)\nGRID = np.meshgrid([0.5], [0.5])\n")
+    assert _meshgrid_callers(tree) == ["grid_pairs", "Basis.member", "<module>"]
