@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import ProductModel, TorusFactor, factor_volume
-from .theta import _grid_factors, half_offset, weighted_grid, weighted_grid_gram, weighted_table
+from .theta import half_offset, weighted_grid, weighted_grid_gram, weighted_table
 
 __all__ = [
     "FactorSectionSet",
@@ -302,15 +302,13 @@ def _padded_member(factor: TorusFactor, k: int, member: int, grid_n: int, pertur
     """Weighted value W = theta exp(-phi_plus) of the level-k|d| member on the
     centered grid_n x grid_n lattice grid, with 2 _HALF evaluated ghost columns
     on each side of b, and P = dphi_plus/dz per b-column.  W is row member of
-    theta.weighted_grid on the grid's own axes (eps 1e-14), formed alone."""
+    theta.weighted_grid on the grid's own axes (eps 1e-14)."""
     tau = factor.tau
     m = k * abs(factor.degree)
     N = grid_n
     ta = half_offset(N) - 0.5
     tb = (np.arange(-2 * _HALF, N + 2 * _HALF) + 0.5) / N - 0.5
-    f, G, starts = _grid_factors(m, tau, tb, 1e-14)
-    rows = slice(starts[member], starts[member + 1])
-    W = np.exp(2j * np.pi * np.outer(ta, f[rows])) @ G[rows]
+    W = weighted_grid(m, tau, ta, tb, 1e-14)[member]
     if perturb is not None:
         W = W * (1.0 + perturb(ta[:, None], tb[None, :]))
     return W, -1j * np.pi * m * tb      # Im z = Im(tau) b

@@ -513,7 +513,7 @@ def run(cfg: ExperimentConfig, experiments: tuple[str, ...] | None = None) -> Ru
         "probes": probes_used,
         "wall_seconds": {k: round(v, 3) for k, v in wall.items()},
     }
-    return RunReport(criteria, tables, warnings, env)
+    return RunReport(criteria=criteria, tables=tables, warnings=warnings, environment=env)
 
 
 _CSV_NAME = {"dims": "dims.csv", "density": "density.csv", "offdiag": "offdiag.csv",

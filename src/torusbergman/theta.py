@@ -29,7 +29,7 @@ O(N R) complex exponentials instead of O(N^2 R).  It serves two grids: the
 half-offset grid (a, b in half_offset(N) = (arange(N) + 0.5) / N, listed by
 grid_pairs), whose (m, N, N) table the density sum_j |W_j|^2 and the FS scan
 read, and A2's centered stencil grid with its ghost b columns, of which
-basis._padded_member forms one member's row.  weighted_grid_gram gives the
+basis._padded_member reads one member's row.  weighted_grid_gram gives the
 trapezoid Gram of the half-offset grid values on a side N that m divides:
 by discrete orthogonality in a it is exactly diagonal, and every entry is a
 window sum of one 1-D Gaussian profile, O(N R) exponentials for all m

@@ -21,7 +21,7 @@ from torusbergman.basis import (
 )
 from torusbergman.geometry import ProductModel, TorusFactor, factor_volume
 from torusbergman.kernel import density
-from torusbergman.theta import weighted_grid, weighted_table
+from torusbergman.theta import weighted_table
 
 TAU = 1j
 
@@ -364,19 +364,18 @@ class TestHarmonicity:
                                                 (TAU, -1, 120, 0), (TAU, 1, 120, 99),
                                                 (0.05j, -1, 1, 0), (0.05j, 1, 1, 0)])
     def test_padded_member_matches_its_weighted_table_row(self, tau, d, k, member, N):
-        # the stencil's member is its row of the separable grid evaluator on the
-        # stencil's own axes, ghost b columns included, bit for bit; against the
-        # pointwise evaluator at every stencil point it is within rounding.  The
-        # a-phases 2 pi (m n + j) a reach order m radians and both evaluators round
-        # them, so above level 10 the bound grows as m eps (measured: 2.8e-14 at
-        # level 57 and 5.7e-14 at level 120, members away from 0)
+        # the stencil's member, read from the separable grid evaluator on the
+        # stencil's own axes, ghost b columns included, is within rounding of the
+        # pointwise evaluator at every stencil point.  The a-phases 2 pi (m n + j) a
+        # reach order m radians and both evaluators round them, so above level 10
+        # the bound grows as m eps (measured: 2.8e-14 at level 57 and 5.7e-14 at
+        # level 120, members away from 0)
         m = k * abs(d)
         W, _ = _padded_member(TorusFactor(tau, d), k, member, N)
         ta = (np.arange(N) + 0.5) / N - 0.5
         tb = (np.arange(-2 * _HALF, N + 2 * _HALF) + 0.5) / N - 0.5
         A, B = np.meshgrid(ta, tb, indexing="ij")
         want = weighted_table(m, tau, (A + tau * B).ravel(), eps=1e-14)[0, member]
-        assert np.array_equal(W, weighted_grid(m, tau, ta, tb, 1e-14)[member])
         assert np.max(np.abs(W.ravel() - want)) <= max(1e-14, 1e-15 * m) * np.max(np.abs(want))
 
     def test_residual_holds_no_pointwise_grid(self):
