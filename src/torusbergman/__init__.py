@@ -37,7 +37,6 @@ from .geometry import (
     NormalChart,
     ProductModel,
     TorusFactor,
-    curvature_matrix,
     normal_chart,
     omega,
 )
@@ -60,7 +59,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "TorusFactor", "ProductModel", "NormalChart",
-    "curvature_matrix", "omega", "normal_chart",
+    "omega", "normal_chart",
     "FactorSectionSet", "GramMatrix", "HarmonicBasis", "gram", "factor_gram",
     "orthonormalize", "build_basis", "harmonicity_residual",
     "KernelSample", "ExpansionModel", "kernel", "density", "trace_density",

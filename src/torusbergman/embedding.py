@@ -19,8 +19,8 @@ indefinite-signature models is reported as a measured diagnostic.
 pullback_jacobian_many and pullback_ddbar_many write these fields into the
 (P, 2n, 2n) form, and convergence_report (criterion A8) keeps them as they
 are.  A7's near-diagonal profile combines the factor lifts' FS sines and
-cosines by the Segre identity, and its rank check (_rank_many) sums the
-factor ranks, each from one factor jet table; no run forms a product table.
+cosines by the Segre identity, and its rank check (_rank_many) sums closed-form
+two-row factor ranks from factor jet tables; no run forms a product table.
 """
 
 from __future__ import annotations
@@ -196,24 +196,46 @@ def _real_partials(dz: np.ndarray, dzb: np.ndarray) -> np.ndarray:
     return np.moveaxis(V.reshape(-1, *dz.shape[1:]), -1, 0)
 
 
+def _lift_free(V: np.ndarray, w: np.ndarray):
+    """Partials V (P, r, dim) with the fiber direction, the lift w (P, dim),
+    projected out, and the lift norms |w| (P,)."""
+    nrm2 = np.sum(np.abs(w) ** 2, axis=1)
+    return V - (V @ w.conj()[:, :, None]) * w[:, None, :] / nrm2[:, None, None], np.sqrt(nrm2)
+
+
 def _rank(V: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Per point, the real rank of partials V (P, r, dim) once the fiber
     direction, the lift w (P, dim), is projected out: the singular values of
     the stacked real/imaginary parts above _RANK_TOL * max(largest, |lift|)."""
-    nrm2 = np.sum(np.abs(w) ** 2, axis=1)
-    proj = V - (V @ w.conj()[:, :, None]) * w[:, None, :] / nrm2[:, None, None]
+    proj, lift = _lift_free(V, w)
     sv = np.linalg.svd(np.concatenate([proj.real, proj.imag], axis=2), compute_uv=False)
-    tol = _RANK_TOL * np.maximum(sv.max(axis=1, initial=0.0), np.sqrt(nrm2))
+    tol = _RANK_TOL * np.maximum(sv.max(axis=1, initial=0.0), lift)
     return np.sum(sv > tol[:, None], axis=1)
+
+
+def _two_row_rank(V: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """_rank's rule for two rows, V (P, 2, dim), in closed form.  With a, b the
+    projected real rows and |a| >= |b|: s1^2 = (|a|^2 + |b|^2 + hypot(|a|^2 - |b|^2,
+    2 a.b)) / 2, and s2 = |a| |b - (a.b / |a|^2) a| / s1, free of cancellation."""
+    proj, lift = _lift_free(V, w)
+    aa, bb = np.sum(np.abs(proj) ** 2, axis=2).T
+    a, b = np.where((bb > aa)[:, None, None], proj[:, ::-1], proj).transpose(1, 0, 2)
+    aa, bb = np.maximum(aa, bb), np.minimum(aa, bb)
+    ab = np.sum(a.real * b.real + a.imag * b.imag, axis=1)
+    s1 = np.sqrt((aa + bb + np.hypot(aa - bb, 2.0 * ab)) / 2.0)
+    perp = b - (ab / np.where(aa > 0, aa, 1.0))[:, None] * a
+    s2 = np.sqrt(aa * np.sum(np.abs(perp) ** 2, axis=1)) / np.where(s1 > 0, s1, 1.0)
+    tol = _RANK_TOL * np.maximum(s1, lift)
+    return (s1 > tol).astype(int) + (s2 > tol)
 
 
 def _rank_many(basis: HarmonicBasis, pts: np.ndarray) -> np.ndarray:
     """rank dPhi_k at points (P, 2n), the sum of the factor ranks at z_t, each
-    from factor t's jet table: the lift is the Segre composite of the factor
-    lifts, and the Segre map is an embedding."""
+    from factor t's jet table by _two_row_rank: the lift is the Segre composite
+    of the factor lifts, and the Segre map is an embedding."""
     zs = basis.model.chart_z(pts)
     tabs = (basis.factor_tables(t, zs[:, t], "d1") for t in range(basis.model.n))
-    return sum(_rank(_real_partials(tab["z"][None], tab["zb"][None]), tab["v"].T) for tab in tabs)
+    return sum(_two_row_rank(_real_partials(tab["z"][None], tab["zb"][None]), tab["v"].T) for tab in tabs)
 
 
 def differential(basis: HarmonicBasis, z) -> Differential:

@@ -27,7 +27,6 @@ __all__ = [
     "NormalChart",
     "VOLUME_NORMALIZATION",
     "factor_volume",
-    "curvature_matrix",
     "omega",
     "normal_chart",
 ]
@@ -137,15 +136,6 @@ class ProductModel:
         return d[..., 0::2] + self.taus * d[..., 1::2]
 
 
-def curvature_matrix(model: ProductModel, k: int = 1) -> np.ndarray:
-    """Diagonal eigenvalue matrix of the curvature endomorphism for L^(tensor k).
-
-    In the unit frame the eigenvalue on factor j is 2*k*lambda_j; the sign
-    pattern matches the degrees and the matrix is constant over M.
-    """
-    return np.diag(2.0 * k * model.lambdas)
-
-
 def omega(model: ProductModel) -> np.ndarray:
     """The constant 2-form (i/2pi)*R^L in chart real coordinates.
 
@@ -177,11 +167,6 @@ class NormalChart(NamedTuple):
     a0: np.ndarray          # real, shape (n,)
     a1: np.ndarray          # complex, shape (n,)
     a2: np.ndarray          # real, shape (n,)
-
-    def weight(self, u) -> np.ndarray:
-        """Quadratic normal weight sum_t lambda_t |u_t|^2 (unit power)."""
-        u = np.asarray(u, dtype=complex)
-        return np.sum(self.model.lambdas * np.abs(u) ** 2, axis=-1)
 
     def gauge(self, u, k: int = 1) -> np.ndarray:
         """Holomorphic gauge exponent k*g_p(u), u in chart offsets (n,)."""

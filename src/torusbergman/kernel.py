@@ -19,8 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .basis import HarmonicBasis, default_resolution
-from .geometry import (VOLUME_NORMALIZATION, NormalChart, ProductModel,
-                        curvature_matrix, normal_chart)
+from .geometry import VOLUME_NORMALIZATION, NormalChart, ProductModel, normal_chart
 from .util import fit_line
 
 __all__ = [
@@ -114,9 +113,9 @@ def trace_density(basis: HarmonicBasis) -> float:
 
 
 def leading_coefficient(model: ProductModel) -> float:
-    """b0 = (2 pi)^(-n) |det of the curvature matrix| (unit tensor power)."""
-    R = curvature_matrix(model)
-    return float(np.abs(np.linalg.det(R)) / (2.0 * np.pi) ** model.n)
+    """b0 = (2 pi)^(-n) |det of the curvature matrix| (unit tensor power): the
+    matrix is diagonal, 2 lambda_t on factor t, so its determinant is their product."""
+    return float(np.prod(np.abs(2.0 * model.lambdas)) / (2.0 * np.pi) ** model.n)
 
 
 class ExpansionModel(NamedTuple):

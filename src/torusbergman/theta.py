@@ -42,13 +42,7 @@ import math
 
 import numpy as np
 
-__all__ = ["half_offset", "grid_pairs", "phi_plus", "weighted_grid", "weighted_grid_gram", "weighted_table"]
-
-
-def phi_plus(m: int, tau: complex, z) -> np.ndarray:
-    """Positive-degree weight pi*m*(Im z)^2/Im tau at level m."""
-    z = np.asarray(z, dtype=complex)
-    return np.pi * m * z.imag ** 2 / tau.imag
+__all__ = ["half_offset", "grid_pairs", "weighted_grid", "weighted_grid_gram", "weighted_table"]
 
 
 def _tail_radius(m: int, im_tau: float, eps: float, y_over_t: float, order: int) -> float:

@@ -34,12 +34,13 @@ class SlopeFit(NamedTuple):
 
 
 def fit_line(x, y) -> SlopeFit:
-    """Least-squares line y = intercept + slope * x."""
+    """Least-squares line y = intercept + slope * x, in the centered closed form
+    slope = dx.(y - mean y) / dx.dx with dx = x - mean x."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    A = np.stack([np.ones_like(x), x], axis=1)
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    return SlopeFit(slope=float(coef[1]), intercept=float(coef[0]),
-                    residual=float(np.max(np.abs(y - A @ coef))))
+    dx = x - x.mean()
+    slope = float(dx @ (y - y.mean()) / (dx @ dx))
+    intercept = float(y.mean() - slope * x.mean())
+    return SlopeFit(slope, intercept, residual=float(np.max(np.abs(y - (intercept + slope * x)))))
 
 
 def fit_slope(ks, values) -> SlopeFit:

@@ -15,19 +15,24 @@ the full product basis, against which their factor-by-factor routes are
 checked, a remixed basis that is not a tensor product, against which the
 pointwise routes' invariances are checked, the global weight, injectivity
 scale, curvature signature and geodesic distance of a model, against which
-charts and separations are checked, the 17-digit float text against which
-CSV cells are checked, and the pullback form by the general product-table
-route (second-order jets of the full product basis), against which the Segre
-composite of the factor fields is checked."""
+charts and separations are checked, the curvature matrix, the positive-degree
+weight phi_plus and the normal-chart weight, against which b0, the theta
+quasi-periodicity and the chart gauge are checked, the 17-digit float text
+against which CSV cells are checked, the pullback form by the general
+product-table route (second-order jets of the full product basis), against
+which the Segre composite of the factor fields is checked, and the line fit
+by a least-squares solve, against which util.fit_line's closed form is
+checked."""
 
 import numpy as np
 
 from torusbergman.basis import HarmonicBasis, default_resolution
 from torusbergman.embedding import ProjectivePoint, _real_partials
-from torusbergman.geometry import VOLUME_NORMALIZATION, ProductModel, curvature_matrix, factor_volume
+from torusbergman.geometry import VOLUME_NORMALIZATION, NormalChart, ProductModel, factor_volume
 from torusbergman.geometry import omega as omega_form
 from torusbergman.kernel import _segment_points
 from torusbergman.theta import _exponent, _windows, weighted_table
+from torusbergman.util import SlopeFit
 
 
 def project_coefficients(basis: HarmonicBasis, samples: np.ndarray, grid_n: int) -> np.ndarray:
@@ -377,6 +382,27 @@ def injectivity_scale(model: ProductModel) -> float:
     return float(scale)
 
 
+def curvature_matrix(model: ProductModel, k: int = 1) -> np.ndarray:
+    """Diagonal eigenvalue matrix of the curvature endomorphism for L^(tensor k).
+
+    In the unit frame the eigenvalue on factor j is 2*k*lambda_j; the sign
+    pattern matches the degrees and the matrix is constant over M.
+    """
+    return np.diag(2.0 * k * model.lambdas)
+
+
+def phi_plus(m: int, tau: complex, z) -> np.ndarray:
+    """Positive-degree weight pi*m*(Im z)^2/Im tau at level m."""
+    z = np.asarray(z, dtype=complex)
+    return np.pi * m * z.imag ** 2 / tau.imag
+
+
+def normal_weight(chart: NormalChart, u) -> np.ndarray:
+    """Quadratic normal weight sum_t lambda_t |u_t|^2 (unit power) in chart offsets u."""
+    u = np.asarray(u, dtype=complex)
+    return np.sum(chart.model.lambdas * np.abs(u) ** 2, axis=-1)
+
+
 def signature(model: ProductModel) -> tuple[int, int]:
     """(n_minus, n_plus) eigenvalue signs of the curvature matrix."""
     eig = np.diag(curvature_matrix(model))
@@ -399,3 +425,13 @@ def distance(model: ProductModel, x, y) -> float:
 def fmt17(x) -> str:
     """Format a float with 17 significant digits."""
     return format(float(x), ".17g")
+
+
+def lstsq_fit_line(x, y) -> SlopeFit:
+    """Least-squares line y = intercept + slope * x by LAPACK's solve of the
+    (len(x), 2) design matrix."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    A = np.stack([np.ones_like(x), x], axis=1)
+    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
+    return SlopeFit(slope=float(coef[1]), intercept=float(coef[0]),
+                    residual=float(np.max(np.abs(y - A @ coef))))

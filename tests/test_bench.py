@@ -9,6 +9,7 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from torusbergman import basis, embedding, theta
@@ -97,3 +98,28 @@ def test_no_embed_run_enters_a_product_route(bench_run, tmp_path, monkeypatch):
     runs["embed_sig11"].write_text(bench_run.WORKLOADS["embed_sig11"].config.format(seed=1))
     for name, cfg in runs.items():
         assert cli_main(["all", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0, name
+
+
+def test_no_run_calls_lapack(bench_run, tmp_path, monkeypatch):
+    # every shipped config and every bench workload runs on closed forms: line
+    # fits, two-row factor ranks and b0 take no LAPACK route, so a run never
+    # loads its code; np.linalg.norm is no LAPACK call and stays allowed
+    called = []
+
+    def refusing(name):
+        def refuse(*args, **kwargs):
+            called.append(name)
+            raise AssertionError(f"a run called np.linalg.{name}")
+        return refuse
+
+    for name in ("lstsq", "svd", "svdvals", "det", "slogdet", "eig", "eigh", "eigvals", "eigvalsh",
+                 "solve", "inv", "pinv", "qr", "cholesky", "matrix_rank"):
+        monkeypatch.setattr(np.linalg, name, refusing(name))
+    runs = {p.stem: p for p in sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))}
+    assert len(runs) == 10
+    for name, w in bench_run.WORKLOADS.items():
+        runs[name] = tmp_path / f"{name}.cfg"
+        runs[name].write_text(w.config.format(seed=1))
+    codes = {name: cli_main(["all", "--config", str(cfg), "--out", str(tmp_path / name)]) for name, cfg in runs.items()}
+    assert called == []
+    assert codes == dict.fromkeys(runs, 0)

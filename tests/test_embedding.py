@@ -322,6 +322,85 @@ class TestDifferential:
             "16,0.99999999999999967,0.74772005025636179,0.76378209402583264,1\n")
 
 
+class TestTwoRowRank:
+    # the closed-form rank of two rows against the SVD rule of _rank, on the
+    # same (P, 2, dim) partials and (P, dim) lifts: the ranks match exactly
+    @staticmethod
+    def _both(V, w):
+        from torusbergman.embedding import _rank, _two_row_rank
+
+        return _two_row_rank(V, w).tolist(), _rank(V, w).tolist()
+
+    @staticmethod
+    def _frame(rng, P, dim):
+        """Per point a random lift w and two real-orthonormal rows e1, e2, both
+        complex-orthogonal to w, by Gram-Schmidt on the stacked real parts."""
+        w = rng.normal(size=(P, dim)) + 1j * rng.normal(size=(P, dim))
+        rows = []
+        for _ in range(2):
+            e = rng.normal(size=(P, dim)) + 1j * rng.normal(size=(P, dim))
+            for u in [w, 1j * w, *rows]:
+                e = e - (np.sum((e * u.conj()).real, axis=1) / np.sum(np.abs(u) ** 2, axis=1))[:, None] * u
+            rows.append(e / np.sqrt(np.sum(np.abs(e) ** 2, axis=1))[:, None])
+        return w, rows
+
+    @pytest.mark.parametrize("factors, k", [([(TAU, -1), (TAU, 1)], 4), ([(0.3 + 1.2j, -1), (-0.2 + 0.9j, 2)], 5),
+                                            ([(TAU, -5), (TAU, 1)], 1), ([(TAU, 3)], 2)])
+    def test_random_factor_jets(self, factors, k):
+        from torusbergman.embedding import _real_partials
+
+        b = build_basis(ProductModel.from_factors([TorusFactor(tau, d) for tau, d in factors]), k)
+        z = b.model.chart_z(np.random.default_rng(k).random((200, 2 * b.model.n)))
+        for t, s in enumerate(b.factor_sets):
+            tab = b.factor_tables(t, z[:, t], "d1")
+            two, svd = self._both(_real_partials(tab["z"][None], tab["zb"][None]), tab["v"].T)
+            assert two == svd == [2 if s.level > 1 else 0] * 200
+
+    def test_random_rows(self):
+        rng = np.random.default_rng(1)
+        V = (rng.normal(size=(300, 2, 6)) + 1j * rng.normal(size=(300, 2, 6))) * 10.0 ** rng.uniform(-3, 3, (300, 2, 1))
+        w = rng.normal(size=(300, 6)) + 1j * rng.normal(size=(300, 6))
+        two, svd = self._both(V, w)
+        assert two == svd == [2] * 300
+
+    def test_zero_row_and_zero_rows(self):
+        rng = np.random.default_rng(2)
+        w, (e1, e2) = self._frame(rng, 50, 5)
+        V = np.stack([3.0 * e1, 0.0 * e2], axis=1)
+        assert self._both(V, w) == self._both(V[:, ::-1], w) == ([1] * 50, [1] * 50)
+        assert self._both(0.0 * V, w) == ([0] * 50, [0] * 50)
+
+    def test_parallel_rows(self):
+        # real multiples only: i a is real-orthogonal to a and counts twice
+        rng = np.random.default_rng(3)
+        w, (e1, e2) = self._frame(rng, 50, 5)
+        c = rng.uniform(-4, 4, size=(50, 1))
+        assert self._both(np.stack([e1, c * e1], axis=1), w) == ([1] * 50, [1] * 50)
+        assert self._both(np.stack([e1, 1j * e1], axis=1), w) == ([2] * 50, [2] * 50)
+
+    def test_row_along_the_lift(self):
+        rng = np.random.default_rng(4)
+        w, (e1, e2) = self._frame(rng, 50, 5)
+        along = (2.0 - 0.5j) * w + 1e-3 * e1
+        assert self._both(np.stack([e2, (0.7 + 1.1j) * w], axis=1), w) == ([1] * 50, [1] * 50)
+        assert self._both(np.stack([along, 0.3 * w], axis=1), w) == ([1] * 50, [1] * 50)
+
+    @pytest.mark.parametrize("f, rank", [(0.5, 1), (2.0, 2), (0.9, 1), (1.1, 2)])
+    def test_second_value_either_side_of_the_tolerance(self, f, rank):
+        # singular values s1 and s2 = f * _RANK_TOL * max(s1, |w|), mixed by a
+        # random rotation of the two rows, which leaves them as they are
+        from torusbergman.embedding import _RANK_TOL
+
+        rng = np.random.default_rng(5)
+        w, (e1, e2) = self._frame(rng, 100, 7)
+        w = w * 10.0 ** rng.uniform(-2, 2, (100, 1))
+        s1 = 10.0 ** rng.uniform(-2, 2, (100, 1))
+        s2 = f * _RANK_TOL * np.maximum(s1, np.sqrt(np.sum(np.abs(w) ** 2, axis=1, keepdims=True)))
+        a = rng.uniform(0, 2 * np.pi, (100, 1))
+        V = np.stack([np.cos(a) * s1 * e1 - np.sin(a) * s2 * e2, np.sin(a) * s1 * e1 + np.cos(a) * s2 * e2], axis=1)
+        assert self._both(V, w) == ([rank] * 100, [rank] * 100)
+
+
 class TestPullback:
     def test_degree_calibration_positive_curve(self):
         # theta embedding of a degree-1 curve at k=3 into CP^2

@@ -7,6 +7,7 @@ import pytest
 from _oracles import (
     RemixedBasis,
     cholesky_disc_density,
+    curvature_matrix,
     evaluate_combination,
     product_density,
     product_kernel,
@@ -256,6 +257,18 @@ class TestCalibrationOracles:
         assert leading_coefficient(model(-1)) == pytest.approx(0.5)
         assert leading_coefficient(model(-1, 2)) == pytest.approx(0.5)
         assert leading_coefficient(model(-2)) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("factors", [[(TAU, -1), (TAU, 1)], [(0.3 + 1.2j, -2)], [(TAU, 2)],
+                                         [(0.3 + 1.2j, -1), (-0.2 + 0.9j, 2), (0.1 + 0.7j, 3)],
+                                         [(TAU, -2), (0.5 + 2j, -1), (TAU, 2)]])
+    def test_b0_is_the_curvature_determinant(self, factors):
+        # the product of |2 lambda_t| against LAPACK's determinant of the oracle's
+        # curvature matrix (its exp-of-log-sum is 4.4e-16 off at worst here) and
+        # the exact prod_t |d_t| / (2 Im tau_t)
+        m = ProductModel.from_factors([TorusFactor(tau, d) for tau, d in factors])
+        b0 = leading_coefficient(m)
+        assert b0 == pytest.approx(abs(np.linalg.det(curvature_matrix(m))) / (2 * np.pi) ** m.n, rel=1e-15)
+        assert b0 == pytest.approx(np.prod([abs(f.degree) / (2 * f.im_tau) for f in m.factors]), rel=1e-15)
 
 
 class TestExpansionModel:

@@ -1,7 +1,8 @@
 """Static checks of the package source, by the standard library's ast: no
 unused import, no unreferenced private module-level name, no undefined
-__all__ entry, and no lattice grid built by np.meshgrid outside
-theta.grid_pairs.  They catch what a refactor leaves behind."""
+__all__ entry, no lattice grid built by np.meshgrid outside
+theta.grid_pairs, and no LAPACK-backed np.linalg function outside the SVD
+of the rank oracle.  They catch what a refactor leaves behind."""
 
 import ast
 from pathlib import Path
@@ -54,20 +55,37 @@ def _module_level(tree: ast.Module) -> set[str]:
     return names
 
 
-def _meshgrid_callers(tree: ast.Module) -> list[str]:
-    """Dotted names of the functions (or <module>) that call meshgrid, in order."""
-    found = []
-
+def _scoped_nodes(tree: ast.Module):
+    """Every node below the top, with the dotted name of the function or class
+    that holds it (or <module>)."""
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                yield from visit(child, f"{scope}.{child.name}" if scope else child.name)
                 continue
-            if isinstance(child, ast.Call) and getattr(child.func, "attr", getattr(child.func, "id", None)) == "meshgrid":
-                found.append(scope or "<module>")
-            visit(child, scope)
+            yield scope or "<module>", child
+            yield from visit(child, scope)
 
-    visit(tree, "")
+    return visit(tree, "")
+
+
+def _meshgrid_callers(tree: ast.Module) -> list[str]:
+    """Dotted names of the functions (or <module>) that call meshgrid, in order."""
+    return [scope for scope, node in _scoped_nodes(tree) if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) == "meshgrid"]
+
+
+def _linalg_names(tree: ast.Module) -> list[tuple[str, str]]:
+    """(scope, name) for each linalg function named as an attribute (np.linalg.svd)
+    or imported from numpy.linalg, and (scope, "linalg") for an import of the module."""
+    found = []
+    for scope, node in _scoped_nodes(tree):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "attr", getattr(node.value, "id", None)) == "linalg":
+            found.append((scope, node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+            found += [(scope, a.name) for a in node.names]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [(scope, "linalg") for a in node.names if a.name.split(".")[-1] == "linalg"]
     return found
 
 
@@ -99,6 +117,14 @@ def test_lattice_grids_go_through_the_grid_evaluator():
     assert callers == [("theta.py", "grid_pairs")]
 
 
+def test_no_lapack_outside_the_rank_oracle():
+    # the fits, the factor ranks and b0 are closed forms, and np.linalg.norm
+    # calls no LAPACK; the one LAPACK call left is the SVD of embedding._rank,
+    # which only the one-point product oracle differential reaches
+    names = [(name, scope, f) for name, tree in MODULES.items() for scope, f in _linalg_names(tree) if f != "norm"]
+    assert names == [("embedding.py", "_rank", "svd")]
+
+
 def test_checks_see_a_leftover():
     # the checks themselves: an orphaned import, an unread private helper and a
     # stale __all__ entry are each reported
@@ -111,3 +137,8 @@ def test_checks_see_a_leftover():
                      "    return np.meshgrid(t, t)\nclass Basis:\n    def member(self, t):\n"
                      "        A, B = meshgrid(t, t)\nGRID = np.meshgrid([0.5], [0.5])\n")
     assert _meshgrid_callers(tree) == ["grid_pairs", "Basis.member", "<module>"]
+    # and a linalg function is seen however it is named
+    tree = ast.parse("import numpy as np\nfrom numpy.linalg import det\nfrom numpy import linalg\n"
+                     "def fit(A, y):\n    return np.linalg.lstsq(A, y), np.linalg.norm(y), linalg.qr(A)\n")
+    assert _linalg_names(tree) == [("<module>", "det"), ("<module>", "linalg"), ("fit", "lstsq"),
+                                   ("fit", "norm"), ("fit", "qr")]

@@ -3,8 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from _oracles import looped_weighted_grid, looped_weighted_table
-from torusbergman.theta import grid_pairs, half_offset, phi_plus, weighted_grid, weighted_grid_gram, weighted_table
+from _oracles import looped_weighted_grid, looped_weighted_table, phi_plus
+from torusbergman.theta import grid_pairs, half_offset, weighted_grid, weighted_grid_gram, weighted_table
 
 TAU = 1j
 
