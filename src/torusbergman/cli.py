@@ -4,8 +4,10 @@
 
 where <experiment> is one of dims, density, offdiag, far, ratio, embed,
 pullback, derivs, or all.  `all` runs the config's enabled experiment list;
-a named experiment runs exactly that experiment.  Exit code is 0 iff every
-criterion evaluated in the run passed.  Importing this module calls gc.freeze()
+a named experiment runs exactly that experiment.  Each criterion prints one
+PASS or FAIL line; a FAIL line ends with its failing sub-checks, written
+name=value (bound).  Exit code is 0 iff every criterion evaluated in the run
+passed.  Importing this module calls gc.freeze()
 once: the import heap lives until exit, so no collection, exit's included, need
 walk it; objects made later are collected as before.
 """
@@ -56,10 +58,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    for c in report.criteria:
-        verdict = "PASS" if c["pass"] else "FAIL"
-        print(f"{c['criterion_id']} {verdict}  measured={c['measured']:.6g} "
-              f"threshold={c['threshold']:.6g}  {c['description']}")
+    for c in report.criteria:       # a FAIL line ends with its failing sub-checks
+        failing = "".join(f"  {s['name']}={s['measured']:.6g} ({s['bound']:.6g})" for s in c["checks"] if not s["pass"])
+        print(f"{c['criterion_id']} {'PASS' if c['pass'] else 'FAIL'}  measured={c['measured']:.6g} "
+              f"threshold={c['threshold']:.6g}  {c['description']}{failing}")
     for w in report.warnings:
         print(f"warning: {w}")
     print(f"wall time {wall:.1f}s; wrote {len(written)} files to {args.out}")

@@ -6,7 +6,7 @@ weighted coefficients g_j; its diagonal is the local density of states.  The
 basis is a tensor product, so kernel, density and ratio profile are products
 of their factor values, read one factor table at a time through
 HarmonicBasis.factor_values (cost grows with sum_t m_t, not dim); the decay
-checks read P(x,y), P(x,x) and P(y,y) from one table per factor.  The
+measurements read P(x,y), P(x,x) and P(y,y) from one table per factor.  The
 comparison model is the quadratic-phase Gaussian e^{ik Psi} b0 k^n, which on
 flat models is the exact local behavior up to lattice-periodization terms.
 """
@@ -20,7 +20,7 @@ import numpy as np
 
 from .basis import HarmonicBasis, default_resolution
 from .geometry import VOLUME_NORMALIZATION, NormalChart, ProductModel, normal_chart
-from .util import fit_line
+from .util import fit_line, noise_floor
 
 __all__ = [
     "KernelSample",
@@ -146,11 +146,12 @@ def expansion_model(model: ProductModel) -> ExpansionModel:
 
 
 class OffdiagonalFit(NamedTuple):
-    log_ratio: np.ndarray           # log f_k = log |P(x,y)|^2/(P(x)P(y))
-    c_fit: float                    # fitted decay constant: -d(log f)/dk
+    log_ratio: np.ndarray           # log f_k = log |P(x,y)|^2/(P(x)P(y)), every rung
+    c_fit: float                    # fitted decay constant -d(log f)/dk on the rungs above the floor
     c_model: float                  # 2 Im Psi(x,y)
     rel_dev: float
     phase_dev: float                # max wrapped phase error vs k Re Psi
+    floored: tuple[int, ...]        # rungs whose |P(x,y)| is at or below the rounding floor
 
 
 def _segment_points(model: ProductModel, x, y, ts):
@@ -165,7 +166,9 @@ def offdiagonal_fit(bases: list[HarmonicBasis], x, y) -> OffdiagonalFit:
 
     Fits the slope of log f_k vs k at fixed (x, y) and compares with twice
     the quadratic-model Im Psi; also compares the kernel phase, in the
-    midpoint normal frame, against k Re Psi.
+    midpoint normal frame, against k Re Psi.  Rungs whose |P(x,y)| is at or
+    below the rounding floor (util.noise_floor) are listed in `floored` and
+    left out of the fit; with fewer than 2 rungs above it c_fit is nan.
     """
     if len(bases) < 4:
         raise ValueError("need at least 4 tensor powers for the decay fit")
@@ -177,32 +180,23 @@ def offdiagonal_fit(bases: list[HarmonicBasis], x, y) -> OffdiagonalFit:
     ux = model.chart_z(xcov) - chart.z0
     uy = model.chart_z(ybase) - chart.z0
     psi = complex(em.psi(ux, uy))
-    ks, logf, phs = [], [], []
+    ks = np.array([b.k for b in bases])
+    logf, phs, live = [], [], []
     for b in bases:
         val, pxx, pyy = _kernel_pair(b, xcov, ybase)
         val = _in_chart(b, chart, xcov, ybase, val).chart_value
-        if abs(val) <= _noise_floor(pxx, pyy):
-            raise FloatingPointError(f"kernel underflow at k={b.k}")
-        ks.append(b.k)
-        logf.append(np.log(abs(val) ** 2 / (pxx * pyy)))
+        live.append(abs(val) > noise_floor("kernel", np.sqrt(pxx * pyy)))
+        with np.errstate(divide="ignore"):      # an exact zero reads -inf, floored
+            logf.append(np.log(abs(val) ** 2 / (pxx * pyy)))
         ph = np.angle(val) - b.k * np.real(psi)
         phs.append(np.angle(np.exp(1j * ph)))   # wrap to (-pi, pi]
-    logf = np.array(logf)
-    c_fit = -fit_line(ks, logf).slope
+    logf, live = np.array(logf), np.array(live)
+    c_fit = -fit_line(ks[live], logf[live]).slope if live.sum() >= 2 else np.nan
     c_model = float(2.0 * em.im_psi(ux - uy))
     rel = abs(c_fit - c_model) / c_model if c_model > 0 else abs(c_fit)
     return OffdiagonalFit(log_ratio=logf, c_fit=c_fit, c_model=c_model,
-                          rel_dev=float(rel), phase_dev=float(np.max(np.abs(phs))))
-
-
-def _noise_floor(pxx: float, pyy: float) -> float:
-    """Rounding floor for |P(x,y)|: the Cauchy-Schwarz scale times 1e-15.
-
-    Weighted-coefficient sums never underflow to exact zero; they plateau at
-    about 1e-16 of sqrt(P(x,x) P(y,y)) (measured on thin-torus stress
-    models), below which a value is indistinguishable from rounding noise.
-    """
-    return 1e-15 * np.sqrt(pxx * pyy)
+                          rel_dev=float(rel), phase_dev=float(np.max(np.abs(phs))),
+                          floored=tuple(int(k) for k in ks[~live]))
 
 
 class FarFieldReport(NamedTuple):
@@ -212,28 +206,24 @@ class FarFieldReport(NamedTuple):
     damped_decreasing: dict[int, bool]
     underflow_ks: tuple[int, ...]
 
-    @property
-    def passed(self) -> bool:
-        return self.gamma > 0 and all(self.damped_decreasing.values())
-
 
 _DAMPING_ORDERS = (1, 2, 4, 8)      # A5's powers N of k in the damped sequences k^N |P_k|
 
 
 def far_separation_check(bases: list[HarmonicBasis], x, y) -> FarFieldReport:
-    """Rapid-decay check at well-separated points.
+    """Rapid-decay measurement at well-separated points.
 
-    Fits |P_k| <= A e^{-gamma k} and verifies k^N |P_k| decreasing on the top
-    half of the ladder for each damping order N in _DAMPING_ORDERS.  Kernel
-    values at or below the floating-point noise floor are left out of the fit
-    and the damped sequences and annotated in underflow_ks (the kernel is
-    certifiably below measurement there); the rungs above the floor must
-    still pass.
+    Fits |P_k| <= A e^{-gamma k} (gamma is inf with fewer than 2 rungs) and
+    records, for each damping order N in _DAMPING_ORDERS, whether k^N |P_k|
+    decreases on the top half of the ladder.  Kernel values at or below the
+    rounding floor (util.noise_floor) are left out of the fit and the damped
+    sequences and listed in underflow_ks (the kernel is certifiably below
+    measurement there).
     """
     ks, vals, under = [], [], []
     for b in bases:
         val, pxx, pyy = _kernel_pair(b, x, y)
-        if abs(val) <= _noise_floor(pxx, pyy):
+        if abs(val) <= noise_floor("kernel", np.sqrt(pxx * pyy)):
             under.append(b.k)
             continue
         ks.append(b.k)

@@ -1,4 +1,5 @@
-"""Shared numerical helpers: seeded draws, least-squares line and power-law slope fits."""
+"""Shared numerical helpers: seeded draws, least-squares line and power-law slope
+fits, and the rounding floors of the measured quantities."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["Draws", "SlopeFit", "fit_line", "fit_slope", "asymptotic_window"]
+__all__ = ["Draws", "SlopeFit", "fit_line", "fit_slope", "asymptotic_window", "noise_floor"]
 
 
 class Draws:
@@ -58,3 +59,17 @@ def fit_slope(ks, values) -> SlopeFit:
 def asymptotic_window(n: int) -> int:
     """Start index of the top-half fitting window, keeping at least 4 points."""
     return max(0, min(n // 2, n - 4))
+
+
+# A measured value at or below its floor is indistinguishable from rounding:
+# the routes report it as floored and leave it out of their fits.
+_FLOOR_REL = {
+    "kernel": 1e-15,    # |P(x,y)| per sqrt(P(x,x) P(y,y)): sums plateau near 1e-16 of it (thin tori)
+    "form": 1e-12,      # A8's E(k) per max(1, max|omega|)
+    "zero": 1e-250,     # A9's derivative sums: at or below it, an exact zero
+}
+
+
+def noise_floor(kind: str, scale: float = 1.0) -> float:
+    """The rounding floor of a `kind` value (a _FLOOR_REL key) of natural size `scale`."""
+    return _FLOOR_REL[kind] * scale

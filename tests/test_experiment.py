@@ -30,6 +30,8 @@ seed = 7
 experiments = dims
 """
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
 SMOKE = """
 factor = 0.0 1.0 -1
 factor = 0.0 1.0 1
@@ -325,8 +327,13 @@ class TestRun:
         ids = [c["criterion_id"] for c in data["criteria"]]
         assert len(ids) == len(set(ids))
         for c in data["criteria"]:
-            assert set(c) == {"criterion_id", "description", "measured", "threshold", "pass"}
+            assert set(c) == {"criterion_id", "description", "measured", "threshold", "pass", "checks"}
             assert c["criterion_id"].startswith("A")
+            # sub-check records: the criterion's pass is their AND, its measured and
+            # threshold are the first one's
+            assert c["checks"] and all(set(s) == {"name", "measured", "bound", "pass"} for s in c["checks"])
+            assert c["pass"] is all(s["pass"] for s in c["checks"])
+            assert (c["measured"], c["threshold"]) == (c["checks"][0]["measured"], c["checks"][0]["bound"])
         env = data["environment"]
         assert "numpy" in env and "wall_seconds" in env and env["seed"] == 20260810
 
@@ -852,6 +859,32 @@ class TestCli:
         cfg.write_text(SMOKE + "probe_offdiag = 0.1 0.1 0.1 0.1 ; 0.4 0.1 0.1 0.1\n")
         assert cli_main(["offdiag", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
 
+    @pytest.mark.parametrize("text, cid, failing", [
+        # a far probe pair: the kernel is at its rounding floor at k = 10
+        ((CONFIGS / "sig11_smoke.cfg").read_text() + "probe_offdiag = 0.1 0.2 0.3 0.4 ; 0.6 0.7 0.8 0.9\n",
+         "A4", "floored_rungs"),
+        # rounding drift above the floor: the ddbar route's E(k) rises 3.7x from k = 100 to 200
+        ("factor = 0.0 1.0 -1\nfactor = 0.0 1.0 1\nk_ladder = 50 100 200 300\nexperiments = pullback\n",
+         "A8", "rise_ddbar_log"),
+        # the doubled pair's top rungs sit on a rounding plateau: its decay constant is not 4x
+        ("factor = 0 1 -1\nk_ladder = 200 400 600 800\nseed = 1\nexperiments = offdiag\n",
+         "A4", "quad_ratio_dev"),
+    ], ids=["far_probe", "ddbar_rise", "quad_plateau"])
+    def test_fail_line_names_the_sub_check_past_its_bound(self, tmp_path, capsys, text, cid, failing):
+        # a failing check is reported, not raised: no experiment fails, and the
+        # FAIL line ends with the failing sub-checks, each past its own bound
+        cfg = tmp_path / "fail.cfg"
+        cfg.write_text(text)
+        assert cli_main(["all", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert not any(w.startswith("experiment ") for w in summary["warnings"])
+        (crit,) = [c for c in summary["criteria"] if not c["pass"]]
+        check = {s["name"]: s for s in crit["checks"]}[failing]
+        assert crit["criterion_id"] == cid and not check["pass"] and check["measured"] > check["bound"]
+        tail = "".join(f"  {s['name']}={s['measured']:.6g} ({s['bound']:.6g})" for s in crit["checks"] if not s["pass"])
+        (line,) = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith(f"{cid} FAIL  ")]
+        assert line.endswith(tail) and f"  {failing}={check['measured']:.6g} ({check['bound']:.6g})" in tail
+
     def test_all_runs_config_experiments(self, tmp_path):
         cfg = tmp_path / "ok.cfg"
         cfg.write_text(MINIMAL)
@@ -868,6 +901,8 @@ class TestShippedConfigs:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["criteria"] and all(c["pass"] for c in summary["criteria"])
         assert summary["pass"] and summary["warnings"] == []
+        # every criterion carries its sub-check records, and its pass is their AND
+        assert all(c["checks"] and c["pass"] is all(s["pass"] for s in c["checks"]) for c in summary["criteria"])
 
     def test_all_shipped_configs_parse(self):
         cfg_dir = Path(__file__).resolve().parents[1] / "configs"

@@ -340,36 +340,39 @@ class TestFarField:
         rep = far_separation_check(decay_ladder, np.array([0.0, 0.0]), np.array([0.5, 0.5]))
         assert rep.gamma > 0
         assert all(rep.damped_decreasing.values())
-        assert rep.passed
+        assert rep.underflow_ks == ()
 
     def test_coincident_control_fails(self, decay_ladder):
         y = np.array([0.2, 0.6])
         rep = far_separation_check(decay_ladder, y, y)
-        assert not rep.passed   # density grows like k^n: damped sequences increase
+        assert not any(rep.damped_decreasing.values())   # density grows like k^n: damped sequences increase
 
     def test_one_underflowed_rung_does_not_pass(self, decay_ladder, monkeypatch):
         # the coincident control with its lowest rung floored: the rungs
         # above the floor still grow, so the underflow annotation is no pass
         module = importlib.import_module("torusbergman.kernel")    # the package's `kernel` is the function
-        floor = module._noise_floor
+        floor = module.noise_floor
         floored = iter([np.inf])
-        monkeypatch.setattr(module, "_noise_floor", lambda pxx, pyy: next(floored, floor(pxx, pyy)))
+        monkeypatch.setattr(module, "noise_floor", lambda kind, scale: next(floored, floor(kind, scale)))
         y = np.array([0.2, 0.6])
         rep = far_separation_check(decay_ladder, y, y)
         assert rep.underflow_ks == (decay_ladder[0].k,)
-        assert not rep.passed
+        assert not any(rep.damped_decreasing.values())
 
     def test_noise_floor_annotated_as_underflow(self):
         # thin torus: the true antipodal kernel sits far below the rounding
-        # floor, so every ladder value is annotated and the check still passes
+        # floor, so every ladder value is annotated and nothing is left to
+        # fit: gamma reads inf and no damped sequence rises.  The decay fit
+        # reports the same rungs as floored, and has no fit to give
         thin = ProductModel.from_factors([TorusFactor(0.05j, -1)])
         bases = [build_basis(thin, k) for k in (8, 12, 16, 20)]
         x, y = np.array([0.0, 0.0]), np.array([0.5, 0.0])
         rep = far_separation_check(bases, x, y)
         assert rep.underflow_ks == (8, 12, 16, 20)
-        assert rep.passed
-        with pytest.raises(FloatingPointError, match="k=8"):
-            offdiagonal_fit(bases, x, y)
+        assert rep.gamma == np.inf and all(rep.damped_decreasing.values())
+        fit = offdiagonal_fit(bases, x, y)
+        assert fit.floored == (8, 12, 16, 20) and np.isnan(fit.c_fit) and np.isnan(fit.rel_dev)
+        assert len(fit.log_ratio) == 4
 
 
 class TestGaussianModelPointwise:

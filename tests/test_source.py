@@ -1,10 +1,13 @@
 """Static checks of the package source, by the standard library's ast: no
 unused import, no unreferenced private module-level name, no undefined
 __all__ entry, no lattice grid built by np.meshgrid outside
-theta.grid_pairs, and no LAPACK-backed np.linalg function outside the SVD
-of the rank oracle.  They catch what a refactor leaves behind."""
+theta.grid_pairs, no LAPACK-backed np.linalg function outside the SVD
+of the rank oracle, no number written in a criterion description, and no
+exception but ValueError raised by the measuring routes.  They catch what a
+refactor leaves behind."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -89,6 +92,31 @@ def _linalg_names(tree: ast.Module) -> list[tuple[str, str]]:
     return found
 
 
+def _description_numbers(tree: ast.Module) -> list[str]:
+    """The numbers written in _CRITERIA_DESC's text: numeric constants, and digits
+    outside {placeholders} that no letter, digit or ^ precedes (b0 and k^n are names)."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "_CRITERIA_DESC" for t in node.targets):
+            for c in ast.walk(node.value):
+                if isinstance(c, ast.Constant) and isinstance(c.value, str):
+                    text = re.sub(r"\{[^{}]*\}", "", c.value)
+                    found += re.findall(r"(?<![\w^.])\d+(?:\.\d*)?(?:[eE][-+]?\d+)?%?", text)
+                elif isinstance(c, ast.Constant):
+                    found.append(repr(c.value))
+    return found
+
+
+def _raised(tree: ast.Module) -> list[tuple[str, str]]:
+    """(scope, exception name) for each raise statement; a bare re-raise is named 'raise'."""
+    found = []
+    for scope, node in _scoped_nodes(tree):
+        if isinstance(node, ast.Raise):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            found.append((scope, "raise" if exc is None else getattr(exc, "id", getattr(exc, "attr", "?"))))
+    return found
+
+
 @pytest.mark.parametrize("name", sorted(MODULES))
 def test_no_unused_import(name):
     tree = MODULES[name]
@@ -125,6 +153,20 @@ def test_no_lapack_outside_the_rank_oracle():
     assert names == [("embedding.py", "_rank", "svd")]
 
 
+def test_criteria_descriptions_hold_no_numeric_literal():
+    # each bound is written once, in its sub-check record, and a description
+    # shows it through a placeholder formatted from that record
+    assert _description_numbers(MODULES["experiment.py"]) == []
+
+
+@pytest.mark.parametrize("name", ["kernel.py", "embedding.py"])
+def test_measuring_routes_raise_only_value_errors(name):
+    # the routes report floored rungs and rises; only bad arguments raise, and
+    # experiment.py decides every verdict from what the routes return
+    raised = _raised(MODULES[name])
+    assert raised and {exc for _, exc in raised} == {"ValueError"}
+
+
 def test_checks_see_a_leftover():
     # the checks themselves: an orphaned import, an unread private helper and a
     # stale __all__ entry are each reported
@@ -142,3 +184,13 @@ def test_checks_see_a_leftover():
                      "def fit(A, y):\n    return np.linalg.lstsq(A, y), np.linalg.norm(y), linalg.qr(A)\n")
     assert _linalg_names(tree) == [("<module>", "det"), ("<module>", "linalg"), ("fit", "lstsq"),
                                    ("fit", "norm"), ("fit", "qr")]
+    # and a bound written into a description, as text or as a constant, is seen,
+    # while names, placeholders and their format specs are not
+    tree = ast.parse('_CRITERIA_DESC = {"A4": "within 10% and <= 1e-9 of 2 Im Psi, b0*k^n " "{bound:.0%}",\n'
+                     '                  "A5": ("gamma > {gamma:g}", 0.5)}\n')
+    assert _description_numbers(tree) == ["10%", "1e-9", "2", "0.5"]
+    # and a raise is named however it is written
+    tree = ast.parse("def f(x):\n    if x:\n        raise FloatingPointError('k')\n    raise ValueError\n"
+                     "class R:\n    def g(self):\n        try:\n            pass\n        except OSError:\n"
+                     "            raise\n")
+    assert _raised(tree) == [("f", "FloatingPointError"), ("f", "ValueError"), ("R.g", "raise")]
