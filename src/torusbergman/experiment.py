@@ -326,12 +326,12 @@ def _exp_offdiag(cfg, model, rng):
     x, y = _probe_pair(cfg.probes.get("offdiag"), model, rng, 0.1 * np.eye(2 * model.n)[0])
     bases = _bases(cfg, model)
     fit = ker.offdiagonal_fit(bases, x, y)
-    x2 = y + 2.0 * model.centered(x - y)
+    x2 = y + model.centered(x - y) / 2.0
     fit2 = ker.offdiagonal_fit(bases, x2, y)
     rows = [[b.k, float(np.linalg.norm(model.chart_dz(x, y))), lr, -b.k * fit.c_model]
             for b, lr in zip(bases, fit.log_ratio)]
     crit = [_criterion("A4", [_check("rel_dev", fit.rel_dev, "<=", 0.10),
-                              _check("quad_ratio_dev", abs(fit2.c_fit / fit.c_fit / 4.0 - 1.0), "<=", 0.15),
+                              _check("quad_ratio_dev", abs(fit.c_fit / fit2.c_fit / 4.0 - 1.0), "<=", 0.15),
                               _check("floored_rungs", len(fit.floored) + len(fit2.floored), "<=", 0)],
                        floored=sorted({*fit.floored, *fit2.floored}))]
     return rows, ["k", "dist", "log_ratio", "model"], crit, {"offdiag": [x.tolist(), y.tolist()]}

@@ -17,15 +17,16 @@ In lattice coordinates z = a + tau s (s = Im z / Im tau) each weighted term is
 whose real exponent _exponent forms as that one Gaussian, never as the sum of
 the large, cancelling Re(pi i m r^2 tau), -2 pi m r Im z and -phi_plus.
 
-Certified error: _windows takes each characteristic's r window from the
-explicit Gaussian tail bound, so W is within eps of the exact value (theta
-within eps * exp(phi_plus(z))).  Both evaluators use it: weighted_table for
-scattered points and derivative sums, and weighted_grid for every lattice
-grid z = a + tau b, given by its two axes a and b, where the a-phase
-exp(2 pi i (m n + j) a) (r = n + j/m) splits off: the b-only factors of all
-characteristics' terms are formed in one pass (_grid_factors), and each
-characteristic is one (len(a) x R_j) @ (R_j x len(b)) matrix product with
-O(N R) complex exponentials instead of O(N^2 R).  It serves two grids: the
+Certified error: _tail_radius gives the radius R of the explicit Gaussian
+tail bound, so W is within eps of the exact value (theta within
+eps * exp(phi_plus(z))).  weighted_table sums each scattered point over the
+terms within R of its centre.  weighted_grid, for every lattice grid
+z = a + tau b given by its axes a and b, takes each characteristic's window
+over the whole b axis (_windows): the a-phase exp(2 pi i (m n + j) a)
+(r = n + j/m) splits off, the b-only factors of all characteristics' terms are
+formed in one pass (_grid_factors), and each characteristic is one
+(len(a) x R_j) @ (R_j x len(b)) matrix product with O(N R) complex
+exponentials instead of O(N^2 R).  It serves two grids: the
 half-offset grid (a, b in half_offset(N) = (arange(N) + 0.5) / N, listed by
 grid_pairs), whose (m, N, N) table the density sum_j |W_j|^2 and the FS scan
 read, and A2's centered stencil grid with its ghost b columns, of which
@@ -45,16 +46,24 @@ import numpy as np
 __all__ = ["half_offset", "grid_pairs", "weighted_grid", "weighted_grid_gram", "weighted_table"]
 
 
-def _tail_radius(m: int, im_tau: float, eps: float, y_over_t: float, order: int) -> float:
-    """Smallest shifted-window half-width R with certified tail below eps.
+def _tail_radius(m: int, tau: complex, eps: float, y: np.ndarray, order: int) -> float:
+    """Smallest shifted-window half-width R with certified tail below eps at
+    the points of imaginary parts y.  Rejects a level below 1, Im tau <= 0 and
+    eps <= 0, for every evaluator.
 
     Terms are exp(-a s^2) * |2 pi m r|^order with a = pi m Im(tau) and
     s = r + y/Im(tau); the two-sided tail over |s| >= R is bounded by
     2 exp(-a R^2 / 2) * sup_{|s|>=R} exp(-a s^2 / 2) (2 pi m (|s|+c))^order
-    with c = |y|/Im(tau).
+    with c = max |y| / Im(tau).
     """
-    a = math.pi * m * im_tau
-    c = abs(y_over_t)
+    if m < 1:
+        raise ValueError("level must be a positive integer")
+    if tau.imag <= 0:
+        raise ValueError("Im(tau) must be positive")
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    a = math.pi * m * tau.imag
+    c = float(np.max(np.abs(y))) / tau.imag
     R = 1.0
     for _ in range(4):
         poly = max(1.0, (2.0 * math.pi * m * (R + c + 1.0)) ** order)
@@ -67,17 +76,9 @@ def _tail_radius(m: int, im_tau: float, eps: float, y_over_t: float, order: int)
 def _windows(m: int, tau: complex, y: np.ndarray, eps: float, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Per characteristic j, the least and greatest integer n (arrays of shape (m,))
     such that r = n + j/m covers |r + y / Im tau| <= R at every point, R the tail
-    radius for eps at the given derivative order.  Rejects a level below 1,
-    Im tau <= 0 and eps <= 0."""
-    if m < 1:
-        raise ValueError("level must be a positive integer")
-    if tau.imag <= 0:
-        raise ValueError("Im(tau) must be positive")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    T = tau.imag
-    R = _tail_radius(m, T, eps, float(np.max(np.abs(y))) / T, order)
-    center = -y / T
+    radius for eps at the given derivative order."""
+    R = _tail_radius(m, tau, eps, y, order)
+    center = -y / tau.imag
     lo, hi = center.min() - R, center.max() + R
     j = np.arange(m)
     return np.floor(lo - j / m).astype(int), np.ceil(hi - j / m).astype(int)
@@ -107,36 +108,33 @@ def weighted_table(m: int, tau: complex, z, orders: int = 0, eps: float = 1e-12)
     W_0 is the weighted theta value theta * exp(-phi_plus); W_1 and W_2 are
     the weighted first and second z-derivative sums of theta.
 
-    The characteristics whose n windows have the same length (at most three
-    lengths occur) are evaluated together as one (characteristics, terms,
-    points) array, in passes over the points of about _TERMS terms each.
+    Point p sums its own window: for characteristic j, the L = floor(2R) + 3
+    n from floor(-s_p - R - j/m) (s_p = Im z_p / Im tau), which hold every
+    |n + j/m + s_p| <= R.  A pass over some points is one (m, L, points) array
+    of about _TERMS terms.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
+    R = _tail_radius(m, tau, eps, z.imag, orders)
     s = z.imag / tau.imag
     phase = 2.0 * np.pi * m * (z.real - tau.real * s)      # 2 pi m a
-    j = np.arange(m)
-    lo, hi = _windows(m, tau, z.imag, eps, orders)
+    L = math.floor(2.0 * R) + 3
+    jm = (np.arange(m) / m)[:, None, None]
     P = z.shape[0]
     out = np.empty((orders + 1, m, P), dtype=complex)
-    counts = hi - lo + 1
-    for count in range(counts.min(), counts.max() + 1):    # not np.unique: it imports numpy.ma
-        g = counts == count
-        if not g.any():
-            continue
-        r = (lo[g, None] + np.arange(count) + (j[g] / m)[:, None])[:, :, None]
-        # every pass has at least 2 points unless P is 1: numpy sums a lone
-        # column pairwise but a wider block term by term, and the sums must
-        # not depend on the passes
-        passes = max(1, P // max(2, _TERMS // r.size))
-        cuts = [P * i // passes for i in range(passes + 1)]
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            expo = _exponent(m, tau, r, s[a:b])
-            expo.imag += r * phase[a:b]
-            term = np.exp(expo, out=expo)
-            out[0, g, a:b] = term.sum(axis=1)
-            for nu in range(1, orders + 1):
-                term *= 2j * np.pi * m * r
-                out[nu, g, a:b] = term.sum(axis=1)
+    # every pass has at least 2 points unless P is 1: numpy sums a lone
+    # column pairwise but a wider block term by term, and the sums must
+    # not depend on the passes
+    passes = max(1, P // max(2, _TERMS // (m * L)))
+    cuts = [P * i // passes for i in range(passes + 1)]
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        r = np.floor(-s[a:b] - R - jm) + np.arange(L)[:, None] + jm
+        expo = _exponent(m, tau, r, s[a:b])
+        expo.imag += r * phase[a:b]
+        term = np.exp(expo, out=expo)
+        out[0, :, a:b] = term.sum(axis=1)
+        for nu in range(1, orders + 1):
+            term *= 2j * np.pi * m * r
+            out[nu, :, a:b] = term.sum(axis=1)
     return out
 
 

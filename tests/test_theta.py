@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from _oracles import looped_weighted_grid, looped_weighted_table, phi_plus
+from torusbergman import theta
 from torusbergman.theta import grid_pairs, half_offset, weighted_grid, weighted_grid_gram, weighted_table
 
 TAU = 1j
@@ -79,13 +80,17 @@ class TestEval:
             ref = brute_force(m, j, TAU, z) * weight(m, TAU, z)
             assert abs(weighted(m, j, TAU, z, eps=eps) - ref) <= eps
 
-    def test_rejects_bad_eps_and_tau(self):
+    @pytest.mark.parametrize("evaluate", [
+        lambda m, tau, eps: weighted_table(m, tau, 0.1, eps=eps),
+        lambda m, tau, eps: weighted_grid(m, tau, half_offset(8), half_offset(8), eps=eps),
+        lambda m, tau, eps: weighted_grid_gram(m, tau, 8, eps=eps),
+    ], ids=["table", "grid", "grid_gram"])
+    @pytest.mark.parametrize("m, tau, eps", [(0, TAU, 1e-12), (1, 1.0 - 0.5j, 1e-12), (1, 1.0 + 0j, 1e-12),
+                                             (1, TAU, 0.0), (1, TAU, -1e-12)],
+                             ids=["level_0", "im_tau_negative", "im_tau_0", "eps_0", "eps_negative"])
+    def test_every_evaluator_rejects_bad_arguments(self, evaluate, m, tau, eps):
         with pytest.raises(ValueError):
-            weighted_table(1, TAU, 0.1, eps=0.0)
-        with pytest.raises(ValueError):
-            weighted_table(1, 1.0 - 0.5j, 0.1)
-        with pytest.raises(ValueError):
-            weighted_grid(1, 1.0 - 0.5j, half_offset(8), half_offset(8))
+            evaluate(m, tau, eps)
 
 
 class TestGrad:
@@ -155,12 +160,6 @@ class TestBasisOfLevel:
         assert weighted_table(1, TAU, 0.3).shape == (1, 1, 1)
         assert weighted_grid(1, TAU, half_offset(8), half_offset(8)).shape == (1, 8, 8)
 
-    def test_rejects_nonpositive_level(self):
-        with pytest.raises(ValueError):
-            weighted_table(0, TAU, 0.1)
-        with pytest.raises(ValueError):
-            weighted_grid(0, TAU, half_offset(8), half_offset(8))
-
     def test_gram_nonsingular_with_small_condition(self):
         m = 3
         N = 48
@@ -210,14 +209,39 @@ class TestWeightedTable:
                                            (400, 0.3 + 1.2j, 97)])
     @pytest.mark.parametrize("orders", [0, 2])
     def test_matches_one_characteristic_loop(self, m, tau, P, orders):
-        # the characteristics stacked by window length, in passes over the
-        # points, against the loop over characteristics that they replace
+        # all characteristics in one term array per pass over the points, each
+        # point over its own window, against the loop over characteristics on
+        # the window of the whole batch
         rng = np.random.default_rng(m + P)
         z = rng.random(P) - 0.5 + tau * (1.4 * rng.random(P) - 0.2)
         got = weighted_table(m, tau, z, orders=orders)
         want = looped_weighted_table(m, tau, z, orders=orders)
         for nu in range(orders + 1):
             assert np.max(np.abs(got[nu] - want[nu])) <= 2e-15 * np.max(np.abs(want[nu])), nu
+
+    def test_window_length_does_not_grow_with_the_spread_of_im_z(self, monkeypatch):
+        # a batch spanning twenty periods of Im z sums as many terms per point as
+        # one spanning one period, and each point matches the batch-window loop
+        m, tau = 8, 0.3 + 1.2j
+        shapes = []
+        exponent = theta._exponent
+
+        def recording(m, tau, r, s):
+            shapes.append(np.broadcast_shapes(r.shape, s.shape))
+            return exponent(m, tau, r, s)
+
+        monkeypatch.setattr(theta, "_exponent", recording)
+        rng = np.random.default_rng(3)
+        lengths = []
+        for periods in (1, 20):
+            z = rng.random(64) + tau * periods * (rng.random(64) - 0.5)
+            shapes.clear()
+            got = weighted_table(m, tau, z)
+            lengths.append({shape[1] for shape in shapes})
+            want = looped_weighted_table(m, tau, z)
+            err = np.max(np.abs(got - want), axis=(0, 1))
+            assert np.all(err <= 2e-15 * np.max(np.abs(want), axis=(0, 1))), periods
+        assert len(lengths[0]) == 1 and lengths[0] == lengths[1], lengths
 
     def test_one_pass_holds_a_bounded_number_of_terms(self):
         # the (2, 400, 512) table is 6.6 MB; one pass over all 512 points
