@@ -5,8 +5,11 @@ Layout:
     theta       - weighted level-m theta functions with certified truncation
     basis       - harmonic bases, Gram quadrature, Laplacian certification
     kernel      - projector kernel, density, decay fits, ratio profile
-    embedding   - projective map, Fubini-Study pullback, derivative sums
-    experiment  - config-driven experiment suites with CSV/JSON reports
+    embedding   - projective map, density floor, FS separation, differential rank
+    pullback    - Fubini-Study pullback forms and derivative sums along the ladder
+    config      - config parsing and validation
+    experiment  - the experiment suites and their acceptance verdicts
+    report      - CSV and summary.json reports of a run
     cli         - `torus-bergman <suite> --config ... --out ...`
 """
 
@@ -20,19 +23,15 @@ from .basis import (
     harmonicity_residual,
     orthonormalize,
 )
+from .config import ExperimentConfig, parse_config
 from .embedding import (
-    DerivativeReport,
     ProjectivePoint,
-    convergence_report,
-    derivative_sums,
     differential,
     fs_distance,
     injectivity_scan,
-    pullback_ddbar_many,
-    pullback_jacobian_many,
     well_defined_check,
 )
-from .experiment import ExperimentConfig, RunReport, emit_report, parse_config, run
+from .experiment import run
 from .geometry import (
     NormalChart,
     ProductModel,
@@ -53,6 +52,14 @@ from .kernel import (
     ratio_profile,
     trace_density,
 )
+from .pullback import (
+    DerivativeReport,
+    convergence_report,
+    derivative_sums,
+    pullback_ddbar_many,
+    pullback_jacobian_many,
+)
+from .report import RunReport, emit_report
 from .util import fit_slope
 
 __version__ = "0.1.0"

@@ -20,7 +20,9 @@ import sys
 import time
 from pathlib import Path
 
-from .experiment import EXPERIMENTS, ConfigError, emit_report, parse_config, run
+from .config import EXPERIMENTS, ConfigError, parse_config
+from .experiment import run
+from .report import emit_report
 
 # The import heap lives until exit: frozen, no later collection walks it, exit's
 # included.  Not in __init__ (library use) nor in main (tests call it in process).

@@ -1,36 +1,19 @@
-"""Declarative experiment driver: config parsing, suite execution, reports.
+"""Experiment suites: each measures through the library routes and decides
+its acceptance criterion, and run executes the enabled ones in order.
 
-Config files are plain key = value lines (``#`` comments allowed).  Keys:
-
-    factor        = tau_re tau_im degree          (one line per factor)
-    k_ladder      = 4 6 8 10
-    theta_eps     = 1e-12
-    seed          = 12345
-    experiments   = dims density offdiag far ratio embed pullback derivs
-    embed_grid_n  = 9                              (optional scan override)
-    budget_<exp>  = 30.0                           (optional wall budget, s;
-                                                    budget_all bounds the summed time)
-    probe_<name>  = a1 b1 a2 b2 ; a1 b1 a2 b2      (point lists, 2 coordinates per factor;
-                                                    name one of density offdiag far ratio derivs)
-
-Outputs: one CSV per experiment plus summary.json mapping every enabled
-acceptance criterion to {criterion_id, description, measured, threshold,
-pass, checks}: checks are its sub-check records {name, measured, bound,
-pass}, pass is their AND, and measured and threshold are the first one's.
-Every verdict is decided here; the library routes only measure.  Reruns
-with the same config and seed produce byte-identical CSV bodies; random
-probes come from util.Draws(seed + 1000 * index in EXPERIMENTS), echoed into
-the CSVs.  Retired keys (grid_n, gram_tol, workers, slope_margin) are
-accepted, ignored and named in the summary's warnings.
+A criterion is {criterion_id, description, measured, threshold, pass,
+checks}: checks are its sub-check records {name, measured, bound, pass},
+pass is their AND, and measured and threshold are the first one's.  Every
+verdict is decided here; the library routes only measure.  Random probes
+come from util.Draws(seed + 1000 * index in EXPERIMENTS), echoed into the
+CSVs and the run's environment.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -38,19 +21,15 @@ import numpy as np
 from . import basis as basis_mod
 from . import embedding as emb
 from . import kernel as ker
+from . import pullback as pb
+from .config import EXPERIMENTS, ExperimentConfig
 from .geometry import ProductModel, TorusFactor, omega as omega_form
-from .util import Draws, fit_slope
+from .report import IndexedColumn, RunReport
+from .report import emit_report      # re-exported: bench/child.py wraps experiment.emit_report
+from .util import Draws
 
-__all__ = ["ExperimentConfig", "ConfigError", "RunReport", "parse_config", "run",
-           "emit_report", "fit_slope", "EXPERIMENTS"]
+__all__ = ["run", "emit_report"]
 
-EXPERIMENTS = ("dims", "density", "offdiag", "far", "ratio", "embed", "pullback", "derivs")
-_FIT_BASED = {"offdiag", "far", "embed", "pullback", "derivs"}
-_KNOWN_KEYS = {"factor", "k_ladder", "theta_eps", "seed", "experiments", "embed_grid_n"}
-_RETIRED_KEYS = {"grid_n", "gram_tol", "workers", "slope_margin"}   # accepted, ignored and warned about
-_INT_MIN = {"seed": 0, "embed_grid_n": 2}            # integer keys and their least value
-_PROBES = ("density", "offdiag", "far", "ratio", "derivs")    # the probe_<name> lists experiments read
-_PAIR_PROBES = ("offdiag", "far", "ratio")                     # read as a pair (x, y): 2 points at least
 _CRITERIA_DESC = {     # formatted from the criterion's check bounds (by name) and fields
     "A1": "dimension law: k^n * prod|d_j| sections, full-rank Gram within {gram_dev:g} of closed form",
     "A2": ("harmonicity: discrete Kodaira-Laplacian residual <= {residual:g} at grid {grid} "
@@ -66,154 +45,6 @@ _CRITERIA_DESC = {     # formatted from the criterion's check bounds (by name) a
            "method cross-checks"),
     "A9": "asymptotic holomorphicity: special vs generic derivative growth split",
 }
-
-
-class ConfigError(ValueError):
-    def __init__(self, violations):
-        self.violations = list(violations)
-        super().__init__("; ".join(f"line {ln}: [{fieldn}] {msg}" for ln, fieldn, msg in self.violations))
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    factors: tuple[TorusFactor, ...]
-    k_ladder: tuple[int, ...]
-    theta_eps: float = 1e-12
-    seed: int = 20260810
-    experiments: tuple[str, ...] = EXPERIMENTS
-    embed_grid_n: int | None = None
-    budgets: dict = field(default_factory=dict)
-    probes: dict = field(default_factory=dict)
-    warnings: tuple[str, ...] = ()        # retired keys met while parsing
-
-    @property
-    def model(self) -> ProductModel:
-        return ProductModel.from_factors(self.factors)
-
-
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate; raises ConfigError carrying all violations."""
-    violations, factors, retired = [], [], []
-    probes, probe_lines, budgets, scalars = {}, {}, {}, {}
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            violations.append((ln, "-", f"expected key = value, got {line!r}"))
-            continue
-        key, _, val = line.partition("=")
-        key = key.strip()
-        val = val.strip()
-        if key == "factor":
-            parts = val.split()
-            if len(parts) != 3:
-                violations.append((ln, "factor", "expected: tau_re tau_im degree"))
-                continue
-            try:
-                tre, tim = float(parts[0]), float(parts[1])
-                deg = int(parts[2])
-            except ValueError:
-                violations.append((ln, "factor", f"non-numeric factor spec {val!r}"))
-                continue
-            if tim <= 0:
-                violations.append((ln, "factor", f"Im(tau) must be positive, got {tim}"))
-                continue
-            if deg == 0:
-                violations.append((ln, "factor", "degree must be nonzero"))
-                continue
-            factors.append(TorusFactor(tau=complex(tre, tim), degree=deg))
-        elif key.startswith("probe_"):
-            name = key[len("probe_"):]
-            if name not in _PROBES:
-                violations.append((ln, key, f"unknown probe {name!r}; probes are {' '.join(_PROBES)}"))
-                continue
-            try:
-                pts = [tuple(float(x) for x in chunk.split()) for chunk in val.split(";") if chunk.strip()]
-            except ValueError:
-                violations.append((ln, key, f"non-numeric probe {val!r}"))
-                continue
-            probes[name] = pts
-            probe_lines[name] = ln
-        elif key.startswith("budget_"):
-            name = key[len("budget_"):]
-            if name not in EXPERIMENTS and name != "all":
-                violations.append((ln, key, f"unknown experiment {name!r} in budget"))
-                continue
-            try:
-                budgets[name] = float(val)
-            except ValueError:
-                violations.append((ln, key, f"non-numeric budget {val!r}"))
-        elif key in _KNOWN_KEYS:
-            scalars[(ln, key)] = val
-        elif key in _RETIRED_KEYS:
-            retired.append(f"config key {key} (line {ln}) is retired and ignored")
-        else:
-            violations.append((ln, key, "unknown key"))
-
-    kw = {}
-    for (ln, key), val in scalars.items():
-        try:
-            if key == "k_ladder":
-                kw[key] = tuple(int(x) for x in val.split())
-            elif key == "experiments":
-                names = tuple(val.split())
-                bad = [n for n in names if n not in EXPERIMENTS]
-                if bad:
-                    violations.append((ln, key, f"unknown experiments {bad}"))
-                    continue
-                kw[key] = names
-            elif key in _INT_MIN:
-                kw[key] = int(val)
-                if kw[key] < _INT_MIN[key]:
-                    violations.append((ln, key, f"must be >= {_INT_MIN[key]}, got {val}"))
-            elif key == "theta_eps":
-                kw[key] = float(val)
-        except ValueError:
-            violations.append((ln, key, f"could not parse value {val!r}"))
-
-    if not factors:
-        violations.append((0, "factor", "at least one factor is required"))
-    for name, pts in probes.items():
-        counts = [len(pt) for pt in pts]
-        if factors and any(c != 2 * len(factors) for c in counts):
-            violations.append((probe_lines[name], f"probe_{name}",
-                               f"each point needs {2 * len(factors)} coordinates (2 per factor), got {counts}"))
-        if name in _PAIR_PROBES and len(pts) < 2:
-            violations.append((probe_lines[name], f"probe_{name}",
-                               f"a pair probe needs at least 2 points, got {len(pts)}"))
-    ladder = kw.get("k_ladder", ())
-    if not ladder:
-        violations.append((0, "k_ladder", "k_ladder is required"))
-    else:
-        if any(k <= 0 for k in ladder):
-            violations.append((0, "k_ladder", f"entries must be positive: {ladder}"))
-        if any(b <= a for a, b in zip(ladder, ladder[1:])):
-            violations.append((0, "k_ladder", f"non-monotone ladder {ladder}"))
-        enabled = kw.get("experiments", EXPERIMENTS)
-        if len(ladder) < 4 and _FIT_BASED & set(enabled):
-            violations.append((0, "k_ladder", f"length {len(ladder)} < 4 required by fit-based experiments"))
-    if kw.get("theta_eps", 1e-12) <= 0:
-        violations.append((0, "theta_eps", "must be positive"))
-    if violations:
-        raise ConfigError(violations)
-    try:
-        ordered = tuple(sorted(factors, key=lambda f: f.degree >= 0))
-        return ExperimentConfig(factors=ordered, probes=probes, budgets=budgets,
-                                warnings=tuple(retired), **kw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError([(0, "-", str(exc))])
-
-
-class RunReport:
-    def __init__(self, criteria: list[dict], tables: dict[str, tuple[list[str], list[list]]],
-                 warnings: list[str], environment: dict):
-        self.criteria, self.warnings, self.environment = criteria, warnings, environment
-        self.tables = tables        # exp -> (header, rows); see _write_rows
-
-    @property
-    def passed(self) -> bool:
-        return all(c["pass"] for c in self.criteria)
 
 
 def _bases(cfg: ExperimentConfig, model):
@@ -259,7 +90,7 @@ def _exp_dims(cfg, model, rng):
     rows = []
     for k in cfg.k_ladder:
         b = basis_mod.build_basis(model, k, eps=cfg.theta_eps)
-        eig, dev, seen = 1.0, 0.0, {}
+        eig, devs, seen = 1.0, [], {}
         for s in b.factor_sets:
             key = (s.factor.tau, s.level)
             if key not in seen:
@@ -268,9 +99,9 @@ def _exp_dims(cfg, model, rng):
                 seen[key] = (g.diagonal.min(), float(np.max(np.abs(g.diagonal - c))) / c)
             e, d = seen[key]
             eig *= e
-            dev = max(dev, d)
+            devs.append(d)
         expected = k ** model.n * int(np.prod(np.abs(model.degrees)))
-        rows.append([k, b.dim, expected, eig, dev])
+        rows.append([k, b.dim, expected, eig, np.max(devs)])     # np.max keeps a nan, max drops it
     _, dim, expected, eig, dev = np.array(rows, dtype=float).T
     crit = [_criterion("A1", [_check("gram_min_eig", eig.min(), ">", 1e-12),
                               _check("gram_dev", dev.max(), "<=", 1e-9),
@@ -299,25 +130,25 @@ def _exp_density(cfg, model, rng):
     b0 = ker.leading_coefficient(model)
     probes = cfg.probes.get("density")
     pts = np.array(probes, dtype=float) if probes else rng.random((5, 2 * model.n))
-    rows, worst_rel, worst_trace = [], 0.0, 0.0
+    rows, rels, traces = [], [], []
     for bas in _bases(cfg, model):
         k = bas.k
         dens = ker.density(bas, pts)
         b0kn = b0 * k ** model.n
         rel = np.abs(dens / b0kn - 1.0)
         tr = ker.trace_density(bas)
-        tr_rel = abs(tr / bas.dim - 1.0)
-        worst_trace = max(worst_trace, tr_rel)
+        traces.append(abs(tr / bas.dim - 1.0))
         if k >= 16 or k == max(cfg.k_ladder):
-            worst_rel = max(worst_rel, float(rel.max()))
+            rels.append(rel.max())
         for p, d, r in zip(pts, dens, rel):
             rows.append(list(p) + [k, d, b0kn, r])
+    worst_rel, worst_trace = np.max(rels), np.max(traces)     # np.max keeps a nan rung, max drops it
     lams = [abs(f.weight_scale) for f in model.factors]
     disc_rel = max(abs(ker.disc_model_density(lam, 8) / (8 * lam / np.pi) - 1.0) for lam in lams)
     # the disc oracle's deviation is 1.78e-8 at every lam and k: a sub-check, not in measured
     crit = [_criterion("A3", [_check("density_dev", worst_rel, "<=", 0.02),
                               _check("trace_dev", worst_trace, "<=", 1e-8),
-                              _check("disc_dev", disc_rel, "<=", 0.01)], measured=max(worst_trace, worst_rel))]
+                              _check("disc_dev", disc_rel, "<=", 0.01)], measured=np.maximum(worst_trace, worst_rel))]
     header = [f"z{i}" for i in range(2 * model.n)] + ["k", "density", "b0k_n", "relerr"]
     return rows, header, crit, {"density": pts.tolist()}
 
@@ -387,7 +218,7 @@ def _exp_embed(cfg, model, rng):
 
 def _exp_pullback(cfg, model, rng):
     grid_n = cfg.embed_grid_n or (9 if model.n == 1 else 5)
-    rep = emb.convergence_report(model, cfg.k_ladder, grid_n=grid_n, eps=cfg.theta_eps)
+    rep = pb.convergence_report(model, cfg.k_ladder, grid_n=grid_n, eps=cfg.theta_eps)
     w0 = omega_form(model)
     n2 = 2 * model.n
     ia, ib = np.triu_indices(n2, 1)
@@ -418,8 +249,8 @@ def _exp_pullback(cfg, model, rng):
     mirror = ProductModel.from_factors([TorusFactor(f.tau, abs(f.degree)) for f in model.factors])
     bpos = basis_mod.build_basis(mirror, 3, eps=cfg.theta_eps)
     zs = rng.random((5, 2 * mirror.n))
-    gap = float(np.max(np.abs(emb.pullback_jacobian_many(bpos, zs)
-                              - emb.pullback_ddbar_many(bpos, zs))))
+    gap = float(np.max(np.abs(pb.pullback_jacobian_many(bpos, zs)
+                              - pb.pullback_ddbar_many(bpos, zs))))
     checks = [_check("rate", beta, ">=", 0.8, exempt=e_dd[-1] <= rep.floor),
               *(_check(f"rise_{m}", r, "<=", 1.2) for m, r in rep.rise.items()),
               _check("jacobian_stalls", stalls, "<=", 0), _check("cross_gap", gap, "<=", 1e-8)]
@@ -432,7 +263,7 @@ def _exp_derivs(cfg, model, rng):
     probes = cfg.probes.get("derivs")
     p = np.array(probes[0], dtype=float) if probes else rng.random(2 * model.n)
     bases = _bases(cfg, model)
-    rep = emb.derivative_sums(bases, p)
+    rep = pb.derivative_sums(bases, p)
     n = model.n
     # an exact zero (no fit) reads slope -inf: it passes the special bound and
     # fails the generic one; each factor has one direction of each family
@@ -513,104 +344,3 @@ def run(cfg: ExperimentConfig, experiments: tuple[str, ...] | None = None) -> Ru
         "wall_seconds": {k: round(v, 3) for k, v in wall.items()},
     }
     return RunReport(criteria=criteria, tables=tables, warnings=warnings, environment=env)
-
-
-_CSV_NAME = {"dims": "dims.csv", "density": "density.csv", "offdiag": "offdiag.csv",
-             "far": "far.csv", "ratio": "ratio_profile.csv", "embed": "embed_scan.csv",
-             "pullback": "pullback.csv", "derivs": "derivatives.csv"}
-
-
-class IndexedColumn:
-    """A block column kept as values, (U,) or (U, c), and an index, line p
-    reading values[index[p]]; _write_block formats its values once per block."""
-
-    def __init__(self, values: np.ndarray, index: np.ndarray):
-        self.values, self.index = values, index
-
-    def __len__(self) -> int:
-        return len(self.index)
-
-
-def _cell(v) -> str:
-    """The text of one CSV cell; _write_block writes a block's floats with the same bytes."""
-    if isinstance(v, (float, np.floating)):
-        return "%.17g" % v
-    if isinstance(v, (complex, np.complexfloating)):
-        return "%.17g,%.17g" % (v.real, v.imag)
-    return str(v)
-
-
-_CHUNK = 1024     # block lines joined together
-
-
-def _texts(X: np.ndarray) -> np.ndarray:
-    """The '%.17g' text of each entry of X (U,), or of each row of X (U, c) with
-    its cells joined by commas: an object array of U strings."""
-    return np.array([",".join(["%.17g" % x for x in r]) if isinstance(r, list) else "%.17g" % r
-                     for r in X.astype(np.float64, copy=False).tolist()], dtype=object)
-
-
-def _write_block(fh, row) -> None:
-    """Write a block: its IndexedColumns run down P lines and its scalar cells
-    repeat on each.  Each column's values are formatted once per block into a
-    text table, and line p takes the column's piece from entry index[p] of it.
-    The scalar cells are folded into the table of the column before them, or
-    of the first one."""
-    cols, lead = [], ""             # cols: [column, prefix, suffix]; a piece ends in the separator after it
-    for v in row:
-        if isinstance(v, IndexedColumn):
-            cols.append([v, "", ","])
-        elif cols:
-            cols[-1][2] += _cell(v) + ","
-        else:
-            lead += _cell(v) + ","
-    lengths = {len(c) for c, _, _ in cols}
-    if len(lengths) != 1:
-        raise ValueError(f"block columns have unequal lengths {sorted(lengths)}")
-    cols[0][1], cols[-1][2] = lead, cols[-1][2][:-1] + "\n"
-    tables = [(c.index, pre + _texts(c.values) + suf) for c, pre, suf in cols]
-    P, w = lengths.pop(), len(cols)
-    for lo in range(0, P, _CHUNK):
-        text = [None] * (w * min(_CHUNK, P - lo))      # the chunk's pieces, line by line
-        for j, (index, table) in enumerate(tables):
-            text[j::w] = table[index[lo:lo + _CHUNK]].tolist()
-        fh.write("".join(text))
-
-
-def _write_rows(fh, rows) -> None:
-    """Write rows as they come: a row holding an IndexedColumn is a block, any other one line."""
-    for row in rows:
-        if any(isinstance(v, IndexedColumn) for v in row):
-            _write_block(fh, row)
-        else:
-            fh.write(",".join(map(_cell, row)) + "\n")
-
-
-def emit_report(report: RunReport, out_dir) -> list[str]:
-    """Write per-experiment CSVs and summary.json; returns written paths."""
-    out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise OSError(f"cannot create output directory {out}: {exc}") from exc
-    written = []
-    for name, (header, rows) in report.tables.items():
-        path = out / _CSV_NAME[name]
-        try:
-            with open(path, "w", newline="\n") as fh:
-                fh.write(",".join(header) + "\n")
-                _write_rows(fh, rows)
-        except OSError as exc:
-            raise OSError(f"writing {path} failed: {exc}") from exc
-        written.append(str(path))
-    summary = {"criteria": report.criteria, "warnings": report.warnings,
-               "environment": report.environment, "pass": report.passed}
-    path = out / "summary.json"
-    try:
-        with open(path, "w", newline="\n") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True, default=float)
-            fh.write("\n")
-    except OSError as exc:
-        raise OSError(f"writing {path} failed: {exc}") from exc
-    written.append(str(path))
-    return written

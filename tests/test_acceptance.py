@@ -16,16 +16,9 @@ from torusbergman.basis import (
     gram,
     harmonicity_residual,
 )
-from torusbergman.embedding import (
-    convergence_report,
-    derivative_sums,
-    differential,
-    injectivity_scan,
-    pullback_ddbar_many,
-    pullback_jacobian_many,
-    well_defined_check,
-)
-from torusbergman.experiment import emit_report, parse_config, run
+from torusbergman.config import parse_config
+from torusbergman.embedding import differential, injectivity_scan, well_defined_check
+from torusbergman.experiment import run
 from torusbergman.geometry import ProductModel, TorusFactor
 from torusbergman.kernel import (
     density,
@@ -37,6 +30,8 @@ from torusbergman.kernel import (
     ratio_profile,
     trace_density,
 )
+from torusbergman.pullback import convergence_report, derivative_sums, pullback_ddbar_many, pullback_jacobian_many
+from torusbergman.report import emit_report
 
 TAU = 1j
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"

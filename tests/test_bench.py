@@ -6,6 +6,8 @@ import importlib
 import importlib.util
 import inspect
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -14,9 +16,10 @@ import pytest
 
 from torusbergman import basis, embedding, theta
 from torusbergman.cli import main as cli_main
-from torusbergman.experiment import parse_config
+from torusbergman.config import parse_config
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
 
 
 def _load(name):
@@ -123,3 +126,32 @@ def test_no_run_calls_lapack(bench_run, tmp_path, monkeypatch):
     codes = {name: cli_main(["all", "--config", str(cfg), "--out", str(tmp_path / name)]) for name, cfg in runs.items()}
     assert called == []
     assert codes == dict.fromkeys(runs, 0)
+
+
+_BOTH = {"basis.build_basis", "basis.orthonormalize", "cli.parse_config", "experiment.emit_report", "experiment.run"}
+TRACED_SPANS = {
+    "decay_sig10": _BOTH | {"basis.factor_tables", "theta.weighted_table", "kernel.density",
+                            "kernel.disc_model_density", "kernel.far_separation_check", "kernel.offdiagonal_fit",
+                            "kernel.ratio_profile", "kernel.trace_density", "experiment.density",
+                            "experiment.far", "experiment.offdiag", "experiment.ratio"},
+    "dims_sig12": _BOTH | {"basis.factor_gram", "experiment.dims"},
+    "embed_sig11": _BOTH | {"basis.factor_tables", "theta.weighted_table", "embedding.convergence_report",
+                            "embedding.derivative_sums", "embedding.injectivity_scan", "embedding.pullback_ddbar_many",
+                            "embedding.pullback_jacobian_many", "embedding.well_defined_check", "experiment.derivs",
+                            "experiment.embed", "experiment.pullback"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACED_SPANS))
+def test_traced_child_records_every_span(bench_run, tmp_path, name):
+    # `bench/run.py --trace 1` children wrap the SPANS functions from outside,
+    # on the modules that held them when the bench was written; a route that
+    # moves module must stay reachable there (0.2-0.4 s a workload)
+    cfg, record = tmp_path / f"{name}.cfg", tmp_path / "record.json"
+    cfg.write_text(bench_run.WORKLOADS[name].config.format(seed=1))
+    proc = subprocess.run([sys.executable, str(BENCH / "child.py"), "trace", str(ROOT / "src"), str(cfg),
+                           str(tmp_path / "out"), str(record)], capture_output=True, text=True, timeout=120,
+                          env={**os.environ, **bench_run.PIN, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    spans = json.loads(record.read_text())["spans"]
+    assert {s[0] for s in spans} == TRACED_SPANS[name]

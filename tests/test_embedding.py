@@ -7,21 +7,18 @@ import _oracles
 from _oracles import (RemixedBasis, evaluate_combination, expand_form_fields, hermitian_to_real_form,
                       normal_frame_first_jets, phi, product_grid, project_coefficients)
 from torusbergman.basis import HarmonicBasis, build_basis
-from torusbergman.embedding import (
-    ProjectivePoint,
+from torusbergman.config import parse_config
+from torusbergman.embedding import ProjectivePoint, differential, fs_distance, injectivity_scan, well_defined_check
+from torusbergman.experiment import run
+from torusbergman.geometry import ProductModel, TorusFactor, factor_volume, omega
+from torusbergman.kernel import density, leading_coefficient, trace_density
+from torusbergman.pullback import (
     _normal_frame_first_jets,
     convergence_report,
     derivative_sums,
-    differential,
-    fs_distance,
-    injectivity_scan,
     pullback_ddbar_many,
     pullback_jacobian_many,
-    well_defined_check,
 )
-from torusbergman.experiment import parse_config, run
-from torusbergman.geometry import ProductModel, TorusFactor, factor_volume, omega
-from torusbergman.kernel import density, leading_coefficient, trace_density
 from torusbergman.util import Draws
 
 TAU = 1j
@@ -297,7 +294,7 @@ class TestDifferential:
     def _embed_scan(cfg_name, out):
         from pathlib import Path
 
-        from torusbergman.experiment import emit_report
+        from torusbergman.report import emit_report
 
         cfg_path = Path(__file__).resolve().parents[1] / "configs" / cfg_name
         emit_report(run(parse_config(cfg_path.read_text()), experiments=("embed",)), out)
@@ -581,7 +578,7 @@ class TestConvergence:
         # factor grids, fields made at a cloud, and the public
         # pullback_*_many at the cloud, against the product route on the full
         # product basis (tests/_oracles.py)
-        from torusbergman.embedding import _factor_forms
+        from torusbergman.pullback import _factor_forms
 
         m = ProductModel.from_factors([TorusFactor(tau, d) for tau, d in factors])
         n2 = 2 * m.n
@@ -608,7 +605,7 @@ class TestConvergence:
         # embed_sig11's model, ladder and scan, whose 14 product fields of shape
         # (4096, 4, 4) would hold 7.3 MB; nor does a pullback block hold a
         # P-length array of values
-        from torusbergman.experiment import IndexedColumn
+        from torusbergman.report import IndexedColumn
 
         m = model(-1, 1)
         ks = [4, 6, 8, 10, 12, 14, 16]
@@ -636,16 +633,16 @@ class TestConvergence:
     def test_factor_forms_once_per_factor_and_rung(self, monkeypatch):
         # one _factor_forms call per (rung, factor), both routes at once, not
         # one per (method, rung, factor): here 4 * 2 instead of 2 * 4 * 2
-        from torusbergman import embedding
+        from torusbergman import pullback
 
         calls = []
-        forms = embedding._factor_forms
+        forms = pullback._factor_forms
 
         def counting(basis, t, u, methods):
             calls.append((basis.k, t, len(u), tuple(methods)))
             return forms(basis, t, u, methods)
 
-        monkeypatch.setattr(embedding, "_factor_forms", counting)
+        monkeypatch.setattr(pullback, "_factor_forms", counting)
         ks = [4, 6, 8, 10]
         convergence_report(model(-1, 1), ks, grid_n=3)
         assert calls == [(k, t, 9 + 128, ("jacobian", "ddbar_log")) for k in ks for t in range(2)]
@@ -655,7 +652,7 @@ class TestConvergence:
         # factor t's samples are the grid_n^2 half-offset pairs, first
         # coordinate slowest, then the z_t of a 128-point cloud seeded with 7;
         # E(k) is the worse factor's max |f_t - omega_t|, bit for bit
-        from torusbergman.embedding import _factor_forms
+        from torusbergman.pullback import _factor_forms
         from torusbergman.util import Draws
 
         m = model(*[(-1) ** t for t in range(n)])
@@ -684,7 +681,7 @@ class TestConvergence:
     def test_shared_table_fields_match_single_method(self, factors, k, U):
         # both routes from one "d2" table per chunk, against each route on its
         # own (the jacobian one reading a "d1" table), bit for bit
-        from torusbergman.embedding import _factor_forms
+        from torusbergman.pullback import _factor_forms
 
         m = ProductModel.from_factors([TorusFactor(tau, d) for tau, d in factors])
         b = build_basis(m, k)

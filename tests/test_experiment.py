@@ -11,17 +11,10 @@ import pytest
 from _oracles import expand_form_fields, fmt17, lstsq_fit_line, product_grid
 from torusbergman import basis as basis_mod
 from torusbergman.cli import main as cli_main
-from torusbergman.experiment import (
-    EXPERIMENTS,
-    ConfigError,
-    IndexedColumn,
-    _describe,
-    emit_report,
-    fit_slope,
-    parse_config,
-    run,
-)
-from torusbergman.util import Draws, fit_line
+from torusbergman.config import EXPERIMENTS, ConfigError, parse_config
+from torusbergman.experiment import _describe, run
+from torusbergman.report import IndexedColumn, emit_report
+from torusbergman.util import Draws, fit_line, fit_slope
 
 MINIMAL = """
 factor = 0.0 1.0 -1
@@ -175,6 +168,39 @@ class TestParseConfig:
             parse_config(MINIMAL.replace("seed = 7", "seed = seven"))
         assert any(v[1] == "seed" and "parse" in v[2] for v in err.value.violations)
 
+    @pytest.mark.parametrize("line, key", [
+        ("factor = nan 1.0 1", "factor"),                   # tau_re
+        ("factor = 0.0 inf 1", "factor"),                   # tau_im
+        ("theta_eps = nan", "theta_eps"),
+        ("theta_eps = inf", "theta_eps"),
+        ("budget_density = nan", "budget_density"),
+        ("budget_all = inf", "budget_all"),
+        ("probe_density = nan 0.5", "probe_density"),
+        ("probe_far = 0.1 0.2 ; 0.3 -inf", "probe_far"),
+    ])
+    def test_non_finite_number_rejected_with_line(self, line, key):
+        # each passed every range check: a nan probe or an infinite tau gave an
+        # all-nan density.csv with A3 passing, a nan tau or theta_eps failed
+        # density with a ValueError, and a nan budget never warned
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL + line + "\n")
+        ((ln, k, msg),) = err.value.violations
+        assert (ln, k) == (6, key) and "finite" in msg
+
+    @pytest.mark.parametrize("line", ["seed = 2", "k_ladder = 2 3 4 6", "experiments = dims", "theta_eps = 1e-10",
+                                      "embed_grid_n = 4", "probe_density = 0.1 0.2", "budget_dims = 5"])
+    def test_repeated_key_rejected_naming_both_lines(self, line):
+        # the later line silently won: seed = 7 then seed = 2 parsed to seed 2
+        key = line.split()[0]
+        text = MINIMAL if key in MINIMAL else MINIMAL + line + "\n"
+        first = next(i for i, raw in enumerate(text.splitlines(), 1) if raw.split()[:1] == [key])
+        with pytest.raises(ConfigError) as err:
+            parse_config(text + line + "\n")
+        ((ln, k, msg),) = err.value.violations
+        assert (ln, k) == (len(text.splitlines()) + 1, key) and f"line {first}" in msg
+        # factor repeats by design, one line per factor
+        assert len(parse_config(MINIMAL + "factor = 0.0 1.0 1\n").factors) == 2
+
 
 class TestFitSlope:
     def test_exact_power_law(self):
@@ -280,7 +306,7 @@ def _cell_oracle(header, rows) -> bytes:
     """The CSV of a table with every cell formatted on its own by _cell, each
     block first expanded to its lines (the arrays' line and the scalar cells;
     an IndexedColumn is first spread to its P values)."""
-    from torusbergman.experiment import IndexedColumn, _cell
+    from torusbergman.report import IndexedColumn, _cell
 
     lines = [header]
     for row in rows:
@@ -347,7 +373,7 @@ class TestRun:
         assert not any(l.endswith(b"\r") for l in lines)
 
     def test_cell_formats_like_fmt17(self):
-        from torusbergman.experiment import _cell
+        from torusbergman.report import _cell
 
         for v in (0.1, -0.0, float("nan"), float("inf"), -float("inf"), 5e-324,
                   np.float32(0.1), np.float64(1 / 3)):
@@ -357,7 +383,7 @@ class TestRun:
         assert (_cell(np.int64(5)), _cell(True), _cell("x")) == ("5", "True", "x")
 
     def test_row_templates_write_what_cell_writes(self, tmp_path):
-        from torusbergman.experiment import RunReport, _cell
+        from torusbergman.report import RunReport, _cell
 
         values = [0.1, -0.0, float("nan"), float("inf"), -float("inf"), 5e-324,
                   np.float32(0.1), np.float64(1 / 3), np.int64(5), True, "x",
@@ -378,7 +404,7 @@ class TestRun:
         # that holds the whole text fails; this one holds a row at a time
         import tracemalloc
 
-        from torusbergman.experiment import RunReport
+        from torusbergman.report import RunReport
 
         block = np.random.default_rng(0).random((64, 13)).tolist()
         rep = RunReport(criteria=[], tables={"pullback": ([f"c{i}" for i in range(13)], block * 224)},
@@ -394,7 +420,7 @@ class TestRun:
         assert peak < bound
 
     def test_blocks_write_what_cell_writes(self, tmp_path):
-        from torusbergman.experiment import _CHUNK, RunReport
+        from torusbergman.report import _CHUNK, RunReport
 
         edge = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, 1e308, 0.1, 1 / 3])
         edge = np.concatenate([edge, np.nextafter(edge[6:], np.inf), np.nextafter(edge[6:], -np.inf),
@@ -428,7 +454,7 @@ class TestRun:
         assert (tmp_path / "pullback.csv").read_bytes() == _cell_oracle(header, rows)
 
     def test_block_of_unequal_lengths_rejected(self, tmp_path):
-        from torusbergman.experiment import RunReport
+        from torusbergman.report import RunReport
 
         block = [IndexedColumn(np.zeros(1), np.zeros(3, dtype=np.intp)), 4,
                  IndexedColumn(np.zeros((1, 2)), np.zeros(4, dtype=np.intp))]
@@ -445,7 +471,7 @@ class TestRun:
         # reads the worse of the two factors' deviations)
         import tracemalloc
 
-        from torusbergman.experiment import RunReport
+        from torusbergman.report import RunReport
 
         rng = np.random.default_rng(1)
         q = int(np.sqrt(lines))
@@ -503,7 +529,7 @@ class TestRun:
             "bb899fcb20bd88f1f47ad923f0bb23bb15fb1fdaecd31391bb4d378e8d965e23")
 
     def test_pullback_blocks_are_block_diagonal(self):
-        from torusbergman.embedding import convergence_report
+        from torusbergman.pullback import convergence_report
 
         cfg = parse_config(SMOKE.replace("dims density offdiag", "pullback") + "embed_grid_n = 3\n")
         rep = run(cfg)
@@ -539,7 +565,7 @@ class TestRun:
         ("factor = 0.0 1.0 -1\nfactor = 0.0 1.0 -1\nfactor = -0.2 0.9 1\n", "2 3 4 5", 2),
     ], ids=["n1", "n2", "n3"])
     def test_pullback_err_is_the_max_over_factors(self, factors, ladder, grid_n):
-        from torusbergman.embedding import convergence_report
+        from torusbergman.pullback import convergence_report
         from torusbergman.geometry import omega
 
         cfg = parse_config(factors + f"k_ladder = {ladder}\nembed_grid_n = {grid_n}\nexperiments = pullback\n")
@@ -568,22 +594,55 @@ class TestRun:
     def test_a9_verdict_with_exact_zeros_and_missing_fits(self, monkeypatch, special, generic, passed):
         # A9's gap is min(generic slopes) - max(special slopes); the verdict is
         # the one of the smallest pairwise gap, which skipped a nan pair
-        from torusbergman import embedding as emb
+        from torusbergman import pullback
         from torusbergman.util import SlopeFit
 
         slopes = {(0, "L"): special, (0, "Lbar"): generic}
 
         def fake(bases, p):
             ks = np.array([b.k for b in bases], dtype=float)
-            return emb.DerivativeReport(
+            return pullback.DerivativeReport(
                 ks=ks, sums={d: np.zeros(len(ks)) for d in slopes},
                 families={(0, "L"): "special", (0, "Lbar"): "generic"},
                 slopes={d: None if v is None else SlopeFit(v, 0.0, 0.0) for d, v in slopes.items()},
                 exact_zero={d for d, v in slopes.items() if v is None}, extremal_dev=0.0)
 
-        monkeypatch.setattr(emb, "derivative_sums", fake)
+        monkeypatch.setattr(pullback, "derivative_sums", fake)
         (a9,) = run(parse_config(MINIMAL.replace("experiments = dims", "experiments = derivs"))).criteria
         assert a9["criterion_id"] == "A9" and a9["pass"] is passed
+
+    def test_nan_density_fails_a3(self, monkeypatch):
+        # Python's max(a, nan) is a, so a nan density once vanished from A3's
+        # worst deviation and A3 passed on nan densities
+        import importlib
+
+        kernel = importlib.import_module("torusbergman.kernel")     # the package's kernel is the function
+        real = kernel.density
+
+        def one_nan(bas, pts):
+            d = np.array(real(bas, pts))
+            d[1] = np.nan
+            return d
+
+        monkeypatch.setattr(kernel, "density", one_nan)
+        (a3,) = run(parse_config(SMOKE), experiments=("density",)).criteria
+        assert a3["criterion_id"] == "A3" and np.isnan(a3["measured"])
+        assert [c["name"] for c in a3["checks"] if not c["pass"]] == ["density_dev"]
+
+    def test_nan_gram_deviation_fails_a1(self, monkeypatch):
+        # the same for a rung's Gram deviation, once kept by max(dev, d) as 0
+        from types import SimpleNamespace
+
+        real = basis_mod.factor_gram
+
+        def one_nan(f, k, **kw):
+            d = real(f, k, **kw).diagonal.copy()
+            d[0] = np.nan
+            return SimpleNamespace(diagonal=d)
+
+        monkeypatch.setattr(basis_mod, "factor_gram", one_nan)
+        a1 = run(parse_config(MINIMAL)).criteria[0]
+        assert {c["name"] for c in a1["checks"] if not c["pass"]} == {"gram_min_eig", "gram_dev"}
 
     def test_frontier_ladder_memory(self):
         # signature (1,2) to k = 36 (dim 46,656): A6 and A7's rank check go factor
@@ -635,10 +694,11 @@ class TestRun:
         need = {
             "geometry.TorusFactor": "frozen value validated in __post_init__; ProductModel's __eq__ compares factors",
             "geometry.ProductModel": "value __eq__/__hash__, and repr(model) names a basis build in bench traces",
-            "experiment.ExperimentConfig": "dataclasses.replace sets fields the validator refuses",
+            "config.ExperimentConfig": "dataclasses.replace sets fields the validator refuses",
         }
         found = set()
-        for name in ("util", "geometry", "theta", "basis", "kernel", "embedding", "experiment", "cli"):
+        src = Path(__file__).resolve().parents[1] / "src" / "torusbergman"
+        for name in sorted(p.stem for p in src.glob("*.py") if p.stem != "__init__"):
             mod = importlib.import_module(f"torusbergman.{name}")
             found |= {f"{name}.{c}" for c, obj in vars(mod).items()
                       if inspect.isclass(obj) and obj.__module__ == mod.__name__ and dataclasses.is_dataclass(obj)}

@@ -3,11 +3,13 @@ unused import, no unreferenced private module-level name, no undefined
 __all__ entry, no lattice grid built by np.meshgrid outside
 theta.grid_pairs, no LAPACK-backed np.linalg function outside the SVD
 of the rank oracle, no number written in a criterion description, and no
-exception but ValueError raised by the measuring routes.  They catch what a
-refactor leaves behind."""
+exception but ValueError raised by the measuring routes, and no module whose
+compilation outgrows the import peak.  They catch what a refactor leaves
+behind."""
 
 import ast
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -159,12 +161,28 @@ def test_criteria_descriptions_hold_no_numeric_literal():
     assert _description_numbers(MODULES["experiment.py"]) == []
 
 
-@pytest.mark.parametrize("name", ["kernel.py", "embedding.py"])
+@pytest.mark.parametrize("name", ["kernel.py", "embedding.py", "pullback.py"])
 def test_measuring_routes_raise_only_value_errors(name):
     # the routes report floored rungs and rises; only bad arguments raise, and
     # experiment.py decides every verdict from what the routes return
     raised = _raised(MODULES[name])
     assert raised and {exc for _, exc in raised} == {"ValueError"}
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_module_compiles_within_the_import_peak(name):
+    # a CLI run compiles the package at import when no bytecode is written,
+    # and its peak RSS follows the largest module's compile: a 616-line
+    # experiment.py peaked at 2.44 MB in compile() and raised every bench
+    # workload's peak_rss_mb by 0.4-0.7 MB
+    text = (SRC / name).read_text()
+    tracemalloc.start()
+    try:
+        compile(text, str(SRC / name), "exec")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_750_000, f"{name}: {peak / 1e6:.2f} MB"
 
 
 def test_checks_see_a_leftover():
