@@ -2,8 +2,9 @@
 """Off-diagonal behavior of the projector kernel along a tensor-power ladder.
 
 At fixed separation the normalized kernel ratio f_k decays like
-exp(-2 k Im Psi) with the quadratic phase Psi of the Gaussian model; at
-well-separated points the kernel decays faster than any power of k.
+exp(-2 k Im Psi) and its phase follows k Phi, the phase of the gamma = 0
+term of the lattice sum of Bargmann-Fock kernels; at well-separated points
+the kernel decays faster than any power of k.
 """
 
 import numpy as np
@@ -28,7 +29,7 @@ def main():
     print(f"separation 0.10: fitted decay constant {fit.c_fit:.8f}")
     print(f"                 model 2 Im Psi        {fit.c_model:.8f}")
     print(f"                 relative deviation    {fit.rel_dev:.2e}")
-    print(f"                 phase error vs k Re Psi: {fit.phase_dev:.2e}\n")
+    print(f"                 phase error vs k Phi  {fit.phase_dev:.2e}\n")
 
     far = far_separation_check(bases, np.array([0.0, 0.0]), np.array([0.5, 0.5]))
     print(f"antipodal points: fitted exponential rate gamma = {far.gamma:.4f}")

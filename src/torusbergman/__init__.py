@@ -1,7 +1,7 @@
 """Bergman kernels and projective embeddings for flat complex torus models.
 
 Layout:
-    geometry    - torus factors, product models, curvature, charts
+    geometry    - torus factors, product models, lattice coordinates, curvature
     theta       - weighted level-m theta functions with certified truncation
     basis       - harmonic bases, Gram quadrature, Laplacian certification
     kernel      - projector kernel, density, decay fits, ratio profile
@@ -33,20 +33,16 @@ from .embedding import (
 )
 from .experiment import run
 from .geometry import (
-    NormalChart,
     ProductModel,
     TorusFactor,
-    normal_chart,
     omega,
 )
 from .kernel import (
     ExpansionModel,
-    KernelSample,
     density,
     disc_model_density,
     expansion_model,
     far_separation_check,
-    kernel,
     leading_coefficient,
     offdiagonal_fit,
     ratio_profile,
@@ -65,11 +61,10 @@ from .util import fit_slope
 __version__ = "0.1.0"
 
 __all__ = [
-    "TorusFactor", "ProductModel", "NormalChart",
-    "omega", "normal_chart",
+    "TorusFactor", "ProductModel", "omega",
     "FactorSectionSet", "GramMatrix", "HarmonicBasis", "gram", "factor_gram",
     "orthonormalize", "build_basis", "harmonicity_residual",
-    "KernelSample", "ExpansionModel", "kernel", "density", "trace_density",
+    "ExpansionModel", "density", "trace_density",
     "expansion_model", "offdiagonal_fit", "far_separation_check",
     "ratio_profile", "disc_model_density", "leading_coefficient",
     "ProjectivePoint", "DerivativeReport",

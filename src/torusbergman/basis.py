@@ -31,7 +31,6 @@ grid, ghost b columns included, through theta's separable grid evaluator.
 from __future__ import annotations
 
 from functools import cached_property, reduce
-from itertools import product as iproduct
 from math import prod
 from typing import NamedTuple
 
@@ -138,7 +137,7 @@ class HarmonicBasis:
 
     On a flat product model the harmonic space is exactly the tensor product
     of the factor spaces, so the sections are the products of factor members,
-    indexed lexicographically by their per-factor member indices (`indices`).
+    indexed lexicographically by their per-factor member indices.
     Every route a CLI run takes rests on this structure and reads factor
     tables (kernel, density and ratio profile, trace identity, density floor,
     FS scan and near-diagonal profile, A7's rank check, the pullback form's
@@ -158,10 +157,6 @@ class HarmonicBasis:
     @property
     def dim(self) -> int:
         return prod(s.level for s in self.factor_sets)
-
-    @property
-    def indices(self) -> list[tuple[int, ...]]:
-        return list(iproduct(*[range(s.level) for s in self.factor_sets]))
 
     # -- factor-level evaluation ----------------------------------------
 

@@ -17,18 +17,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "TorusFactor",
     "ProductModel",
-    "NormalChart",
     "VOLUME_NORMALIZATION",
     "factor_volume",
     "omega",
-    "normal_chart",
 ]
 
 # dV = VOLUME_NORMALIZATION * dx dy per factor, forced by the Riemannian
@@ -57,7 +54,8 @@ class TorusFactor:
 
     @property
     def weight_scale(self) -> float:
-        """Coefficient lambda in the normal-chart weight lambda*|u|^2."""
+        """Curvature scale lambda = pi d / (2 Im tau): the unit-power weight is
+        lambda |u|^2 plus pluriharmonic terms, in offsets u from any point."""
         return np.pi * self.degree / (2.0 * self.tau.imag)
 
     @property
@@ -150,39 +148,3 @@ def omega(model: ProductModel) -> np.ndarray:
         w[2 * t, 2 * t + 1] = c
         w[2 * t + 1, 2 * t] = -c
     return w
-
-
-class NormalChart(NamedTuple):
-    """Chart and gauge centered at a point p.
-
-    In the frame 1_p = exp(g_p) * 1_global the power-k weight is exactly
-    k * sum_t lambda_t |u_t|^2.  Per factor, for the unit power,
-    g_p(u) = a0 + a1 u + a2 u^2 with a0 = phi0(p), a1 = 2 dphi0/dz (p),
-    a2 = -lambda; powers scale all three by k.
-    """
-
-    model: ProductModel
-    basepoint: np.ndarray
-    z0: np.ndarray          # chart coordinates of the basepoint, shape (n,)
-    a0: np.ndarray          # real, shape (n,)
-    a1: np.ndarray          # complex, shape (n,)
-    a2: np.ndarray          # real, shape (n,)
-
-    def gauge(self, u, k: int = 1) -> np.ndarray:
-        """Holomorphic gauge exponent k*g_p(u), u in chart offsets (n,)."""
-        u = np.asarray(u, dtype=complex)
-        return k * (self.a0 + self.a1 * u + self.a2 * u * u).sum(axis=-1)
-
-
-def normal_chart(model: ProductModel, p) -> NormalChart:
-    """Chart at p in which the weight is exactly sum lambda_t |u_t|^2."""
-    p = model.reduce(p)
-    z0 = model.chart_z(p)
-    y0 = z0.imag
-    T = np.array([f.im_tau for f in model.factors])
-    d = np.array(model.degrees, dtype=float)
-    a0 = np.pi * d * y0 ** 2 / T
-    a1 = -2j * np.pi * d * y0 / T
-    a2 = -model.lambdas
-    return NormalChart(model=model, basepoint=p, z0=z0, a0=a0, a1=a1, a2=a2.astype(float))
-

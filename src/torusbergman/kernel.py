@@ -7,8 +7,10 @@ basis is a tensor product, so kernel, density and ratio profile are products
 of their factor values, read one factor table at a time through
 HarmonicBasis.factor_values (cost grows with sum_t m_t, not dim); the decay
 measurements read P(x,y), P(x,x) and P(y,y) from one table per factor.  The
-comparison model is the quadratic-phase Gaussian e^{ik Psi} b0 k^n, which on
-flat models is the exact local behavior up to lattice-periodization terms.
+comparison model is the gamma = 0 term of the lattice sum of Bargmann-Fock
+kernels, b0 k^n exp(-k Im Psi(z - w) + i k Phi(z, w)) in the global
+trivialization, which on flat models is the exact local behavior up to the
+other lattice terms.
 """
 
 from __future__ import annotations
@@ -19,14 +21,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .basis import HarmonicBasis, default_resolution
-from .geometry import VOLUME_NORMALIZATION, NormalChart, ProductModel, normal_chart
+from .geometry import VOLUME_NORMALIZATION, ProductModel
 from .util import fit_line, noise_floor
 
 __all__ = [
-    "KernelSample",
     "ExpansionModel",
-    "kernel",
-    "kernel_in_chart",
     "density",
     "trace_density",
     "expansion_model",
@@ -38,18 +37,6 @@ __all__ = [
 ]
 
 
-class KernelSample(NamedTuple):
-    """One localized kernel value between the rank-one J0 form fibers."""
-
-    value: complex
-    gauge_x: complex = 1.0 + 0.0j   # phase transporting to a chart frame
-    gauge_y: complex = 1.0 + 0.0j
-
-    @property
-    def chart_value(self) -> complex:
-        return self.value * self.gauge_x * np.conj(self.gauge_y)
-
-
 def _kernel_pair(basis: HarmonicBasis, x, y) -> tuple[complex, float, float]:
     """P(x,y), P(x,x) and P(y,y), all from one basis.factor_values table per
     factor: the products over factors of sum_j g_tj(x_t) conj(g_tj(y_t)) and
@@ -57,32 +44,6 @@ def _kernel_pair(basis: HarmonicBasis, x, y) -> tuple[complex, float, float]:
     tabs = basis.factor_values(np.stack([np.asarray(x, dtype=float), np.asarray(y, dtype=float)]))
     pxx, pyy = np.prod([np.sum(np.abs(v) ** 2, axis=0) for v in tabs], axis=0)
     return complex(np.prod([np.sum(v[:, 0] * np.conj(v[:, 1])) for v in tabs])), float(pxx), float(pyy)
-
-
-def kernel(basis: HarmonicBasis, x, y) -> KernelSample:
-    """P_{k,J0,J0}(x,y) in the global trivialization: the product over
-    factors of sum_j g_tj(x_t) conj(g_tj(y_t)), from basis.factor_values."""
-    return KernelSample(value=_kernel_pair(basis, x, y)[0])
-
-
-def _in_chart(basis: HarmonicBasis, chart: NormalChart, x, y, value: complex) -> KernelSample:
-    """The kernel value P(x,y) with the gauges exp(-i k Im g_p(u)) of `chart`
-    at x and y, covering-space lattice coordinates on the same chart branch."""
-    model = basis.model
-    ux = model.chart_z(np.asarray(x, float)) - chart.z0
-    uy = model.chart_z(np.asarray(y, float)) - chart.z0
-    gx = np.exp(-1j * np.imag(chart.gauge(ux, basis.k)))
-    gy = np.exp(-1j * np.imag(chart.gauge(uy, basis.k)))
-    return KernelSample(value=value, gauge_x=complex(gx), gauge_y=complex(gy))
-
-
-def kernel_in_chart(basis: HarmonicBasis, chart: NormalChart, x, y) -> KernelSample:
-    """Kernel value transported to the normal frame of `chart`.
-
-    x and y are covering-space lattice coordinates on the same chart branch;
-    the transport multiplies by exp(-i k Im g_p(u)) at each argument.
-    """
-    return _in_chart(basis, chart, x, y, kernel(basis, x, y).value)
 
 
 def density(basis: HarmonicBasis, points) -> np.ndarray:
@@ -119,21 +80,14 @@ def leading_coefficient(model: ProductModel) -> float:
 
 
 class ExpansionModel(NamedTuple):
-    """Quadratic phase model e^{ik Psi} b0 k^n in normal-chart offsets, the same at every
-    basepoint of the flat model (b0: leading_coefficient)."""
+    """Gaussian decay of the model kernel, |P(z,w)| = b0 k^n e^{-k Im Psi(z - w)}, the same
+    at every basepoint of the flat model (b0: leading_coefficient)."""
 
     lam: np.ndarray
     c_lower: float
 
-    def psi(self, z, w) -> np.ndarray:
-        """Psi(z,w) in chart offsets; Im Psi >= 0 with equality iff z=w."""
-        z = np.asarray(z, dtype=complex)
-        w = np.asarray(w, dtype=complex)
-        quad = np.sum(np.abs(self.lam) * np.abs(z - w) ** 2, axis=-1)
-        cross = np.sum(self.lam * (np.conj(z) * w - z * np.conj(w)), axis=-1)
-        return 1j * quad + 1j * cross
-
     def im_psi(self, dz) -> np.ndarray:
+        """Im Psi in chart separations dz; positive unless dz = 0."""
         dz = np.asarray(dz, dtype=complex)
         return np.sum(np.abs(self.lam) * np.abs(dz) ** 2, axis=-1)
 
@@ -148,9 +102,9 @@ def expansion_model(model: ProductModel) -> ExpansionModel:
 class OffdiagonalFit(NamedTuple):
     log_ratio: np.ndarray           # log f_k = log |P(x,y)|^2/(P(x)P(y)), every rung
     c_fit: float                    # fitted decay constant -d(log f)/dk on the rungs above the floor
-    c_model: float                  # 2 Im Psi(x,y)
+    c_model: float                  # 2 Im Psi(x - y)
     rel_dev: float
-    phase_dev: float                # max wrapped phase error vs k Re Psi
+    phase_dev: float                # max wrapped error of arg P_k against k Phi(x, y)
     floored: tuple[int, ...]        # rungs whose |P(x,y)| is at or below the rounding floor
 
 
@@ -158,41 +112,37 @@ def _segment_points(model: ProductModel, x, y, ts):
     """Covering-space points y + t*(x - y) using the centered difference."""
     y = model.reduce(y)
     d = model.centered(np.asarray(x, float) - np.asarray(y, float))
-    return np.array([y + t * d for t in np.atleast_1d(ts)]), d
+    return np.array([y + t * d for t in np.atleast_1d(ts)])
 
 
 def offdiagonal_fit(bases: list[HarmonicBasis], x, y) -> OffdiagonalFit:
     """Gaussian decay fit of the normalized kernel along a k-ladder.
 
     Fits the slope of log f_k vs k at fixed (x, y) and compares with twice
-    the quadratic-model Im Psi; also compares the kernel phase, in the
-    midpoint normal frame, against k Re Psi.  Rungs whose |P(x,y)| is at or
-    below the rounding floor (util.noise_floor) are listed in `floored` and
-    left out of the fit; with fewer than 2 rungs above it c_fit is nan.
+    the quadratic-model Im Psi; also compares the kernel phase in the global
+    trivialization against k Phi(z, w), the phase of the lattice sum's
+    gamma = 0 term, Phi = -pi sum_t d_t Re(z_t - w_t) Im(z_t + w_t) / Im tau_t
+    at the covering-space pair.  Rungs whose |P(x,y)| is at or below the
+    rounding floor (util.noise_floor) are listed in `floored` and left out of
+    the fit; with fewer than 2 rungs above it c_fit is nan.
     """
     if len(bases) < 4:
         raise ValueError("need at least 4 tensor powers for the decay fit")
     model = bases[0].model
-    pts, d = _segment_points(model, x, y, [0.0, 0.5, 1.0])
-    ybase, mid, xcov = pts[0], pts[1], pts[2]
-    chart = normal_chart(model, mid)
-    em = expansion_model(model)
-    ux = model.chart_z(xcov) - chart.z0
-    uy = model.chart_z(ybase) - chart.z0
-    psi = complex(em.psi(ux, uy))
+    ybase, xcov = _segment_points(model, x, y, [0.0, 1.0])
+    zx, zy = model.chart_z(xcov), model.chart_z(ybase)
+    phi = -np.pi * np.sum(np.array(model.degrees) * np.real(zx - zy) * np.imag(zx + zy) / model.taus.imag)
     ks = np.array([b.k for b in bases])
     logf, phs, live = [], [], []
     for b in bases:
         val, pxx, pyy = _kernel_pair(b, xcov, ybase)
-        val = _in_chart(b, chart, xcov, ybase, val).chart_value
         live.append(abs(val) > noise_floor("kernel", np.sqrt(pxx * pyy)))
         with np.errstate(divide="ignore"):      # an exact zero reads -inf, floored
             logf.append(np.log(abs(val) ** 2 / (pxx * pyy)))
-        ph = np.angle(val) - b.k * np.real(psi)
-        phs.append(np.angle(np.exp(1j * ph)))   # wrap to (-pi, pi]
+        phs.append(np.angle(np.exp(1j * (np.angle(val) - b.k * phi))))   # wrapped to (-pi, pi]
     logf, live = np.array(logf), np.array(live)
     c_fit = -fit_line(ks[live], logf[live]).slope if live.sum() >= 2 else np.nan
-    c_model = float(2.0 * em.im_psi(ux - uy))
+    c_model = float(2.0 * expansion_model(model).im_psi(zx - zy))
     rel = abs(c_fit - c_model) / c_model if c_model > 0 else abs(c_fit)
     return OffdiagonalFit(log_ratio=logf, c_fit=c_fit, c_model=c_model,
                           rel_dev=float(rel), phase_dev=float(np.max(np.abs(phs))),
@@ -249,7 +199,7 @@ def ratio_profile(basis: HarmonicBasis, x, y, t_grid) -> np.ndarray:
     """
     model = basis.model
     ts = np.asarray(t_grid, dtype=float)
-    pts, _ = _segment_points(model, x, y, ts)
+    pts = _segment_points(model, x, y, ts)
     ratios = []
     for V, vy in zip(basis.factor_values(pts), basis.factor_values(model.reduce(y))):
         vy = vy[:, 0]

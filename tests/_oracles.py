@@ -17,20 +17,25 @@ pointwise routes' invariances are checked, the global weight, injectivity
 scale, curvature signature and geodesic distance of a model, against which
 charts and separations are checked, the curvature matrix, the positive-degree
 weight phi_plus and the normal-chart weight, against which b0, the theta
-quasi-periodicity and the chart gauge are checked, the 17-digit float text
+quasi-periodicity and the chart gauge are checked, the midpoint normal chart
+with its gauge transport and quadratic phase Psi, against which the kernel
+phase's closed form Phi in the global trivialization is checked, and Phi
+itself, against which the kernel's Gaussian model is checked, the 17-digit float text
 against which CSV cells are checked, the pullback form by the general
 product-table route (second-order jets of the full product basis), against
 which the Segre composite of the factor fields is checked, and the line fit
 by a least-squares solve, against which util.fit_line's closed form is
 checked."""
 
+from typing import NamedTuple
+
 import numpy as np
 
 from torusbergman.basis import HarmonicBasis, default_resolution
 from torusbergman.embedding import ProjectivePoint, _real_partials
-from torusbergman.geometry import VOLUME_NORMALIZATION, NormalChart, ProductModel, factor_volume
+from torusbergman.geometry import VOLUME_NORMALIZATION, ProductModel, factor_volume
 from torusbergman.geometry import omega as omega_form
-from torusbergman.kernel import _segment_points
+from torusbergman.kernel import _kernel_pair, _segment_points
 from torusbergman.theta import _exponent, _windows, weighted_table
 from torusbergman.util import SlopeFit
 
@@ -332,14 +337,14 @@ def product_density(basis: HarmonicBasis, points) -> np.ndarray:
 
 
 def product_kernel(basis: HarmonicBasis, x, y) -> complex:
-    """kernel.kernel's value as sum_j g_j(x) conj(g_j(y)) over the full product basis."""
+    """kernel._kernel_pair's P(x,y) as sum_j g_j(x) conj(g_j(y)) over the full product basis."""
     v = basis.values(np.stack([np.asarray(x, dtype=float), np.asarray(y, dtype=float)]))
     return complex(np.sum(v[:, 0] * np.conj(v[:, 1])))
 
 
 def product_ratio_profile(basis: HarmonicBasis, x, y, t_grid) -> np.ndarray:
     """kernel.ratio_profile from the full product basis's values on the segment."""
-    pts, _ = _segment_points(basis.model, x, y, np.asarray(t_grid, dtype=float))
+    pts = _segment_points(basis.model, x, y, np.asarray(t_grid, dtype=float))
     V = basis.values(pts)
     vy = basis.values(basis.model.reduce(y))[:, 0]
     return np.abs(V.conj().T @ vy) ** 2 / (np.sum(np.abs(V) ** 2, axis=0) * np.sum(np.abs(vy) ** 2))
@@ -395,6 +400,64 @@ def phi_plus(m: int, tau: complex, z) -> np.ndarray:
     """Positive-degree weight pi*m*(Im z)^2/Im tau at level m."""
     z = np.asarray(z, dtype=complex)
     return np.pi * m * z.imag ** 2 / tau.imag
+
+
+class NormalChart(NamedTuple):
+    """Chart and gauge centered at a point p.
+
+    In the frame 1_p = exp(g_p) * 1_global the power-k weight is exactly
+    k * sum_t lambda_t |u_t|^2.  Per factor, for the unit power,
+    g_p(u) = a0 + a1 u + a2 u^2 with a0 = phi0(p), a1 = 2 dphi0/dz (p),
+    a2 = -lambda; powers scale all three by k.
+    """
+
+    model: ProductModel
+    z0: np.ndarray          # chart coordinates of the basepoint, shape (n,)
+    a0: np.ndarray          # real, shape (n,)
+    a1: np.ndarray          # complex, shape (n,)
+    a2: np.ndarray          # real, shape (n,)
+
+    def gauge(self, u, k: int = 1) -> np.ndarray:
+        """Holomorphic gauge exponent k*g_p(u), u in chart offsets (n,)."""
+        u = np.asarray(u, dtype=complex)
+        return k * (self.a0 + self.a1 * u + self.a2 * u * u).sum(axis=-1)
+
+
+def normal_chart(model: ProductModel, p) -> NormalChart:
+    """Chart at p in which the weight is exactly sum lambda_t |u_t|^2."""
+    z0 = model.chart_z(model.reduce(p))
+    T = np.array([f.im_tau for f in model.factors])
+    d = np.array(model.degrees, dtype=float)
+    return NormalChart(model=model, z0=z0, a0=np.pi * d * z0.imag ** 2 / T,
+                       a1=-2j * np.pi * d * z0.imag / T, a2=-model.lambdas.astype(float))
+
+
+def chart_kernel(basis: HarmonicBasis, chart: NormalChart, x, y) -> complex:
+    """P(x,y) transported to the normal frame of `chart`: times the gauge phase
+    exp(-i k Im g_p(u)) at x and its conjugate at y, x and y covering-space
+    lattice coordinates on the same chart branch."""
+    ux, uy = (basis.model.chart_z(np.asarray(q, float)) - chart.z0 for q in (x, y))
+    gx, gy = (np.exp(-1j * np.imag(chart.gauge(u, basis.k))) for u in (ux, uy))
+    return complex(_kernel_pair(basis, x, y)[0] * gx * np.conj(gy))
+
+
+def psi(model: ProductModel, z, w) -> np.ndarray:
+    """Psi(z,w) of the quadratic phase model e^{ik Psi} b0 k^n in normal-chart
+    offsets; Im Psi >= 0 with equality iff z=w."""
+    z, w = np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
+    lam = model.lambdas
+    quad = np.sum(np.abs(lam) * np.abs(z - w) ** 2, axis=-1)
+    cross = np.sum(lam * (np.conj(z) * w - z * np.conj(w)), axis=-1)
+    return 1j * quad + 1j * cross
+
+
+def lattice_phase(model: ProductModel, z, w) -> np.ndarray:
+    """Phi(z,w) = -pi sum_t d_t Re(z_t - w_t) Im(z_t + w_t) / Im tau_t, the unit-power
+    phase of the gamma = 0 lattice term in the global trivialization, at chart
+    coordinates z and w."""
+    z, w = np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
+    d = np.array(model.degrees, dtype=float)
+    return -np.pi * np.sum(d * np.real(z - w) * np.imag(z + w) / model.taus.imag, axis=-1)
 
 
 def normal_weight(chart: NormalChart, u) -> np.ndarray:

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see one line per criterion.
 """
 
 import time
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -68,7 +69,7 @@ def test_a2_harmonicity():
     worst = 0.0
     for degs in [(-1,), (-1, 1)]:
         m = model(*degs)
-        for idx in build_basis(m, 1).indices:
+        for idx in product(*(range(s.level) for s in build_basis(m, 1).factor_sets)):
             worst = max(worst, harmonicity_residual(m, 1, idx, grid_n=64))
     control = factor_harmonicity_residual(
         TorusFactor(TAU, -1), 1, 0, grid_n=64,

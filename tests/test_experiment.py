@@ -614,9 +614,8 @@ class TestRun:
     def test_nan_density_fails_a3(self, monkeypatch):
         # Python's max(a, nan) is a, so a nan density once vanished from A3's
         # worst deviation and A3 passed on nan densities
-        import importlib
+        from torusbergman import kernel
 
-        kernel = importlib.import_module("torusbergman.kernel")     # the package's kernel is the function
         real = kernel.density
 
         def one_nan(bas, pts):

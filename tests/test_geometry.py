@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
-from _oracles import curvature_matrix, distance, global_weight, injectivity_scale, normal_weight, signature
-from torusbergman.geometry import ProductModel, TorusFactor, normal_chart, omega
+from _oracles import (
+    curvature_matrix,
+    distance,
+    global_weight,
+    injectivity_scale,
+    normal_chart,
+    normal_weight,
+    signature,
+)
+from torusbergman.geometry import ProductModel, TorusFactor, omega
 
 TAU = 1j
 
@@ -92,6 +100,9 @@ class TestOmega:
 
 
 class TestNormalChart:
+    # the tests' chart oracle, checked on its own: the kernel phase is read in
+    # closed form, and the chart only checks that closed form
+
     def test_weight_vanishes_at_center_no_linear_term(self):
         m = model(-1, 2)
         rng = np.random.default_rng(3)

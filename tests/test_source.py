@@ -3,11 +3,14 @@ unused import, no unreferenced private module-level name, no undefined
 __all__ entry, no lattice grid built by np.meshgrid outside
 theta.grid_pairs, no LAPACK-backed np.linalg function outside the SVD
 of the rank oracle, no number written in a criterion description, and no
-exception but ValueError raised by the measuring routes, and no module whose
-compilation outgrows the import peak.  They catch what a refactor leaves
+exception but ValueError raised by the measuring routes, no module whose
+compilation outgrows the import peak, and, imported, no submodule shadowed
+by a package attribute of its name.  They catch what a refactor leaves
 behind."""
 
 import ast
+import importlib
+import pkgutil
 import re
 import tracemalloc
 from pathlib import Path
@@ -183,6 +186,16 @@ def test_module_compiles_within_the_import_peak(name):
     finally:
         tracemalloc.stop()
     assert peak <= 1_750_000, f"{name}: {peak / 1e6:.2f} MB"
+
+
+def test_submodules_are_package_attributes():
+    # `from torusbergman import kernel` once gave the function that __init__
+    # re-exported under the module's name, and monkeypatching it patched nothing
+    import torusbergman
+
+    for info in pkgutil.iter_modules(torusbergman.__path__):
+        module = importlib.import_module(f"torusbergman.{info.name}")
+        assert getattr(torusbergman, info.name) is module, info.name
 
 
 def test_checks_see_a_leftover():
