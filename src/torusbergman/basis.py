@@ -195,21 +195,15 @@ class HarmonicBasis:
 
     # -- half-offset lattice grids --------------------------------------
 
-    def grid_table(self, t: int, N: int) -> np.ndarray:
+    def grid_table(self, t: int, x: np.ndarray) -> np.ndarray:
         """Factor t's orthonormalized weighted values (factor_tables(t, z)["v"])
-        on the half-offset N x N lattice grid z = a + tau b, a-major: (m, N^2)."""
-        s, x = self.factor_sets[t], half_offset(N)
-        V = weighted_grid(s.level, s.factor.tau, x, x, self.eps).reshape(s.level, N * N)
+        on the lattice grid z = a + tau b with a and b both running over the
+        axis x (half_offset(N) for the half-offset grid, or a run of it),
+        a-major: (m, len(x)^2)."""
+        s = self.factor_sets[t]
+        V = weighted_grid(s.level, s.factor.tau, x, x, self.eps).reshape(s.level, -1)
         V *= s.scale
         return np.conj(V, out=V) if s.factor.degree < 0 else V
-
-    def grid_density(self, t: int, N: int) -> np.ndarray:
-        """Factor t's density sum_j |g_j|^2 on the same grid, shape (N, N);
-        conjugation does not change |g_j|, and the scale is applied once."""
-        s, x = self.factor_sets[t], half_offset(N)
-        sq = np.abs(weighted_grid(s.level, s.factor.tau, x, x, self.eps))
-        sq *= sq
-        return sq.sum(axis=0) * s.scale ** 2
 
     def grid_gram(self, t: int, N: int) -> np.ndarray:
         """Trapezoid Gram of factor t's orthonormalized members on the grid

@@ -13,7 +13,8 @@ Config files are plain key = value lines (``#`` comments allowed).  Keys:
     probe_<name>  = a1 b1 a2 b2 ; a1 b1 a2 b2      (point lists, 2 coordinates per factor;
                                                     name one of density offdiag far ratio derivs)
 
-Every key but factor is set at most once, and every number is finite.
+Every key but factor is set at most once, every number is finite, every
+budget is positive, and no experiment is named twice.
 Retired keys (grid_n, gram_tol, workers, slope_margin) are accepted, ignored
 and named in ExperimentConfig.warnings, which the run's summary carries.
 """
@@ -126,6 +127,8 @@ def parse_config(text: str) -> ExperimentConfig:
                 continue
             if not math.isfinite(budgets[name]):
                 violations.append((ln, key, f"non-finite budget {val!r}"))
+            elif budgets[name] <= 0:
+                violations.append((ln, key, f"budget must be positive, got {val}"))
         elif key in _KNOWN_KEYS:
             scalars[(ln, key)] = val
         elif key in _RETIRED_KEYS:
@@ -143,6 +146,9 @@ def parse_config(text: str) -> ExperimentConfig:
                 bad = [n for n in names if n not in EXPERIMENTS]
                 if bad:
                     violations.append((ln, key, f"unknown experiments {bad}"))
+                    continue
+                if len(set(names)) < len(names):
+                    violations.append((ln, key, f"repeated experiments in {val!r}"))
                     continue
                 kw[key] = names
             elif key in _INT_MIN:

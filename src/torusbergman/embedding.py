@@ -6,15 +6,18 @@ The map sends z to the projective class of the weighted J0-coefficient vector
 so this is the same point as the frame-coefficient lift and stays bounded.
 
 The basis is a tensor product, so the lift is the Segre composite of the
-factor lifts.  A7's near-diagonal profile combines the factor lifts' FS sines
-and cosines by the Segre identity, and its rank check (_rank_many) sums
-closed-form two-row factor ranks from factor jet tables; no run forms a
-product table.  The pullback forms and derivative sums along the ladder are
-in pullback.py.
+factor lifts.  A7's density floor and FS scan read one period of each
+factor's grid: (1/m) Lambda acts unitarily on the level-m sections (the
+finite Heisenberg group).  A7's near-diagonal profile combines the factor
+lifts' FS sines and cosines by the Segre identity, and its rank check
+(_rank_many) sums closed-form two-row factor ranks from factor jet tables;
+no run forms a product table.  The pullback forms and derivative sums along
+the ladder are in pullback.py.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -22,7 +25,7 @@ import numpy as np
 from .basis import HarmonicBasis
 from .kernel import leading_coefficient
 from .pullback import convergence_report, derivative_sums, pullback_ddbar_many, pullback_jacobian_many
-from .theta import grid_pairs
+from .theta import grid_pairs, half_offset
 from .util import Draws
 
 __all__ = [
@@ -70,17 +73,18 @@ class WellDefinedReport(NamedTuple):
 
 
 def well_defined_check(basis: HarmonicBasis, grid_n: int = 32) -> WellDefinedReport:
-    """min over the product grid of density / (b0 k^n), A7's density floor.
-
-    The basis is a tensor product, so that minimum is the product of the
-    factor densities' minima on their own grids.
-    """
+    """min over the product grid of density / (b0 k^n), A7's density floor:
+    the product of the factor densities' minima.  The shifts in (1/m) Lambda
+    that permute the half-offset grid move each index by multiples of
+    grid_n / gcd(grid_n, m) and keep the density, so a factor's minimum is
+    taken on that many points of each axis."""
     b0kn = leading_coefficient(basis.model) * basis.k ** basis.model.n
     mins = 1.0
-    for t in range(basis.model.n):
-        mins *= float(basis.grid_density(t, grid_n).min())
-    ratio = mins / b0kn
-    return WellDefinedReport(min_ratio=ratio)
+    for t, s in enumerate(basis.factor_sets):
+        sq = np.abs(basis.grid_table(t, half_offset(grid_n)[:grid_n // math.gcd(grid_n, s.level)]))
+        sq *= sq
+        mins *= float(sq.sum(axis=0).min())
+    return WellDefinedReport(min_ratio=mins / b0kn)
 
 
 class InjectivityReport(NamedTuple):
@@ -91,22 +95,23 @@ class InjectivityReport(NamedTuple):
 
 
 def _factor_min_fs(basis: HarmonicBasis, t: int, grid_n: int):
-    """Min pairwise FS separation over one factor's grid scan, with argmin pair;
-    the (P, P) overlaps are formed 1024 rows at a time."""
-    V = basis.grid_table(t, grid_n)
-    V = V / np.linalg.norm(V, axis=0, keepdims=True)
-    P = V.shape[1]
-    best = -1.0
-    pair = (0, 0)
-    for i0 in range(0, P, 1024):
-        blockV = V[:, i0:i0 + 1024]
-        C = np.abs(blockV.conj().T @ V)
-        for r in range(C.shape[0]):
-            C[r, i0 + r] = -1.0
-        idx = np.unravel_index(np.argmax(C), C.shape)
-        if C[idx] > best:
-            best = float(C[idx])
-            pair = (i0 + idx[0], idx[1])
+    """Min pairwise FS separation over one factor's grid scan, with argmin
+    pair.  The shifts by multiples of p = grid_n / gcd(grid_n, m) on either
+    axis act unitarily on the sections and keep every overlap, so the rows
+    with both indices below p meet every orbit of pairs; they are scanned
+    against all grid_n^2 columns, 1024 at a time."""
+    V = basis.grid_table(t, half_offset(grid_n))
+    V /= np.sqrt(np.einsum("ij,ij->j", V.real, V.real) + np.einsum("ij,ij->j", V.imag, V.imag))
+    p = grid_n // math.gcd(grid_n, basis.factor_sets[t].level)
+    rows = (grid_n * np.arange(p)[:, None] + np.arange(p)).ravel()
+    best, pair = -1.0, (0, 0)
+    for i0 in range(0, rows.size, 1024):
+        block = rows[i0:i0 + 1024]
+        C = np.abs(V[:, block].conj().T @ V)
+        C[np.arange(block.size), block] = -1.0
+        r, c = np.unravel_index(np.argmax(C), C.shape)
+        if C[r, c] > best:
+            best, pair = float(C[r, c]), (block[r], c)
         del C
     dist = fs_distance(ProjectivePoint(V[:, pair[0]]), ProjectivePoint(V[:, pair[1]]))
     return dist, tuple(grid_pairs(grid_n)[list(pair)])

@@ -2,8 +2,10 @@
 quadrature on the product grid, against which the kernel's closed forms and
 the embedding's truncation checks are compared, the quadrature Gram of an
 orthonormalized basis, summed row by row over the grid table, against which
-the discrete-orthogonality Gram is checked, the disc oracle by Cholesky of
-its full monomial Gram on a Gauss-Legendre polar rule, against which the
+the discrete-orthogonality Gram is checked, the density and the exhaustive
+FS scan on the whole half-offset grid, against which A7's one-period routes
+are checked, the disc oracle by Cholesky of its full monomial Gram on a
+Gauss-Legendre polar rule, against which the
 closed-form radial integrals are checked, the theta table and the grid
 evaluator and grid Gram one characteristic at a time, against which the
 stacked evaluations are checked, the normal-frame first jets straight from
@@ -32,11 +34,11 @@ from typing import NamedTuple
 import numpy as np
 
 from torusbergman.basis import HarmonicBasis, default_resolution
-from torusbergman.embedding import ProjectivePoint, _real_partials
+from torusbergman.embedding import ProjectivePoint, _real_partials, fs_distance
 from torusbergman.geometry import VOLUME_NORMALIZATION, ProductModel, factor_volume
 from torusbergman.geometry import omega as omega_form
 from torusbergman.kernel import _kernel_pair, _segment_points
-from torusbergman.theta import _exponent, _windows, weighted_table
+from torusbergman.theta import _exponent, _windows, half_offset, weighted_grid, weighted_table
 from torusbergman.util import SlopeFit
 
 
@@ -50,7 +52,7 @@ def project_coefficients(basis: HarmonicBasis, samples: np.ndarray, grid_n: int)
     P = grid_n**2
     tabs, dv = [], 1.0
     for t, s in enumerate(basis.factor_sets):
-        tab = basis.grid_table(t, grid_n)
+        tab = basis.grid_table(t, half_offset(grid_n))
         # factor t's grid point index is digit t of the C-order product index
         tabs.append(np.tile(np.repeat(tab, P ** (n - 1 - t), axis=1), (1, P**t)))
         dv *= factor_volume(s.factor) / P
@@ -66,7 +68,7 @@ def dense_grid_gram(basis: HarmonicBasis, t: int, N: int) -> np.ndarray:
     """HarmonicBasis.grid_gram by the (m, N^2) grid table: V @ V^H * dv, one
     grid row of N points at a time, the row sums added with Kahan's
     compensation (one product over all N^2 points is ~1e-14 off at m = 80)."""
-    V = basis.grid_table(t, N)
+    V = basis.grid_table(t, half_offset(N))
     G = np.zeros((V.shape[0],) * 2, dtype=complex)
     carry = np.zeros_like(G)
     for i in range(0, V.shape[1], N):
@@ -75,6 +77,37 @@ def dense_grid_gram(basis: HarmonicBasis, t: int, N: int) -> np.ndarray:
         carry = (s - G) - y
         G = s
     return G * (factor_volume(basis.factor_sets[t].factor) / N**2)
+
+
+def full_grid_density(basis: HarmonicBasis, t: int, N: int) -> np.ndarray:
+    """Factor t's density sum_j |g_j|^2 on the whole half-offset N x N grid,
+    shape (N, N); conjugation does not change |g_j|, and the scale is applied
+    once."""
+    s, x = basis.factor_sets[t], half_offset(N)
+    sq = np.abs(weighted_grid(s.level, s.factor.tau, x, x, basis.eps))
+    sq *= sq
+    return sq.sum(axis=0) * s.scale ** 2
+
+
+def full_scan(basis: HarmonicBasis, t: int, N: int):
+    """Factor t's exhaustive FS scan over every row of the half-offset N x N
+    grid: the best normalized overlap of two distinct points, the FS distance
+    of the argmax pair and its grid indices, the (P, P) overlaps formed 1024
+    rows at a time."""
+    V = basis.grid_table(t, half_offset(N))
+    V = V / np.linalg.norm(V, axis=0, keepdims=True)
+    P = V.shape[1]
+    best = -1.0
+    pair = (0, 0)
+    for i0 in range(0, P, 1024):
+        C = np.abs(V[:, i0:i0 + 1024].conj().T @ V)
+        for r in range(C.shape[0]):
+            C[r, i0 + r] = -1.0
+        idx = np.unravel_index(np.argmax(C), C.shape)
+        if C[idx] > best:
+            best = float(C[idx])
+            pair = (i0 + idx[0], idx[1])
+    return best, fs_distance(ProjectivePoint(V[:, pair[0]]), ProjectivePoint(V[:, pair[1]])), pair
 
 
 def recompute_gram(basis: HarmonicBasis) -> np.ndarray:

@@ -4,7 +4,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from _oracles import RemixedBasis, dense_grid_gram, looped_weighted_grid_gram, product_density, recompute_gram
+from _oracles import (RemixedBasis, dense_grid_gram, full_grid_density, looped_weighted_grid_gram, product_density,
+                      recompute_gram)
 from torusbergman import basis as basis_mod
 from torusbergman.basis import (
     _HALF,
@@ -296,11 +297,11 @@ class TestGridEvaluator:
         g = (np.arange(N) + 0.5) / N
         A, B = np.meshgrid(g, g, indexing="ij")
         V = b.factor_tables(0, (A + tau * B).ravel(), "v")["v"]
-        table = b.grid_table(0, N)
+        table = b.grid_table(0, g)
         assert table.shape == V.shape
         assert np.max(np.abs(table - V)) <= 1e-12 * np.max(np.abs(V))
         dens = np.sum(np.abs(V) ** 2, axis=0).reshape(N, N)
-        assert np.max(np.abs(b.grid_density(0, N) - dens)) <= 1e-12 * np.max(dens)
+        assert np.max(np.abs(full_grid_density(b, 0, N) - dens)) <= 1e-12 * np.max(dens)
 
 
 class TestHarmonicity:

@@ -141,6 +141,23 @@ class TestParseConfig:
             assert {v[:2] for v in err.value.violations} == {(4, "seed"), (6, "embed_grid_n")}
         assert parse_config(MINIMAL.replace("seed = 7", "seed = 0") + "embed_grid_n = 2\n").seed == 0
 
+    def test_repeated_experiment_rejected_with_line(self):
+        # experiments = dims dims ran dims twice and wrote A1 and A2 twice
+        # into summary.json
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL.replace("experiments = dims", "experiments = dims embed dims"))
+        ((ln, key, msg),) = err.value.violations
+        assert (ln, key) == (5, "experiments") and "repeated" in msg
+
+    @pytest.mark.parametrize("line", ["budget_dims = -1", "budget_all = 0", "budget_embed = -0.0"])
+    def test_non_positive_budget_rejected_with_line(self, line):
+        # budget_dims = -1 warned "exceeded budget: 0.0s > -1.0s" on every run
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL + line + "\n")
+        ((ln, key, msg),) = err.value.violations
+        assert (ln, key) == (6, line.split()[0]) and "must be positive" in msg
+        assert parse_config(MINIMAL + line.split("=")[0] + "= 1e-9\n").budgets
+
     @pytest.mark.parametrize("line, problem", [
         ("probe_far = 0.1 0.2 0.3 ; 0.4 0.5 0.6", "got [3, 3]"),
         ("probe_derivs = 0.1", "got [1]"),

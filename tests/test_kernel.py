@@ -9,6 +9,7 @@ from _oracles import (
     cholesky_disc_density,
     curvature_matrix,
     evaluate_combination,
+    full_grid_density,
     lattice_phase,
     normal_chart,
     product_density,
@@ -152,9 +153,9 @@ class TestDensity:
             want = 1.0
             for t, s in enumerate(b.factor_sets):
                 N = max(6 * s.level, 24, default_resolution(s.level, s.factor.im_tau))
-                want *= float(np.sum(b.grid_density(t, N))) * factor_volume(s.factor) / N**2
+                want *= float(np.sum(full_grid_density(b, t, N))) * factor_volume(s.factor) / N**2
                 N = 13 * s.level
-                dense = float(np.sum(b.grid_density(t, N))) * factor_volume(s.factor) / N**2
+                dense = float(np.sum(full_grid_density(b, t, N))) * factor_volume(s.factor) / N**2
                 assert b.grid_gram(t, N).sum() == pytest.approx(dense, rel=1e-14, abs=0)
             assert trace_density(b) == pytest.approx(want, rel=1e-14, abs=0)
 
@@ -204,7 +205,7 @@ class TestDensity:
         for degs, k in [((-1,), 8), ((-1, 1), 4)]:
             b = build_basis(model(*degs), k)
             for t in range(b.model.n):
-                assert b.grid_density(t, 32).min() > 0
+                assert full_grid_density(b, t, 32).min() > 0
 
     def test_gauge_invariance_of_density(self):
         # P(x,x) computed in the global frame equals the chart frame value
