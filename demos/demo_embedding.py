@@ -16,13 +16,13 @@ from torusbergman import (
     TorusFactor,
     build_basis,
     convergence_report,
-    differential,
     injectivity_scan,
     omega,
     pullback_ddbar_many,
     pullback_jacobian_many,
     well_defined_check,
 )
+from torusbergman.embedding import _rank_many
 
 
 def main():
@@ -32,7 +32,7 @@ def main():
     basis = build_basis(model, 8)
     wd = well_defined_check(basis, 32)
     scan = injectivity_scan(basis, grid_n=24)
-    rank = differential(basis, np.array([0.3, 0.7, 0.2, 0.1])).rank
+    rank = int(_rank_many(basis, np.array([[0.3, 0.7, 0.2, 0.1]]))[0])   # factor ranks, by the Segre map
     print(f"k=8: min density / (b0 k^n)     = {wd.min_ratio:.6f}")
     print(f"     min pairwise FS distance   = {scan.min_fs_distance:.6f}")
     print(f"     near-diagonal alpha        = {scan.near_diagonal_alpha:.4f}")

@@ -38,6 +38,7 @@ import numpy as np
 
 from .geometry import ProductModel, TorusFactor, factor_volume
 from .theta import half_offset, weighted_grid, weighted_grid_gram, weighted_table
+from .util import norm2
 
 __all__ = [
     "FactorSectionSet",
@@ -327,8 +328,8 @@ def factor_harmonicity_residual(factor: TorusFactor, k: int, member: int,
     DDbW = _covariant(DbW, P[_HALF:-_HALF], tau, h)[0]
     inner = slice(_HALF, -_HALF)
     comp = DDbW - (np.pi * k * abs(factor.degree) / tau.imag) * W[:, 2 * _HALF:-2 * _HALF]
-    return {"first_order": float(np.linalg.norm(DbW[:, inner]) / np.linalg.norm(DW[:, inner])),
-            "laplacian": float(np.linalg.norm(DDbW) / np.linalg.norm(comp))}
+    return {"first_order": norm2(DbW[:, inner]) / norm2(DW[:, inner]),
+            "laplacian": norm2(DDbW) / norm2(comp)}
 
 
 def harmonicity_residual(model: ProductModel, k: int, index: tuple[int, ...],

@@ -26,7 +26,7 @@ from .basis import HarmonicBasis
 from .kernel import leading_coefficient
 from .pullback import convergence_report, derivative_sums, pullback_ddbar_many, pullback_jacobian_many
 from .theta import grid_pairs, half_offset
-from .util import Draws
+from .util import Draws, norm2
 
 __all__ = [
     "ProjectivePoint",
@@ -44,7 +44,7 @@ __all__ = [
 
 class ProjectivePoint:
     def __init__(self, homogeneous: np.ndarray):
-        n = np.linalg.norm(homogeneous)
+        n = norm2(homogeneous)
         if not np.isfinite(n) or n < 1e-300:
             raise ValueError("projective point needs a nonzero homogeneous vector")
         self.homogeneous = homogeneous
@@ -53,10 +53,10 @@ class ProjectivePoint:
 def _fs_sin_cos(a: np.ndarray, b: np.ndarray):
     """(sin, cos) of the FS distance of lifts a and b: the norm of normalized
     a's part orthogonal to normalized b, and |<a, b>| / (|a| |b|)."""
-    va = a / np.linalg.norm(a)
-    vb = b / np.linalg.norm(b)
-    c = np.vdot(vb, va)                      # <va, vb> conjugated appropriately
-    return np.linalg.norm(va - c * vb), abs(c)
+    va = a / norm2(a)
+    vb = b / norm2(b)
+    c = np.sum(np.conj(vb) * va)             # <va, vb> conjugated appropriately
+    return norm2(va - c * vb), abs(c)
 
 
 def fs_distance(a: ProjectivePoint, b: ProjectivePoint) -> float:
@@ -190,7 +190,8 @@ def _lift_free(V: np.ndarray, w: np.ndarray):
     """Partials V (P, r, dim) with the fiber direction, the lift w (P, dim),
     projected out, and the lift norms |w| (P,)."""
     nrm2 = np.sum(np.abs(w) ** 2, axis=1)
-    return V - (V @ w.conj()[:, :, None]) * w[:, None, :] / nrm2[:, None, None], np.sqrt(nrm2)
+    along = np.sum(V * w.conj()[:, None, :], axis=2, keepdims=True)
+    return V - along * w[:, None, :] / nrm2[:, None, None], np.sqrt(nrm2)
 
 
 def _rank(V: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ from .config import EXPERIMENTS, ExperimentConfig
 from .geometry import ProductModel, TorusFactor, omega as omega_form
 from .report import IndexedColumn, RunReport
 from .report import emit_report      # re-exported: bench/child.py wraps experiment.emit_report
-from .util import Draws
+from .util import Draws, norm2
 
 __all__ = ["run", "emit_report"]
 
@@ -159,7 +159,7 @@ def _exp_offdiag(cfg, model, rng):
     fit = ker.offdiagonal_fit(bases, x, y)
     x2 = y + model.centered(x - y) / 2.0
     fit2 = ker.offdiagonal_fit(bases, x2, y)
-    rows = [[b.k, float(np.linalg.norm(model.chart_dz(x, y))), lr, -b.k * fit.c_model]
+    rows = [[b.k, norm2(model.chart_dz(x, y)), lr, -b.k * fit.c_model]
             for b, lr in zip(bases, fit.log_ratio)]
     crit = [_criterion("A4", [_check("rel_dev", fit.rel_dev, "<=", 0.10),
                               _check("quad_ratio_dev", abs(fit.c_fit / fit2.c_fit / 4.0 - 1.0), "<=", 0.15),
@@ -172,7 +172,7 @@ def _exp_far(cfg, model, rng):
     x, y = _probe_pair(cfg.probes.get("far"), model, rng, 0.5)
     bases = _bases(cfg, model)
     rep = ker.far_separation_check(bases, x, y)
-    rows = [[int(k), float(np.linalg.norm(model.chart_dz(x, y))), v]
+    rows = [[int(k), norm2(model.chart_dz(x, y)), v]
             for k, v in zip(rep.ks, rep.abs_p)]
     crit = [_criterion("A5", [_check("gamma", rep.gamma, ">", 0.0),
                               _check("rising_orders", sum(not d for d in rep.damped_decreasing.values()), "<=", 0)],

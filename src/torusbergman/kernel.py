@@ -203,7 +203,7 @@ def ratio_profile(basis: HarmonicBasis, x, y, t_grid) -> np.ndarray:
     ratios = []
     for V, vy in zip(basis.factor_values(pts), basis.factor_values(model.reduce(y))):
         vy = vy[:, 0]
-        num = np.abs(V.conj().T @ vy) ** 2
+        num = np.abs(np.sum(V * np.conj(vy)[:, None], axis=0)) ** 2
         pxx = np.sum(np.abs(V) ** 2, axis=0)
         pyy = float(np.sum(np.abs(vy) ** 2))
         ratios.append(num / (pxx * pyy))

@@ -26,7 +26,7 @@ import numpy as np
 from .basis import HarmonicBasis
 from .geometry import ProductModel, omega as omega_form
 from .theta import grid_pairs
-from .util import Draws, SlopeFit, asymptotic_window, fit_slope, noise_floor
+from .util import Draws, SlopeFit, asymptotic_window, fit_slope, noise_floor, norm2
 
 __all__ = [
     "DerivativeReport",
@@ -235,7 +235,7 @@ def derivative_sums(bases: list[HarmonicBasis], p) -> DerivativeReport:
                 c = np.conj(jt) / np.sqrt(np.sum(np.abs(jt) ** 2))
                 dev = abs(np.abs(np.sum(c * jt)) ** 2 - np.sum(np.abs(jt) ** 2))
                 extremal_dev = max(extremal_dev, dev / max(np.sum(np.abs(jt) ** 2), 1e-300))
-                norm_dev = abs(np.linalg.norm(c) - 1.0)
+                norm_dev = abs(norm2(c) - 1.0)
                 extremal_dev = max(extremal_dev, norm_dev)
     families = {}
     slopes = {}

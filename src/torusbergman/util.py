@@ -1,14 +1,19 @@
-"""Shared numerical helpers: seeded draws, least-squares line and power-law slope
-fits, and the rounding floors of the measured quantities."""
+"""Shared numerical helpers: seeded draws, the 2-norm, least-squares line and
+power-law slope fits, and the rounding floors of the measured quantities.
+
+The reductions of one vector, or of one table against one vector, are numpy
+sums: a run's only BLAS calls are the matrix products of theta.weighted_grid
+and embedding._factor_min_fs, so a run that forms none never pages OpenBLAS in."""
 
 from __future__ import annotations
 
+import math
 import random
 from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["Draws", "SlopeFit", "fit_line", "fit_slope", "asymptotic_window", "noise_floor"]
+__all__ = ["Draws", "norm2", "SlopeFit", "fit_line", "fit_slope", "asymptotic_window", "noise_floor"]
 
 
 class Draws:
@@ -28,6 +33,13 @@ class Draws:
         return np.resize(np.stack([r * np.cos(a), r * np.sin(a)], axis=1), size)
 
 
+def norm2(v) -> float:
+    """The 2-norm of a real or complex array of any shape, from numpy sums of
+    its squared real and imaginary parts; np.linalg.norm's dots go to BLAS."""
+    v = np.asarray(v)
+    return math.sqrt(np.sum(v.real * v.real) + np.sum(v.imag * v.imag))
+
+
 class SlopeFit(NamedTuple):
     slope: float
     intercept: float
@@ -39,7 +51,7 @@ def fit_line(x, y) -> SlopeFit:
     slope = dx.(y - mean y) / dx.dx with dx = x - mean x."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     dx = x - x.mean()
-    slope = float(dx @ (y - y.mean()) / (dx @ dx))
+    slope = float(np.sum(dx * (y - y.mean())) / np.sum(dx * dx))
     intercept = float(y.mean() - slope * x.mean())
     return SlopeFit(slope, intercept, residual=float(np.max(np.abs(y - (intercept + slope * x)))))
 

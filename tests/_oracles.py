@@ -380,7 +380,8 @@ def product_ratio_profile(basis: HarmonicBasis, x, y, t_grid) -> np.ndarray:
     pts = _segment_points(basis.model, x, y, np.asarray(t_grid, dtype=float))
     V = basis.values(pts)
     vy = basis.values(basis.model.reduce(y))[:, 0]
-    return np.abs(V.conj().T @ vy) ** 2 / (np.sum(np.abs(V) ** 2, axis=0) * np.sum(np.abs(vy) ** 2))
+    num = np.abs(np.sum(V * np.conj(vy)[:, None], axis=0)) ** 2
+    return num / (np.sum(np.abs(V) ** 2, axis=0) * np.sum(np.abs(vy) ** 2))
 
 
 class RemixedBasis:

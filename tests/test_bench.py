@@ -106,18 +106,21 @@ def test_no_embed_run_enters_a_product_route(bench_run, tmp_path, monkeypatch):
 def test_no_run_calls_lapack(bench_run, tmp_path, monkeypatch):
     # every shipped config and every bench workload runs on closed forms: line
     # fits, two-row factor ranks and b0 take no LAPACK route, so a run never
-    # loads its code; np.linalg.norm is no LAPACK call and stays allowed
+    # loads its code; and its norms and dots are numpy sums, where
+    # np.linalg.norm, np.vdot, np.dot and np.inner would page in BLAS level 1
     called = []
 
-    def refusing(name):
+    def refusing(owner, name):
         def refuse(*args, **kwargs):
             called.append(name)
-            raise AssertionError(f"a run called np.linalg.{name}")
+            raise AssertionError(f"a run called {owner.__name__}.{name}")
         return refuse
 
     for name in ("lstsq", "svd", "svdvals", "det", "slogdet", "eig", "eigh", "eigvals", "eigvalsh",
-                 "solve", "inv", "pinv", "qr", "cholesky", "matrix_rank"):
-        monkeypatch.setattr(np.linalg, name, refusing(name))
+                 "solve", "inv", "pinv", "qr", "cholesky", "matrix_rank", "norm"):
+        monkeypatch.setattr(np.linalg, name, refusing(np.linalg, name))
+    for name in ("vdot", "dot", "inner"):
+        monkeypatch.setattr(np, name, refusing(np, name))
     runs = {p.stem: p for p in sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))}
     assert len(runs) == 10
     for name, w in bench_run.WORKLOADS.items():
@@ -126,6 +129,40 @@ def test_no_run_calls_lapack(bench_run, tmp_path, monkeypatch):
     codes = {name: cli_main(["all", "--config", str(cfg), "--out", str(tmp_path / name)]) for name, cfg in runs.items()}
     assert called == []
     assert codes == dict.fromkeys(runs, 0)
+
+
+_BLAS_RSS = """
+import re, sys
+from torusbergman.cli import main
+
+def rss():  # kB resident in the mappings of the BLAS library's file
+    total, blas = 0, False
+    for line in open("/proc/self/smaps"):
+        if re.match(r"[0-9a-f]+-[0-9a-f]+ ", line):
+            blas = re.search(r"blas[^/]*$", line.strip(), re.I) is not None
+        elif blas and line.startswith("Rss:"):
+            total += int(line.split()[1])
+    return total
+
+before = rss()
+code = main(["all", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(code, before, rss())
+"""
+
+
+def test_decay_run_pages_in_no_blas(bench_run, tmp_path):
+    # decay_sig10 forms no matrix product, so its run leaves the BLAS library's
+    # resident pages where the import left them: a norm or dot through BLAS
+    # level 1 would fault in its code (220 KB on this run).  It only reads smaps
+    cfg = tmp_path / "decay.cfg"
+    cfg.write_text(bench_run.WORKLOADS["decay_sig10"].config.format(seed=1))
+    proc = subprocess.run([sys.executable, "-c", _BLAS_RSS, str(cfg), str(tmp_path / "out")],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, **bench_run.PIN, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    code, before, after = map(int, proc.stdout.split()[-3:])
+    assert code == 0 and before > 0, proc.stdout
+    assert after <= before
 
 
 _BOTH = {"basis.build_basis", "basis.orthonormalize", "cli.parse_config", "experiment.emit_report", "experiment.run"}

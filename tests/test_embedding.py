@@ -373,10 +373,11 @@ class TestDifferential:
     def test_embed_scan_bytes_unchanged(self, tmp_path):
         # embed_scan.csv of configs/sig11_smoke.cfg as the per-point rank loop
         # and the product-table profile wrote it: the 50-point draw keeps the
-        # seeded stream that the second rung's injectivity scan reads next
+        # seeded stream that the second rung's injectivity scan reads next; the
+        # min_fs cells as fs_distance's numpy-sum norms and overlap round them
         assert self._embed_scan("sig11_smoke.cfg", tmp_path) == (
             "k,min_ratio,min_fs,alpha,rank_ok\n"
-            "4,0.98626893811761096,0.33420298317881558,0.60935989036592897,1\n"
+            "4,0.98626893811761096,0.33420298317881564,0.60935989036592897,1\n"
             "10,0.99999881755223541,0.54595119762724664,0.76282686569756208,1\n")
 
     def test_one_factor_embed_scan_bytes_unchanged(self, tmp_path):
@@ -384,7 +385,7 @@ class TestDifferential:
         # fs_distance on the same lifts: the product-table alpha, bit for bit
         assert self._embed_scan("sig10_embed.cfg", tmp_path) == (
             "k,min_ratio,min_fs,alpha,rank_ok\n"
-            "4,0.99311073809400074,0.37044389282646845,0.48214109104947528,1\n"
+            "4,0.99311073809400074,0.3704438928264685,0.48214109104947528,1\n"
             "16,0.99999999999999978,0.74772005025636179,0.76378209402583264,1\n")
 
 

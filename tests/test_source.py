@@ -1,9 +1,10 @@
 """Static checks of the package source, by the standard library's ast: no
 unused import, no unreferenced private module-level name, no undefined
 __all__ entry, no lattice grid built by np.meshgrid outside
-theta.grid_pairs, no LAPACK-backed np.linalg function outside the SVD
-of the rank oracle, no number written in a criterion description, and no
-exception but ValueError raised by the measuring routes, no module whose
+theta.grid_pairs, no BLAS product outside the two matrix products and no
+np.linalg name but the SVD of the rank oracle, no number written in a
+criterion description, no exception but ValueError raised by the
+measuring routes, no module whose
 compilation outgrows the import peak, and, imported, no submodule shadowed
 by a package attribute of its name.  They catch what a refactor leaves
 behind."""
@@ -97,6 +98,24 @@ def _linalg_names(tree: ast.Module) -> list[tuple[str, str]]:
     return found
 
 
+_BLAS_CALLS = {"dot", "vdot", "inner", "matmul", "tensordot"}
+
+
+def _blas_names(tree: ast.Module) -> list[tuple[str, str]]:
+    """(scope, name) for each BLAS product: "@" for the matrix-product operator
+    (or @=), and dot, vdot, inner, matmul or tensordot named as an attribute
+    (np.vdot, x.dot) or imported from numpy."""
+    found = []
+    for scope, node in _scoped_nodes(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((scope, "@"))
+        elif isinstance(node, ast.Attribute) and node.attr in _BLAS_CALLS:
+            found.append((scope, node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            found += [(scope, a.name) for a in node.names if a.name in _BLAS_CALLS]
+    return found
+
+
 def _description_numbers(tree: ast.Module) -> list[str]:
     """The numbers written in _CRITERIA_DESC's text: numeric constants, and digits
     outside {placeholders} that no letter, digit or ^ precedes (b0 and k^n are names)."""
@@ -150,12 +169,17 @@ def test_lattice_grids_go_through_the_grid_evaluator():
     assert callers == [("theta.py", "grid_pairs")]
 
 
-def test_no_lapack_outside_the_rank_oracle():
-    # the fits, the factor ranks and b0 are closed forms, and np.linalg.norm
-    # calls no LAPACK; the one LAPACK call left is the SVD of embedding._rank,
-    # which only the one-point product oracle differential reaches
-    names = [(name, scope, f) for name, tree in MODULES.items() for scope, f in _linalg_names(tree) if f != "norm"]
-    assert names == [("embedding.py", "_rank", "svd")]
+def test_no_blas_or_lapack_outside_the_matrix_products():
+    # BLAS carries the work only in the two matrix products, theta's E_j @ G_j
+    # and the FS scan's overlap blocks; each norm, dot and mat-vec is a numpy
+    # sum (np.linalg.norm and np.vdot are BLAS level-1 calls), and the fits,
+    # the factor ranks and b0 are closed forms.  The one LAPACK call left is
+    # the SVD of embedding._rank, which only the one-point product oracle
+    # differential reaches
+    names = sorted((name, scope, f) for name, tree in MODULES.items()
+                   for scope, f in _blas_names(tree) + _linalg_names(tree))
+    assert names == [("embedding.py", "_factor_min_fs", "@"), ("embedding.py", "_rank", "svd"),
+                     ("theta.py", "weighted_grid", "@")]
 
 
 def test_criteria_descriptions_hold_no_numeric_literal():
@@ -215,6 +239,11 @@ def test_checks_see_a_leftover():
                      "def fit(A, y):\n    return np.linalg.lstsq(A, y), np.linalg.norm(y), linalg.qr(A)\n")
     assert _linalg_names(tree) == [("<module>", "det"), ("<module>", "linalg"), ("fit", "lstsq"),
                                    ("fit", "norm"), ("fit", "qr")]
+    # and a BLAS product is seen however it is written
+    tree = ast.parse("import numpy as np\nfrom numpy import vdot, sum\ndef f(a, b, M):\n"
+                     "    M @= M\n    return a @ b, np.dot(a, b), a.dot(b), np.inner(a, b), np.matmul(M, a)\n")
+    assert _blas_names(tree) == [("<module>", "vdot"), ("f", "@"), ("f", "@"), ("f", "dot"), ("f", "dot"),
+                                 ("f", "inner"), ("f", "matmul")]
     # and a bound written into a description, as text or as a constant, is seen,
     # while names, placeholders and their format specs are not
     tree = ast.parse('_CRITERIA_DESC = {"A4": "within 10% and <= 1e-9 of 2 Im Psi, b0*k^n " "{bound:.0%}",\n'
