@@ -13,8 +13,8 @@ from torusbergman import (
     ProductModel,
     TorusFactor,
     build_basis,
-    expansion_model,
     far_separation_check,
+    model_exponent,
     offdiagonal_fit,
     ratio_profile,
 )
@@ -39,12 +39,10 @@ def main():
     basis = build_basis(model, 20)
     ts = np.linspace(0, 1, 9)
     fk = ratio_profile(basis, x, y, ts)
-    em = expansion_model(model)
-    dz = model.chart_dz(x, y)
+    ref = np.exp(2 * model_exponent(model, 20, y + ts[:, None] * (x - y), y).real)
     print("\n t     f_20(t)        exp(-2k Im Psi)")
-    for t, v in zip(ts, fk):
-        ref = np.exp(-2 * 20 * em.im_psi(t * dz))
-        print(f"{t:4.2f}  {v:.10f}  {ref:.10f}")
+    for t, v, r in zip(ts, fk, ref):
+        print(f"{t:4.2f}  {v:.10f}  {r:.10f}")
 
 
 if __name__ == "__main__":

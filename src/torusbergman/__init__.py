@@ -4,7 +4,7 @@ Layout:
     geometry    - torus factors, product models, lattice coordinates, curvature
     theta       - weighted level-m theta functions with certified truncation
     basis       - harmonic bases, Gram quadrature, Laplacian certification
-    kernel      - projector kernel, density, decay fits, ratio profile
+    kernel      - projector kernel, density, decay fits, ratio profile, model term
     embedding   - projective map, density floor, FS separation, differential rank
     pullback    - Fubini-Study pullback forms and derivative sums along the ladder
     config      - config parsing and validation
@@ -38,12 +38,11 @@ from .geometry import (
     omega,
 )
 from .kernel import (
-    ExpansionModel,
     density,
     disc_model_density,
-    expansion_model,
     far_separation_check,
     leading_coefficient,
+    model_exponent,
     offdiagonal_fit,
     ratio_profile,
     trace_density,
@@ -64,9 +63,8 @@ __all__ = [
     "TorusFactor", "ProductModel", "omega",
     "FactorSectionSet", "GramMatrix", "HarmonicBasis", "gram", "factor_gram",
     "orthonormalize", "build_basis", "harmonicity_residual",
-    "ExpansionModel", "density", "trace_density",
-    "expansion_model", "offdiagonal_fit", "far_separation_check",
-    "ratio_profile", "disc_model_density", "leading_coefficient",
+    "density", "trace_density", "model_exponent", "offdiagonal_fit",
+    "far_separation_check", "ratio_profile", "disc_model_density", "leading_coefficient",
     "ProjectivePoint", "DerivativeReport",
     "well_defined_check", "fs_distance", "injectivity_scan", "differential",
     "pullback_jacobian_many", "pullback_ddbar_many", "convergence_report",

@@ -14,7 +14,8 @@ Config files are plain key = value lines (``#`` comments allowed).  Keys:
                                                     name one of density offdiag far ratio derivs)
 
 Every key but factor is set at most once, every number is finite, every
-budget is positive, and no experiment is named twice.
+budget is positive, no experiment is named twice, and no list is empty (a
+pair probe holds two points); each violation names its line.
 Retired keys (grid_n, gram_tol, workers, slope_margin) are accepted, ignored
 and named in ExperimentConfig.warnings, which the run's summary carries.
 """
@@ -150,6 +151,9 @@ def parse_config(text: str) -> ExperimentConfig:
                 if len(set(names)) < len(names):
                     violations.append((ln, key, f"repeated experiments in {val!r}"))
                     continue
+                if not names:       # a run would check nothing and pass
+                    violations.append((ln, key, f"names no experiment; experiments are {' '.join(EXPERIMENTS)}"))
+                    continue
                 kw[key] = names
             elif key in _INT_MIN:
                 kw[key] = int(val)
@@ -159,6 +163,8 @@ def parse_config(text: str) -> ExperimentConfig:
                 kw[key] = float(val)
                 if not math.isfinite(kw[key]):
                     violations.append((ln, key, f"must be finite, got {val}"))
+                elif kw[key] <= 0:
+                    violations.append((ln, key, "must be positive"))
         except ValueError:
             violations.append((ln, key, f"could not parse value {val!r}"))
 
@@ -169,22 +175,21 @@ def parse_config(text: str) -> ExperimentConfig:
         if factors and any(c != 2 * len(factors) for c in counts):
             violations.append((probe_lines[name], f"probe_{name}",
                                f"each point needs {2 * len(factors)} coordinates (2 per factor), got {counts}"))
-        if name in _PAIR_PROBES and len(pts) < 2:
+        least = 2 if name in _PAIR_PROBES else 1     # a pair (x, y), or one point; none draws random points
+        if len(pts) < least:
             violations.append((probe_lines[name], f"probe_{name}",
-                               f"a pair probe needs at least 2 points, got {len(pts)}"))
-    ladder = kw.get("k_ladder", ())
+                               f"needs at least {least} point{'s' if least > 1 else ''}, got {len(pts)}"))
+    ladder, ln = kw.get("k_ladder", ()), first_line.get("k_ladder", 0)
     if not ladder:
-        violations.append((0, "k_ladder", "k_ladder is required"))
+        violations.append((ln, "k_ladder", "k_ladder is required"))
     else:
         if any(k <= 0 for k in ladder):
-            violations.append((0, "k_ladder", f"entries must be positive: {ladder}"))
+            violations.append((ln, "k_ladder", f"entries must be positive: {ladder}"))
         if any(b <= a for a, b in zip(ladder, ladder[1:])):
-            violations.append((0, "k_ladder", f"non-monotone ladder {ladder}"))
+            violations.append((ln, "k_ladder", f"non-monotone ladder {ladder}"))
         enabled = kw.get("experiments", EXPERIMENTS)
         if len(ladder) < 4 and _FIT_BASED & set(enabled):
-            violations.append((0, "k_ladder", f"length {len(ladder)} < 4 required by fit-based experiments"))
-    if kw.get("theta_eps", 1e-12) <= 0:
-        violations.append((0, "theta_eps", "must be positive"))
+            violations.append((ln, "k_ladder", f"length {len(ladder)} < 4 required by fit-based experiments"))
     if violations:
         raise ConfigError(violations)
     try:

@@ -187,7 +187,7 @@ def _exp_ratio(cfg, model, rng):
     bas = basis_mod.build_basis(model, k20, eps=cfg.theta_eps)
     ts = np.linspace(0.0, 1.0, 65)
     fk = ker.ratio_profile(bas, x, y, ts)
-    model_mid = float(np.exp(-2.0 * k20 * ker.expansion_model(model).im_psi(0.5 * model.chart_dz(x, y))))
+    model_mid = float(np.exp(2.0 * ker.model_exponent(model, k20, *ker._segment_points(model, x, y, [0.5, 0.0])).real))
     tol = 1e-12      # Cauchy-Schwarz range and coincidence value, to rounding
     rows = [[t, v] for t, v in zip(ts, fk)]
     crit = [_criterion("A6", [_check("mid_rel", abs(fk[32] / model_mid - 1.0), "<=", 0.15),

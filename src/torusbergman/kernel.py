@@ -4,13 +4,13 @@ The localized J0-scalar kernel in the global theta trivialization is the
 finite sum P(x,y) = sum_j g_j(x) conj(g_j(y)) over the orthonormal basis of
 weighted coefficients g_j; its diagonal is the local density of states.  The
 basis is a tensor product, so kernel, density and ratio profile are products
-of their factor values, read one factor table at a time through
-HarmonicBasis.factor_values (cost grows with sum_t m_t, not dim); the decay
-measurements read P(x,y), P(x,x) and P(y,y) from one table per factor.  The
-comparison model is the gamma = 0 term of the lattice sum of Bargmann-Fock
-kernels, b0 k^n exp(-k Im Psi(z - w) + i k Phi(z, w)) in the global
-trivialization, which on flat models is the exact local behavior up to the
-other lattice terms.
+of their factor values, read through HarmonicBasis.factor_values (cost grows
+with sum_t m_t, not dim); every off-diagonal measurement reads P(x,y), P(x,x)
+and P(y,y) of points x against one y from one table per factor (_kernel_pair).
+The comparison model is the gamma = 0 term of the lattice sum of
+Bargmann-Fock kernels, b0 k^n exp(-k Im Psi(z - w) + i k Phi(z, w)) in the
+global trivialization, the exact local behavior on flat models up to the
+other lattice terms: b0 is leading_coefficient, the exponent model_exponent.
 """
 
 from __future__ import annotations
@@ -25,10 +25,9 @@ from .geometry import VOLUME_NORMALIZATION, ProductModel
 from .util import fit_line, noise_floor
 
 __all__ = [
-    "ExpansionModel",
     "density",
     "trace_density",
-    "expansion_model",
+    "model_exponent",
     "offdiagonal_fit",
     "far_separation_check",
     "ratio_profile",
@@ -37,13 +36,14 @@ __all__ = [
 ]
 
 
-def _kernel_pair(basis: HarmonicBasis, x, y) -> tuple[complex, float, float]:
-    """P(x,y), P(x,x) and P(y,y), all from one basis.factor_values table per
-    factor: the products over factors of sum_j g_tj(x_t) conj(g_tj(y_t)) and
-    of the factor densities."""
-    tabs = basis.factor_values(np.stack([np.asarray(x, dtype=float), np.asarray(y, dtype=float)]))
-    pxx, pyy = np.prod([np.sum(np.abs(v) ** 2, axis=0) for v in tabs], axis=0)
-    return complex(np.prod([np.sum(v[:, 0] * np.conj(v[:, 1])) for v in tabs])), float(pxx), float(pyy)
+def _kernel_pair(basis: HarmonicBasis, X, y) -> tuple[np.ndarray, np.ndarray, float]:
+    """P(X,y) and P(X,X) at each of the points X, (P, 2n), and P(y,y), from one
+    basis.factor_values table per factor whose last column is y: the products
+    over factors of sum_j g_tj(x_t) conj(g_tj(y_t)) and of the factor densities."""
+    tabs = basis.factor_values(np.vstack([np.asarray(X, dtype=float), np.asarray(y, dtype=float)]))
+    dens = np.prod([np.sum(np.abs(v) ** 2, axis=0) for v in tabs], axis=0)
+    pxy = np.prod([np.sum(v[:, :-1] * np.conj(v[:, -1:]), axis=0) for v in tabs], axis=0)
+    return pxy, dens[:-1], float(dens[-1])
 
 
 def density(basis: HarmonicBasis, points) -> np.ndarray:
@@ -79,24 +79,17 @@ def leading_coefficient(model: ProductModel) -> float:
     return float(np.prod(np.abs(2.0 * model.lambdas)) / (2.0 * np.pi) ** model.n)
 
 
-class ExpansionModel(NamedTuple):
-    """Gaussian decay of the model kernel, |P(z,w)| = b0 k^n e^{-k Im Psi(z - w)}, the same
-    at every basepoint of the flat model (b0: leading_coefficient)."""
-
-    lam: np.ndarray
-    c_lower: float
-
-    def im_psi(self, dz) -> np.ndarray:
-        """Im Psi in chart separations dz; positive unless dz = 0."""
-        dz = np.asarray(dz, dtype=complex)
-        return np.sum(np.abs(self.lam) * np.abs(dz) ** 2, axis=-1)
-
-
-def expansion_model(model: ProductModel) -> ExpansionModel:
-    lam = model.lambdas
-    # best constant in Im Psi >= c |x-y|_g^2 with |.|_g^2 = 2 sum |dz|^2: Im Psi
-    # = sum |lambda_t| |dz_t|^2, so c = min|lambda| / 2, attained along an axis
-    return ExpansionModel(lam=lam, c_lower=float(np.min(np.abs(lam))) / 2.0)
+def model_exponent(model: ProductModel, k: int, x, y) -> np.ndarray:
+    """-k Im Psi(z - w) + i k Phi(z, w) at covering-space lattice coordinates
+    x and y (last axis 2n, broadcast), z and w their chart coordinates: the log
+    of the gamma = 0 lattice term of the power-k kernel over b0 k^n, finite at
+    every k.  Im Psi(dz) = sum_t |lambda_t| |dz_t|^2 is positive unless dz = 0,
+    and Phi = -pi sum_t d_t Re(z_t - w_t) Im(z_t + w_t) / Im tau_t is the
+    unit-power phase in the global trivialization."""
+    z, w = model.chart_z(x), model.chart_z(y)
+    im_psi = np.sum(np.abs(model.lambdas) * np.abs(z - w) ** 2, axis=-1)
+    phi = -np.pi * np.sum(np.array(model.degrees) * np.real(z - w) * np.imag(z + w) / model.taus.imag, axis=-1)
+    return k * (-im_psi + 1j * phi)
 
 
 class OffdiagonalFit(NamedTuple):
@@ -121,28 +114,27 @@ def offdiagonal_fit(bases: list[HarmonicBasis], x, y) -> OffdiagonalFit:
     Fits the slope of log f_k vs k at fixed (x, y) and compares with twice
     the quadratic-model Im Psi; also compares the kernel phase in the global
     trivialization against k Phi(z, w), the phase of the lattice sum's
-    gamma = 0 term, Phi = -pi sum_t d_t Re(z_t - w_t) Im(z_t + w_t) / Im tau_t
-    at the covering-space pair.  Rungs whose |P(x,y)| is at or below the
-    rounding floor (util.noise_floor) are listed in `floored` and left out of
-    the fit; with fewer than 2 rungs above it c_fit is nan.
+    gamma = 0 term (model_exponent), at the covering-space pair.  Rungs whose
+    |P(x,y)| is at or below the rounding floor (util.noise_floor) are listed
+    in `floored` and left out of the fit; with fewer than 2 rungs above it
+    c_fit is nan.
     """
     if len(bases) < 4:
         raise ValueError("need at least 4 tensor powers for the decay fit")
     model = bases[0].model
     ybase, xcov = _segment_points(model, x, y, [0.0, 1.0])
-    zx, zy = model.chart_z(xcov), model.chart_z(ybase)
-    phi = -np.pi * np.sum(np.array(model.degrees) * np.real(zx - zy) * np.imag(zx + zy) / model.taus.imag)
+    unit = model_exponent(model, 1, xcov, ybase)
     ks = np.array([b.k for b in bases])
     logf, phs, live = [], [], []
     for b in bases:
-        val, pxx, pyy = _kernel_pair(b, xcov, ybase)
+        (val,), (pxx,), pyy = _kernel_pair(b, [xcov], ybase)
         live.append(abs(val) > noise_floor("kernel", np.sqrt(pxx * pyy)))
         with np.errstate(divide="ignore"):      # an exact zero reads -inf, floored
             logf.append(np.log(abs(val) ** 2 / (pxx * pyy)))
-        phs.append(np.angle(np.exp(1j * (np.angle(val) - b.k * phi))))   # wrapped to (-pi, pi]
+        phs.append(np.angle(np.exp(1j * (np.angle(val) - b.k * unit.imag))))   # wrapped to (-pi, pi]
     logf, live = np.array(logf), np.array(live)
     c_fit = -fit_line(ks[live], logf[live]).slope if live.sum() >= 2 else np.nan
-    c_model = float(2.0 * expansion_model(model).im_psi(zx - zy))
+    c_model = float(-2.0 * unit.real)
     rel = abs(c_fit - c_model) / c_model if c_model > 0 else abs(c_fit)
     return OffdiagonalFit(log_ratio=logf, c_fit=c_fit, c_model=c_model,
                           rel_dev=float(rel), phase_dev=float(np.max(np.abs(phs))),
@@ -172,7 +164,7 @@ def far_separation_check(bases: list[HarmonicBasis], x, y) -> FarFieldReport:
     """
     ks, vals, under = [], [], []
     for b in bases:
-        val, pxx, pyy = _kernel_pair(b, x, y)
+        (val,), (pxx,), pyy = _kernel_pair(b, [x], y)
         if abs(val) <= noise_floor("kernel", np.sqrt(pxx * pyy)):
             under.append(b.k)
             continue
@@ -195,19 +187,9 @@ def ratio_profile(basis: HarmonicBasis, x, y, t_grid) -> np.ndarray:
 
     The segment runs on the covering space so a single chart contains it;
     Cauchy-Schwarz gives f_k in [0, 1] with value 1 at coincidence (t=0).
-    Kernel and density factor, so f_k is the product of the factor ratios.
     """
-    model = basis.model
-    ts = np.asarray(t_grid, dtype=float)
-    pts = _segment_points(model, x, y, ts)
-    ratios = []
-    for V, vy in zip(basis.factor_values(pts), basis.factor_values(model.reduce(y))):
-        vy = vy[:, 0]
-        num = np.abs(np.sum(V * np.conj(vy)[:, None], axis=0)) ** 2
-        pxx = np.sum(np.abs(V) ** 2, axis=0)
-        pyy = float(np.sum(np.abs(vy) ** 2))
-        ratios.append(num / (pxx * pyy))
-    return np.prod(ratios, axis=0)
+    pxy, pxx, pyy = _kernel_pair(basis, _segment_points(basis.model, x, y, t_grid), basis.model.reduce(y))
+    return np.abs(pxy) ** 2 / (pxx * pyy)
 
 
 _DISC_AT = 0.25     # the disc oracle's evaluation radius, as a fraction of the disc's

@@ -376,12 +376,13 @@ def product_kernel(basis: HarmonicBasis, x, y) -> complex:
 
 
 def product_ratio_profile(basis: HarmonicBasis, x, y, t_grid) -> np.ndarray:
-    """kernel.ratio_profile from the full product basis's values on the segment."""
+    """kernel.ratio_profile from the full product basis's values on the segment
+    and at y, in one table whose last column is y."""
     pts = _segment_points(basis.model, x, y, np.asarray(t_grid, dtype=float))
-    V = basis.values(pts)
-    vy = basis.values(basis.model.reduce(y))[:, 0]
-    num = np.abs(np.sum(V * np.conj(vy)[:, None], axis=0)) ** 2
-    return num / (np.sum(np.abs(V) ** 2, axis=0) * np.sum(np.abs(vy) ** 2))
+    V = basis.values(np.vstack([pts, basis.model.reduce(y)]))
+    dens = np.sum(np.abs(V) ** 2, axis=0)
+    num = np.abs(np.sum(V[:, :-1] * np.conj(V[:, -1:]), axis=0)) ** 2
+    return num / (dens[:-1] * dens[-1])
 
 
 class RemixedBasis:
@@ -472,7 +473,7 @@ def chart_kernel(basis: HarmonicBasis, chart: NormalChart, x, y) -> complex:
     lattice coordinates on the same chart branch."""
     ux, uy = (basis.model.chart_z(np.asarray(q, float)) - chart.z0 for q in (x, y))
     gx, gy = (np.exp(-1j * np.imag(chart.gauge(u, basis.k))) for u in (ux, uy))
-    return complex(_kernel_pair(basis, x, y)[0] * gx * np.conj(gy))
+    return complex(_kernel_pair(basis, [x], y)[0][0] * gx * np.conj(gy))
 
 
 def psi(model: ProductModel, z, w) -> np.ndarray:

@@ -24,9 +24,9 @@ from torusbergman.geometry import ProductModel, TorusFactor
 from torusbergman.kernel import (
     density,
     disc_model_density,
-    expansion_model,
     far_separation_check,
     leading_coefficient,
+    model_exponent,
     offdiagonal_fit,
     ratio_profile,
     trace_density,
@@ -141,9 +141,7 @@ def test_a6_ratio_profile():
     x, y = np.array([0.45, 0.30]), np.array([0.35, 0.30])
     ts = np.linspace(0.0, 1.0, 64)
     fk = ratio_profile(b, x, y, ts)
-    em = expansion_model(m)
-    dz = m.chart_dz(x, y)
-    interior_dev = abs(fk[32] / np.exp(-2 * 20 * em.im_psi(ts[32] * dz)) - 1.0)
+    interior_dev = abs(fk[32] / np.exp(2 * model_exponent(m, 20, y + ts[32] * (x - y), y).real) - 1.0)
     ok = (abs(fk[0] - 1.0) <= 1e-12 and np.all(fk >= -1e-15)
           and np.all(fk <= 1 + 1e-12) and interior_dev <= 0.15)
     assert report("A6", ok, interior_dev, 0.15,
@@ -237,6 +235,8 @@ def test_a10_infrastructure(tmp_path):
         "factor = 0.0 1.0 1\nk_ladder = 1 2 3 4\nseed = -1\n",          # negative seed
         "factor = 0.0 1.0 1\nk_ladder = 1 2 3 4\nembed_grid_n = 0\n",   # empty scan grid
         "factor = 0.0 1.0 1\nk_ladder = 1 2 3 4\nembed_grid_n = 1\n",   # one-point scan grid
+        "factor = 0.0 1.0 1\nk_ladder = 1 2 3 4\nexperiments =\n",       # no experiment: nothing checked
+        "factor = 0.0 1.0 1\nk_ladder = 1 2 3 4\nprobe_density =\n",     # empty probe: random points
     ]
     rejected = 0
     for text in malformed:

@@ -149,6 +149,38 @@ class TestParseConfig:
         ((ln, key, msg),) = err.value.violations
         assert (ln, key) == (5, "experiments") and "repeated" in msg
 
+    def test_empty_experiment_list_rejected_with_line(self, tmp_path, capsys):
+        # experiments = parsed to (): the run evaluated no criterion, and
+        # `torus-bergman all` exited 0 with "criteria": [], a pass that checked nothing
+        bad = MINIMAL.replace("experiments = dims", "experiments =")
+        with pytest.raises(ConfigError) as err:
+            parse_config(bad)
+        ((ln, key, msg),) = err.value.violations
+        assert (ln, key) == (5, "experiments") and "names no experiment" in msg
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(bad)
+        assert cli_main(["all", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "line 5: [experiments]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, key, problem", [
+        ("k_ladder = 8 8 16 20", "k_ladder", "non-monotone ladder (8, 8, 16, 20)"),
+        ("k_ladder = 0 3 4 5", "k_ladder", "entries must be positive: (0, 3, 4, 5)"),
+        ("k_ladder = 2 3 4\nexperiments = far", "k_ladder", "length 3 < 4 required by fit-based experiments"),
+        ("theta_eps = 0", "theta_eps", "must be positive"),
+    ])
+    def test_ladder_and_eps_violations_name_their_line(self, line, key, problem, tmp_path, capsys):
+        # each was reported at line 0, which only a missing required key keeps
+        text = "factor = 0.0 1.0 -1\nseed = 7\n" + line + "\n"
+        text += "" if "k_ladder" in line else "k_ladder = 2 3 4 5\n"
+        text += "" if "experiments" in line else "experiments = dims\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.violations == [(3, key, problem)]
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        assert cli_main(["all", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert f"line 3: [{key}] {problem}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("line", ["budget_dims = -1", "budget_all = 0", "budget_embed = -0.0"])
     def test_non_positive_budget_rejected_with_line(self, line):
         # budget_dims = -1 warned "exceeded budget: 0.0s > -1.0s" on every run
@@ -166,11 +198,14 @@ class TestParseConfig:
         ("probe_offdiag = 0.1 0.2", "at least 2 points, got 1"),
         ("probe_far = 0.1 0.2", "at least 2 points, got 1"),
         ("probe_ratio = 0.1 0.2 ;", "at least 2 points, got 1"),
+        ("probe_density =", "at least 1 point, got 0"),
+        ("probe_derivs = ;", "at least 1 point, got 0"),
     ])
     def test_bad_probe_rejected_with_line(self, line, problem, tmp_path, capsys):
         # each of these used to pass the validator: the first three then failed
         # their experiment with a ValueError, the misspelt name was ignored,
-        # and a one-point pair probe was replaced by a random pair
+        # and a one-point pair probe was replaced by a random pair, as an empty
+        # probe list was by random points
         with pytest.raises(ConfigError) as err:
             parse_config(MINIMAL + line + "\n")
         ((ln, key, msg),) = err.value.violations
